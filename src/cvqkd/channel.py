@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DETECTIONS = ("homodyne", "heterodyne")
+# vacuum noise at the detector in shot-noise units, per detection mode
+NOISE_FLOORS = {"homodyne": 1.0, "heterodyne": 2.0}
+DETECTIONS = tuple(NOISE_FLOORS)
 NOISE_KINDS = ("gaussian", "uniform", "two-point", "none")
 
 
@@ -31,11 +33,11 @@ class ChannelParams:
 
     def __post_init__(self):
         if not 0.0 < self.t <= 1.0:
-            raise ValueError(f"transmittance must lie in (0, 1], got {self.t}")
-        if self.xi < 0.0:
-            raise ValueError("excess noise must be nonnegative")
+            raise ValueError(f"transmittance t must lie in (0, 1], got {self.t}")
+        if not (math.isfinite(self.xi) and self.xi >= 0.0):
+            raise ValueError(f"excess noise xi must be finite and nonnegative, got {self.xi}")
         if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"detector efficiency must lie in (0, 1], got {self.eta}")
+            raise ValueError(f"detector efficiency eta must lie in (0, 1], got {self.eta}")
         if self.detection not in DETECTIONS:
             raise ValueError(f"detection must be one of {DETECTIONS}, got {self.detection!r}")
 
@@ -51,7 +53,7 @@ class ChannelParams:
     @property
     def noise_floor(self) -> float:
         """Vacuum noise at the detector: 1 shot unit homodyne, 2 heterodyne."""
-        return 1.0 if self.detection == "homodyne" else 2.0
+        return NOISE_FLOORS[self.detection]
 
 
 def distance_to_T(d_km, loss_db_per_km=0.2):
@@ -61,50 +63,13 @@ def distance_to_T(d_km, loss_db_per_km=0.2):
     return 10.0 ** (-loss_db_per_km * d_km / 10.0)
 
 
-def _select_signal(symbols, params, rng, basis_choices):
-    """Apply the channel gain and, for homodyne, pick one quadrature per mode."""
-    symbols = np.asarray(symbols, dtype=float)
-    if symbols.ndim != 2 or symbols.shape[1] != 2:
-        raise ValueError("symbols must be quadrature pairs of shape (n_modes, 2)")
-    gain = math.sqrt(params.t_eff)
-    if params.detection == "heterodyne":
-        if basis_choices is not None:
-            raise ValueError("basis choices apply to homodyne detection only")
-        return gain * symbols, None
-    n = symbols.shape[0]
-    if basis_choices is None:
-        basis = rng.integers(0, 2, size=n)
-    else:
-        basis = np.asarray(basis_choices, dtype=int)
-        if basis.shape != (n,) or not np.isin(basis, (0, 1)).all():
-            raise ValueError("basis choices must be one 0/1 entry per mode")
-    return gain * symbols[np.arange(n), basis], basis
-
-
-def transmit_measure(symbols, params, rng, basis_choices=None):
-    """Send quadrature symbols through the channel and detect them.
-
-    Returns (outcomes, basis).  Homodyne outcomes have shape (n_modes,) with
-    the measured quadrature recorded in basis (0 = x, 1 = p); heterodyne
-    outcomes have shape (n_modes, 2) and basis None.
-    """
-    signal, basis = _select_signal(symbols, params, rng, basis_choices)
-    sigma = math.sqrt(params.noise_floor + params.t_eff * params.xi)
-    return signal + sigma * rng.standard_normal(signal.shape), basis
-
-
-def snr(params, v_a):
-    """Per-quadrature signal-to-noise ratio at the detector."""
-    return params.t_eff * v_a / (params.noise_floor + params.t_eff * params.xi)
-
-
 @dataclass(frozen=True)
 class NoiseSpec:
     """Zero-mean additive detector noise with a declared total variance.
 
     The variance counts everything added on top of sqrt(T_eff) q, shot noise
-    included, so a gaussian spec of variance noise_floor + T_eff*xi reproduces
-    transmit_measure exactly.
+    included; transmit_measure defaults to the gaussian spec of variance
+    noise_floor + T_eff*xi.
     """
 
     kind: str = "gaussian"
@@ -131,12 +96,38 @@ class NoiseSpec:
         return s * (rng.integers(0, 2, size=shape) * 2 - 1)
 
 
-def add_non_gaussian_noise(symbols, params, noise_spec, rng, basis_choices=None):
-    """transmit_measure with the additive noise drawn from noise_spec.
+def transmit_measure(symbols, params, rng, basis_choices=None, noise=None):
+    """Send quadrature symbols through the channel and detect them.
 
-    Second moments depend only on the declared variance, so parameter
-    estimation from (T_eff, xi)-matched non-Gaussian noise must agree with the
-    Gaussian channel.
+    Returns (outcomes, basis).  Homodyne outcomes have shape (n_modes,) with
+    the measured quadrature recorded in basis (0 = x, 1 = p); heterodyne
+    outcomes have shape (n_modes, 2) and basis None.  The additive noise is
+    drawn from noise, by default the Gaussian spec of variance
+    noise_floor + T_eff*xi; second moments depend only on the declared
+    variance, so estimates from matched non-Gaussian noise agree with it.
     """
-    signal, basis = _select_signal(symbols, params, rng, basis_choices)
-    return signal + noise_spec.sample(signal.shape, rng), basis
+    symbols = np.asarray(symbols, dtype=float)
+    if symbols.ndim != 2 or symbols.shape[1] != 2:
+        raise ValueError("symbols must be quadrature pairs of shape (n_modes, 2)")
+    gain = math.sqrt(params.t_eff)
+    if params.detection == "heterodyne":
+        if basis_choices is not None:
+            raise ValueError("basis choices apply to homodyne detection only")
+        signal, basis = gain * symbols, None
+    else:
+        n = symbols.shape[0]
+        if basis_choices is None:
+            basis = rng.integers(0, 2, size=n)
+        else:
+            basis = np.asarray(basis_choices, dtype=int)
+            if basis.shape != (n,) or not np.isin(basis, (0, 1)).all():
+                raise ValueError("basis choices must be one 0/1 entry per mode")
+        signal = gain * symbols[np.arange(n), basis]
+    if noise is None:
+        noise = NoiseSpec("gaussian", params.noise_floor + params.t_eff * params.xi)
+    return signal + noise.sample(signal.shape, rng), basis
+
+
+def snr(params, v_a):
+    """Per-quadrature signal-to-noise ratio at the detector."""
+    return params.t_eff * v_a / (params.noise_floor + params.t_eff * params.xi)

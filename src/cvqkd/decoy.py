@@ -308,13 +308,11 @@ def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):
     keep = weights > 1e-12
     mus, weights = mus[keep], weights[keep]
     weights /= weights.sum()
-    k = np.arange(n_max + 1)
-    mix = sum(w * stats.poisson.pmf(k, mu) for w, mu in zip(weights, mus))
-    residual = float(np.sum(np.abs(g.probs - p * f.probs - (1.0 - p) * mix)))
-    tail_slack = (
-        g.tail
-        + p * f.tail
-        + (1.0 - p) * float(np.sum(weights * stats.poisson.sf(n_max, mus)))
+    # the labeled ensemble: decoy spheres at weight 1-p plus the key sphere at p
+    labeled = mixture_photon_dist(
+        np.append(np.sqrt(mus), math.sqrt(d / 2.0) * alpha),
+        np.append((1.0 - p) * weights, p),
+        n_max=n_max,
     )
     order = np.argsort(mus)
     return DecoyDesign(
@@ -323,6 +321,6 @@ def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):
         p=p,
         radii=tuple(math.sqrt(mu) for mu in mus[order]),
         weights=tuple(float(w) for w in weights[order]),
-        epsilon=0.5 * residual + 0.5 * tail_slack,
+        epsilon=trace_distance(g, labeled),
         n_max=n_max,
     )

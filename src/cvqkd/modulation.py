@@ -23,7 +23,7 @@ from .algebra import DIVISION_DIMS
 # Quadrature mean per unit coherent amplitude under x = a + a*.
 QUADRATURE_SCALE = 2.0
 
-KINDS = ("key", "gaussian", "decoy-band", "decoy-approx")
+KINDS = ("key", "gaussian")
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,8 @@ class ModulationScheme:
     def __post_init__(self):
         if self.d not in DIVISION_DIMS:
             raise ValueError(f"d must be one of {DIVISION_DIMS}, got {self.d}")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
@@ -94,8 +94,8 @@ def sample_gaussian_blocks(scheme, n_blocks, rng):
     Normalized block radii then follow chi_pdf, which is what the radius-band
     flow filters on.
     """
-    if scheme.kind not in ("gaussian", "decoy-band"):
-        raise ValueError(f"scheme kind must be Gaussian-like, got {scheme.kind!r}")
+    if scheme.kind != "gaussian":
+        raise ValueError(f"scheme kind must be 'gaussian', got {scheme.kind!r}")
     return rng.normal(0.0, scheme.alpha / math.sqrt(2.0), size=(n_blocks, scheme.d))
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import algebra, modulation, reconciliation, security
-from .channel import DETECTIONS, ChannelParams, distance_to_T, transmit_measure
+from .channel import DETECTIONS, NOISE_FLOORS, ChannelParams, distance_to_T, transmit_measure
 from .decoy import DecoyDesign, mix_probabilities
 from .modulation import ModulationScheme, RadiusBand
 
@@ -60,8 +60,8 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.d not in algebra.DIVISION_DIMS:
             raise ConfigError(f"d must be one of {algebra.DIVISION_DIMS}, got {self.d}")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ConfigError(f"alpha must be finite and positive, got {self.alpha}")
         if self.n_symbols < 1:
             raise ConfigError("n_symbols must be at least 1")
         if self.flow not in FLOWS:
@@ -300,7 +300,7 @@ def estimate_channel(alice_blocks, bob_blocks, v_a, detection, min_samples=MIN_E
         raise ProtocolError(
             f"only {a.size} estimation samples, need at least {min_samples}"
         )
-    floor = 1.0 if detection == "homodyne" else 2.0
+    floor = NOISE_FLOORS[detection]
     a_q = modulation.QUADRATURE_SCALE * a
     c_hat = float(np.mean(a_q * y))
     v_y = float(np.mean(y * y))
@@ -317,7 +317,7 @@ def estimation_std(t_hat, xi_hat, v_a, n_samples, detection):
     Uses the Gaussian fourth-moment identities Var(xy) = VxVy + C^2,
     Var(y^2) = 2Vy^2, Cov(xy, y^2) = 2C Vy.
     """
-    floor = 1.0 if detection == "homodyne" else 2.0
+    floor = NOISE_FLOORS[detection]
     c = math.sqrt(t_hat) * v_a
     v_y = floor + t_hat * (v_a + xi_hat)
     var_c = (v_a * v_y + c * c) / n_samples

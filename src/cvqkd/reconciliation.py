@@ -75,7 +75,12 @@ def biawgn_capacity(snr):
 
 
 class IdentityCode:
-    """Rate-1 code: no syndrome, decisions straight off the LLR signs."""
+    """Rate-1 code: no syndrome, decisions straight off the LLR signs.
+
+    Like every code here it works on batches: bits and LLRs carry the frame
+    on the last axis and any leading axes broadcast, so syndrome maps
+    [..., n] to [..., n-k] and decode maps ([..., n], [..., n-k]) to [..., n].
+    """
 
     def __init__(self, k_bits):
         if k_bits < 1:
@@ -88,44 +93,13 @@ class IdentityCode:
         return 1.0
 
     def syndrome(self, bits):
-        return np.zeros(0, dtype=np.uint8)
+        return np.zeros(np.shape(bits)[:-1] + (0,), dtype=np.uint8)
 
     def info_bits(self, bits):
         return np.asarray(bits, dtype=np.uint8)
 
     def decode(self, llr, syndrome):
         return (np.asarray(llr) < 0).astype(np.uint8)
-
-
-class RepetitionCode:
-    """Length-r repetition code; the syndrome pins every bit to the first."""
-
-    def __init__(self, r):
-        if r < 1:
-            raise ValueError("repetition length must be >= 1")
-        self.n_bits = r
-        self.k_bits = 1
-
-    @property
-    def rate(self):
-        return 1.0 / self.n_bits
-
-    def syndrome(self, bits):
-        bits = np.asarray(bits, dtype=np.uint8)
-        return bits[1:] ^ bits[0]
-
-    def info_bits(self, bits):
-        return np.asarray(bits, dtype=np.uint8)[:1]
-
-    def decode(self, llr, syndrome):
-        llr = np.asarray(llr, dtype=float)
-        signs = np.concatenate([[1.0], 1.0 - 2.0 * np.asarray(syndrome, dtype=float)])
-        folded = np.sum(llr * signs)
-        first = np.uint8(folded < 0)
-        out = np.empty(self.n_bits, dtype=np.uint8)
-        out[0] = first
-        out[1:] = first ^ np.asarray(syndrome, dtype=np.uint8)
-        return out
 
 
 class ConcatenatedCode:
@@ -143,30 +117,34 @@ class ConcatenatedCode:
     def rate(self):
         return self.k_bits / self.n_bits
 
-    def _split(self, syndrome):
-        n_par = self.inner.n_bits * (self.rep_len - 1)
-        return syndrome[:n_par].reshape(self.inner.n_bits, self.rep_len - 1), syndrome[n_par:]
+    def _groups(self, values, dtype):
+        values = np.asarray(values, dtype=dtype)
+        return values.reshape(values.shape[:-1] + (self.inner.n_bits, self.rep_len))
 
     def syndrome(self, bits):
-        groups = np.asarray(bits, dtype=np.uint8).reshape(self.inner.n_bits, self.rep_len)
-        parities = groups[:, 1:] ^ groups[:, :1]
-        return np.concatenate([parities.reshape(-1), self.inner.syndrome(groups[:, 0])])
+        groups = self._groups(bits, np.uint8)
+        parities = groups[..., 1:] ^ groups[..., :1]
+        flat = parities.reshape(parities.shape[:-2] + (-1,))
+        return np.concatenate([flat, self.inner.syndrome(groups[..., 0])], axis=-1)
 
     def info_bits(self, bits):
-        groups = np.asarray(bits, dtype=np.uint8).reshape(self.inner.n_bits, self.rep_len)
-        return self.inner.info_bits(groups[:, 0])
+        return self.inner.info_bits(self._groups(bits, np.uint8)[..., 0])
 
     def decode(self, llr, syndrome):
         syndrome = np.asarray(syndrome, dtype=np.uint8)
-        parities, inner_synd = self._split(syndrome)
-        groups = np.asarray(llr, dtype=float).reshape(self.inner.n_bits, self.rep_len)
-        signs = np.hstack([np.ones((self.inner.n_bits, 1)), 1.0 - 2.0 * parities])
-        folded = np.sum(groups * signs, axis=1)
-        leaders = self.inner.decode(folded, inner_synd)
-        out = np.empty((self.inner.n_bits, self.rep_len), dtype=np.uint8)
-        out[:, 0] = leaders
-        out[:, 1:] = leaders[:, None] ^ parities
-        return out.reshape(-1)
+        lead = syndrome.shape[:-1]
+        n_par = self.inner.n_bits * (self.rep_len - 1)
+        parities = syndrome[..., :n_par].reshape(lead + (self.inner.n_bits, self.rep_len - 1))
+        groups = self._groups(llr, float)
+        signs = np.concatenate(
+            [np.ones(lead + (self.inner.n_bits, 1)), 1.0 - 2.0 * parities], axis=-1
+        )
+        folded = np.sum(groups * signs, axis=-1)
+        leaders = self.inner.decode(folded, syndrome[..., n_par:])
+        out = np.empty(lead + (self.inner.n_bits, self.rep_len), dtype=np.uint8)
+        out[..., 0] = leaders
+        out[..., 1:] = leaders[..., None] ^ parities
+        return out.reshape(lead + (self.n_bits,))
 
 
 def concatenated_code(rep_len, inner=None):
@@ -174,7 +152,7 @@ def concatenated_code(rep_len, inner=None):
     if rep_len < 1:
         raise ValueError("repetition length must be >= 1")
     if inner is None:
-        return IdentityCode(1) if rep_len == 1 else RepetitionCode(rep_len)
+        return IdentityCode(1) if rep_len == 1 else ConcatenatedCode(rep_len, IdentityCode(1))
     return ConcatenatedCode(rep_len, inner)
 
 
@@ -183,6 +161,7 @@ class ParityCheckCode:
 
     Decoding needs an externally supplied soft decoder (an LDPC implementation
     is out of scope here); syndrome computation and plumbing work without one.
+    The decoder is called as decoder(llr, syndrome, code) on the whole batch.
     """
 
     def __init__(self, n_bits, k_bits, checks, decoder=None):
@@ -206,13 +185,13 @@ class ParityCheckCode:
 
     def syndrome(self, bits):
         bits = np.asarray(bits, dtype=np.uint8)
-        return np.array(
-            [np.bitwise_xor.reduce(bits[row]) if row.size else 0 for row in self.checks],
-            dtype=np.uint8,
-        )
+        out = np.empty(bits.shape[:-1] + (len(self.checks),), dtype=np.uint8)
+        for j, row in enumerate(self.checks):
+            out[..., j] = np.bitwise_xor.reduce(bits[..., row], axis=-1)
+        return out
 
     def info_bits(self, bits):
-        return np.asarray(bits, dtype=np.uint8)[: self.k_bits]
+        return np.asarray(bits, dtype=np.uint8)[..., : self.k_bits]
 
     def decode(self, llr, syndrome):
         if self.decoder is None:
@@ -306,12 +285,9 @@ def reconcile(x_blocks, y_blocks, code, rng):
     frames = bits_all[:used].reshape(n_frames, code.n_bits)
     llr = llr_all[:used].reshape(n_frames, code.n_bits)
 
-    syndromes = np.array([code.syndrome(f) for f in frames], dtype=np.uint8)
-    success = np.zeros(n_frames, dtype=bool)
-    decoded = np.empty_like(frames)
-    for i in range(n_frames):
-        decoded[i] = code.decode(llr[i], syndromes[i])
-        success[i] = np.array_equal(decoded[i], frames[i])
+    syndromes = code.syndrome(frames)
+    decoded = np.asarray(code.decode(llr, syndromes), dtype=np.uint8)
+    success = np.all(decoded == frames, axis=1)
 
     capacity = biawgn_capacity(snr_hat)
     beta = code.rate / capacity if capacity > 0 else math.inf

@@ -326,8 +326,8 @@ def secret_key_rate(d, v_a, params, beta):
     """Key rate in bits per symbol (one symbol = one coherent state)."""
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"reconciliation efficiency must lie in (0, 1], got {beta}")
-    if v_a <= 0:
-        raise ValueError("modulation variance must be positive")
+    if not (math.isfinite(v_a) and v_a > 0):
+        raise ValueError(f"modulation variance v_a must be finite and positive, got {v_a}")
     _check_pairing(d, params.detection)
     g0 = gamma_key0(d, v_a)
     if params.eta_trusted and params.eta < 1.0:

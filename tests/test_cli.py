@@ -140,6 +140,17 @@ def test_simulate_flow_override(tmp_path):
     assert "flow gaussian" in (out / "manifest.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "flag, value, field", [("--xi", "nan", "xi"), ("--xi", "inf", "xi"), ("--va", "inf", "v_a")]
+)
+def test_keyrate_rejects_non_finite_input(tmp_path, capsys, flag, value, field):
+    rc = main(["keyrate", "--sweep", "distance_km", "--start", "0", "--stop", "10",
+               "--steps", "2", "--d", "8", flag, value, "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f" {field} must be finite" in err and "unphysical" not in err
+
+
 def test_simulate_config_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("flow decoy\nd 8\nmystery 1\n")

@@ -28,6 +28,12 @@ def test_scheme_validation():
         mod.ModulationScheme(2, 0.5, kind="squeezed")
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_scheme_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        mod.ModulationScheme(8, alpha)
+
+
 def test_scheme_derived_quantities():
     s = mod.ModulationScheme(8, 0.5)
     assert s.v_a == 0.5

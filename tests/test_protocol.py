@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cvqkd.channel import ChannelParams, NoiseSpec, add_non_gaussian_noise
+from cvqkd.channel import ChannelParams, NoiseSpec, transmit_measure
 from cvqkd.decoy import optimize_decoy
 from cvqkd.modulation import RadiusBand, band_acceptance_probability, read_blocks_csv
 from cvqkd.protocol import (
@@ -80,6 +80,12 @@ def test_config_validation():
             d=8, alpha=1.0, n_symbols=100, flow="gaussian",
             channel=ChannelParams(t=1.0, detection="homodyne"),
         )
+
+
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ConfigError, match="alpha"):
+        ProtocolConfig(d=8, alpha=alpha, n_symbols=100)
 
 
 def test_config_rejects_mismatched_design(design8):
@@ -177,7 +183,7 @@ def test_estimate_channel_insensitive_to_noise_shape():
     a = rng.normal(0.0, math.sqrt(0.5), size=(n, 2))
     quads = 2.0 * a
     spec = NoiseSpec("uniform", params.noise_floor + params.t_eff * params.xi)
-    y = add_non_gaussian_noise(quads, params, spec, rng)[0]
+    y = transmit_measure(quads, params, rng, noise=spec)[0]
     t_hat, xi_hat = estimate_channel(a, y, 2.0, "heterodyne")
     std_t, std_xi = estimation_std(params.t, params.xi, 2.0, 2 * n, "heterodyne")
     assert abs(t_hat - 0.4) < 3 * std_t

@@ -131,7 +131,7 @@ def test_identity_code():
 
 def test_repetition_code_cosets():
     rng = np.random.default_rng(6)
-    code = rec.RepetitionCode(5)
+    code = rec.concatenated_code(5)
     assert code.rate == 0.2
     for _ in range(20):
         word = rng.integers(0, 2, size=5).astype(np.uint8)
@@ -143,7 +143,7 @@ def test_repetition_code_cosets():
 
 
 def test_repetition_majority_example():
-    code = rec.RepetitionCode(3)
+    code = rec.concatenated_code(3)
     got = code.decode(np.array([2.0, 2.0, -2.0]), np.zeros(2, dtype=np.uint8))
     assert np.array_equal(got, [0, 0, 0])
 
@@ -154,7 +154,9 @@ def test_concatenated_code_rates():
     assert (code.n_bits, code.k_bits) == (8, 1)
     assert code.rate == 1.0 / 8.0
     assert isinstance(rec.concatenated_code(1), rec.IdentityCode)
-    assert isinstance(rec.concatenated_code(16), rec.RepetitionCode)
+    rep = rec.concatenated_code(16)
+    assert isinstance(rep, rec.ConcatenatedCode) and isinstance(rep.inner, rec.IdentityCode)
+    assert (rep.n_bits, rep.k_bits) == (16, 1)
     with pytest.raises(ValueError):
         rec.concatenated_code(0)
 
@@ -170,16 +172,36 @@ def test_concatenated_code_decodes_exact_words():
         assert np.array_equal(code.decode(llr, synd), word)
 
 
-def test_concatenation_of_identity_equals_repetition():
+def _xor_parity_decoder(llr, syndrome, code):
+    """Hard decisions, with the last bit of each frame fixed by its one check."""
+    out = (np.asarray(llr) < 0).astype(np.uint8)
+    out[..., -1] = syndrome[..., 0] ^ np.bitwise_xor.reduce(out[..., :-1], axis=-1)
+    return out
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        rec.concatenated_code(16),
+        rec.ConcatenatedCode(3, rec.IdentityCode(4)),
+        rec.ParityCheckCode(5, 4, [[0, 1, 2, 3, 4]], decoder=_xor_parity_decoder),
+    ],
+    ids=["rep16", "concat3-identity4", "parity-check"],
+)
+def test_batch_decode_equals_per_frame_decode(code):
     rng = np.random.default_rng(8)
-    concat = rec.ConcatenatedCode(16, rec.IdentityCode(1))
-    plain = rec.RepetitionCode(16)
-    for _ in range(10):
-        word = rng.integers(0, 2, size=16).astype(np.uint8)
-        assert np.array_equal(concat.syndrome(word), plain.syndrome(word))
-        llr = rng.standard_normal(16)
-        synd = plain.syndrome(word)
-        assert np.array_equal(concat.decode(llr, synd), plain.decode(llr, synd))
+    words = rng.integers(0, 2, size=(50, code.n_bits)).astype(np.uint8)
+    llr = rng.standard_normal((50, code.n_bits))
+    synd = code.syndrome(words)
+    assert synd.shape == (50, code.n_bits - code.k_bits)
+    decoded = code.decode(llr, synd)
+    assert decoded.shape == words.shape
+    for i in range(words.shape[0]):
+        assert np.array_equal(code.syndrome(words[i]), synd[i])
+        assert np.array_equal(code.decode(llr[i], synd[i]), decoded[i])
+    # leading axes broadcast as well
+    stacked = code.decode(llr.reshape(5, 10, -1), synd.reshape(5, 10, -1))
+    assert np.array_equal(stacked.reshape(50, -1), decoded)
 
 
 def test_parity_check_code_from_file(tmp_path):
@@ -236,7 +258,7 @@ def test_parity_check_file_errors(tmp_path):
 def test_reconcile_noiseless():
     rng = np.random.default_rng(9)
     x = unit_sphere_blocks(8, 64, rng)
-    res = rec.reconcile(x, x.copy(), rec.RepetitionCode(16), rng)
+    res = rec.reconcile(x, x.copy(), rec.concatenated_code(16), rng)
     assert res.n_frames == 32
     assert res.frame_success.all()
     assert res.bob_bits.size == 32 * 16
@@ -250,16 +272,16 @@ def test_reconcile_input_validation():
     rng = np.random.default_rng(10)
     x = unit_sphere_blocks(4, 10, rng)
     with pytest.raises(ValueError):
-        rec.reconcile(x, x[:5], rec.RepetitionCode(4), rng)
+        rec.reconcile(x, x[:5], rec.concatenated_code(4), rng)
     with pytest.raises(ValueError):
-        rec.reconcile(x[:1], x[:1], rec.RepetitionCode(16), rng)
+        rec.reconcile(x[:1], x[:1], rec.concatenated_code(16), rng)
 
 
 def test_reconcile_reliable_operating_point():
     # rep-16 at per-use snr 0.7: predicted bit error Q(sqrt(11.2)) ~ 4e-4
     rng = np.random.default_rng(11)
     x, y = noisy_pair(8, 0.7, 1000, rng)
-    res = rec.reconcile(x, y, rec.RepetitionCode(16), rng)
+    res = rec.reconcile(x, y, rec.concatenated_code(16), rng)
     assert res.n_frames == 500
     assert np.mean(res.frame_success) >= 0.99
     assert abs(res.snr_hat - 0.7) < 0.05
@@ -270,7 +292,7 @@ def test_reconcile_error_rate_matches_matched_filter_oracle():
     rng = np.random.default_rng(12)
     snr = 0.15
     x, y = noisy_pair(8, snr, 6000, rng)
-    res = rec.reconcile(x, y, rec.RepetitionCode(16), rng)
+    res = rec.reconcile(x, y, rec.concatenated_code(16), rng)
     p_pred = stats.norm.sf(math.sqrt(16 * snr))
     p_obs = 1.0 - np.mean(res.frame_success)
     assert res.n_frames == 3000
@@ -281,7 +303,9 @@ def test_reconcile_concatenated_matches_plain_repetition():
     rng1 = np.random.default_rng(13)
     rng2 = np.random.default_rng(13)
     x, y = noisy_pair(8, 0.5, 400, np.random.default_rng(14))
-    res1 = rec.reconcile(x, y, rec.RepetitionCode(16), rng1)
-    res2 = rec.reconcile(x, y, rec.ConcatenatedCode(16, rec.IdentityCode(1)), rng2)
+    # rep4 of rep4 is rep16 with its parities laid out differently
+    nested = rec.ConcatenatedCode(4, rec.concatenated_code(4))
+    res1 = rec.reconcile(x, y, rec.concatenated_code(16), rng1)
+    res2 = rec.reconcile(x, y, nested, rng2)
     assert np.array_equal(res1.alice_bits, res2.alice_bits)
     assert np.array_equal(res1.frame_success, res2.frame_success)

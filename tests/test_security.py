@@ -173,6 +173,13 @@ def test_gamma_after_channel_rejects_bad_params():
         sec.gamma_after_channel(g0, 0.5, -0.01)
 
 
+@pytest.mark.parametrize("v_a", [math.nan, math.inf, 0.0, -1.0])
+def test_secret_key_rate_rejects_bad_v_a(v_a):
+    params = ChannelParams(t=0.5, xi=0.01)
+    with pytest.raises(ValueError, match="v_a"):
+        sec.secret_key_rate(8, v_a, params, 0.9)
+
+
 def test_covariance_validation():
     with pytest.raises(ValueError):
         sec.CovarianceMatrix2Mode(0.8, 1.0, 0.0)

@@ -17,8 +17,6 @@ from scipy import stats
 from . import decoy, modulation, protocol, reconciliation, security
 from .channel import ChannelParams, distance_to_T
 
-SCHEMA = "# cvqkd-csv-v1"
-
 SWEEP_VARIABLES = ("distance_km", "va", "xi", "alpha")
 
 
@@ -81,12 +79,10 @@ def cmd_keyrate(args, parser):
     if base_t is None:
         base_t = 1.0
 
+    names = ["sweep", "value"] + [f.name for f in dataclasses.fields(security.KeyRateReport)]
     with _out_stream(args.out) as out:
-        out.write(f"{SCHEMA} keyrate\n")
-        out.write(
-            "sweep,value,d,v_a,t,xi,eta,beta,detection,t_eff,snr,"
-            "i_ab,chi_be,k,delta_xi,z_d,z_epr,f_factor\n"
-        )
+        modulation.write_csv_header(out, "keyrate", names)
+        rows = []
         for value in values:
             value = float(value)
             t, xi, v_a = base_t, args.xi, args.va
@@ -114,15 +110,8 @@ def cmd_keyrate(args, parser):
                     print(f"error: {exc}", file=sys.stderr)
                     return 2
                 d_text = "inf" if math.isinf(d) else str(int(d))
-                fields = [
-                    args.sweep, repr(float(value)), d_text, repr(report.v_a),
-                    repr(report.t), repr(report.xi), repr(report.eta),
-                    repr(report.beta), report.detection, repr(report.t_eff),
-                    repr(report.snr), repr(report.i_ab), repr(report.chi_be),
-                    repr(report.k), repr(report.delta_xi), repr(report.z_d),
-                    repr(report.z_epr), repr(report.f_factor),
-                ]
-                out.write(",".join(fields) + "\n")
+                rows.append((args.sweep, value, d_text) + dataclasses.astuple(report)[1:])
+        modulation.write_csv_rows(out, list(zip(*rows)))
     return 0
 
 
@@ -208,8 +197,9 @@ def cmd_reconcile_bench(args, parser):
 
     master = np.random.SeedSequence(args.seed)
     with _out_stream(args.out) as out:
-        out.write(f"{SCHEMA} reconcile-bench\n")
-        out.write("d,frame,success,pre_bit_errors,post_bit_errors\n")
+        modulation.write_csv_header(
+            out, "reconcile-bench", ["d", "frame", "success", "pre_bit_errors", "post_bit_errors"]
+        )
         for d, child in zip(ds, master.spawn(len(ds))):
             rng = np.random.default_rng(child)
             n_blocks = math.ceil(args.frames * code.n_bits / d)
@@ -220,24 +210,22 @@ def cmd_reconcile_bench(args, parser):
             else:
                 sigma = 0.0
                 y = x.copy()
-            # separate reduction pass to expose the virtual-channel noise w
-            u, t_blocks = reconciliation.bob_reduce(y, rng)
-            v = reconciliation.alice_reduce(x, t_blocks)
-            w = (v - u).reshape(-1)
             result = reconciliation.reconcile(x, y, code, rng)
 
+            # the virtual channel v = u + w of the reduction reconcile used
             n_frames = result.n_frames
             used = n_frames * code.n_bits
-            pre = (u.reshape(-1)[:used] < 0) != (v.reshape(-1)[:used] < 0)
-            pre_frames = pre.reshape(n_frames, code.n_bits).sum(axis=1)
-            post = (result.alice_bits != result.bob_bits).reshape(
-                n_frames, code.n_bits
-            ).sum(axis=1)
-            for i in range(n_frames):
-                out.write(
-                    f"{d},{i},{int(result.frame_success[i])},"
-                    f"{int(pre_frames[i])},{int(post[i])}\n"
-                )
+            v = reconciliation.alice_reduce(x, result.message.t_blocks).reshape(-1)[:used]
+            w = v - (1.0 - 2.0 * result.bob_bits) / math.sqrt(d)
+            pre = (v < 0) != result.bob_bits.astype(bool)
+            post = result.alice_bits != result.bob_bits
+            modulation.write_csv_rows(out, [
+                np.full(n_frames, d),
+                range(n_frames),
+                result.frame_success.astype(np.uint8),
+                pre.reshape(n_frames, code.n_bits).sum(axis=1),
+                post.reshape(n_frames, code.n_bits).sum(axis=1),
+            ])
             if sigma > 0:
                 ks_p = stats.kstest(w, "norm", args=(0.0, sigma)).pvalue
             else:

@@ -61,7 +61,7 @@ def _auto_n_max(tail_of):
 
 def f_dist(d, alpha, n_max=None):
     """Sphere-modulation photon-number law: Poisson with mean (d/2) alpha^2."""
-    _check_decoy_dim(d)
+    _check_decoy_args(d, alpha)
     mu = (d / 2.0) * alpha * alpha
     if n_max is None:
         n_max = _auto_n_max(lambda n: stats.poisson.sf(n, mu))
@@ -73,7 +73,7 @@ def g_dist(d, alpha, n_max=None):
 
     g(k) = C(m+k-1, k) alpha^{2k} / (1+alpha^2)^{m+k} with m = d/2 modes.
     """
-    _check_decoy_dim(d)
+    _check_decoy_args(d, alpha)
     m = d // 2
     p_nb = 1.0 / (1.0 + alpha * alpha)
     if n_max is None:
@@ -81,9 +81,15 @@ def g_dist(d, alpha, n_max=None):
     return PhotonNumberDistribution(stats.nbinom.pmf(np.arange(n_max + 1), m, p_nb))
 
 
-def _check_decoy_dim(d):
+def _check_alpha(alpha):
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"alpha must be finite and positive, got {alpha}")
+
+
+def _check_decoy_args(d, alpha):
     if d not in DECOY_DIMS:
         raise ValueError(f"d must be one of {DECOY_DIMS}, got {d}")
+    _check_alpha(alpha)
 
 
 def povm_scale(d, alpha, n_max=None):
@@ -93,7 +99,7 @@ def povm_scale(d, alpha, n_max=None):
     exceeds 1 for all k > m alpha^2, so any truncation beyond that point
     brackets the global minimum; smaller truncations are an error.
     """
-    _check_decoy_dim(d)
+    _check_decoy_args(d, alpha)
     m = d // 2
     if n_max is not None and n_max <= m * alpha * alpha + 1:
         raise ValueError(
@@ -116,8 +122,7 @@ def povm_scale(d, alpha, n_max=None):
 
 def p_succ(d, alpha):
     """Success probability of the key-state extraction measurement."""
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_alpha(alpha)
     if d == 1:
         a2 = alpha * alpha
         return math.factorial(math.floor(1.0 + a2)) / (1.0 + a2) ** math.floor(2.0 + a2)
@@ -265,9 +270,7 @@ def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):
     radius by coordinate descent.  The returned epsilon is a sound trace
     distance certificate including all truncation tails.
     """
-    _check_decoy_dim(d)
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    _check_decoy_args(d, alpha)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"key fraction p must lie in [0, 1), got {p}")
     pi_d, k_star = povm_scale(d, alpha)

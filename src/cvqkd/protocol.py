@@ -609,21 +609,18 @@ def save_transcript(transcript, dir_path):
         labels=transcript.labels,
         kind="symbols",
     )
+    outcomes = transcript.outcomes
+    if config.channel.detection == "homodyne":
+        names, columns = ["basis", "y"], [transcript.basis, outcomes]
+    else:
+        names, columns = ["y_x", "y_p"], list(outcomes.T)
     with open(os.path.join(dir_path, "outcomes.csv"), "w") as fh:
-        fh.write("# cvqkd-csv-v1 outcomes\n")
-        if config.channel.detection == "homodyne":
-            fh.write("mode_index,basis,y\n")
-            for i, (b, value) in enumerate(zip(transcript.basis, transcript.outcomes)):
-                fh.write(f"{i},{b},{repr(float(value))}\n")
-        else:
-            fh.write("mode_index,y_x,y_p\n")
-            for i, (yx, yp) in enumerate(transcript.outcomes):
-                fh.write(f"{i},{repr(float(yx))},{repr(float(yp))}\n")
+        modulation.write_csv_header(fh, "outcomes", ["mode_index"] + names)
+        modulation.write_csv_rows(fh, [range(len(outcomes))] + columns)
     with open(os.path.join(dir_path, "transform.bin"), "wb") as fh:
         fh.write(transcript.transform.to_bytes())
     for name, bits in (("alice_key.txt", transcript.alice_bits),
                        ("bob_key.txt", transcript.bob_bits)):
-        with open(os.path.join(dir_path, name), "w") as fh:
-            if bits is not None and bits.size:
-                fh.write("".join(str(int(b)) for b in bits))
-            fh.write("\n")
+        digits = b"" if bits is None else (bits.astype(np.uint8) + ord("0")).tobytes()
+        with open(os.path.join(dir_path, name), "wb") as fh:
+            fh.write(digits + b"\n")

@@ -12,12 +12,11 @@ extremality on that covariance matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import channel as _channel
 
 SPHERE_DIMS = (2, 4, 8)
-TAIL_BOUND = 1e-12
 
 
 def z_epr(v_a):
@@ -119,53 +118,6 @@ def z8(v_a):
             break
         term *= w * w / (k + 1.0)
     return 0.5 * math.exp(-4.0 * alpha * alpha) * total
-
-
-def _poisson_tail(mu, n_max):
-    # P(N > n_max) via the complementary series, summed from the tail end
-    term = math.exp(-mu)
-    cdf = 0.0
-    for k in range(n_max + 1):
-        cdf += term
-        term *= mu / (k + 1.0)
-    return max(0.0, 1.0 - cdf)
-
-
-def zd_numeric(d, v_a, n_max=None):
-    """Z_d from explicit occupation-tuple combinatorics; slow reference path.
-
-    The matrix element <psi_{k-1}|a1 b1|psi_k> is sum_j j C(k-j+m-2, m-2)
-    over the occupation j of the first mode, normalized by the uniform
-    superposition sizes N_k = C(k+m-1, m-1).  Supplying an n_max that leaves
-    more than 1e-12 of Poisson weight above it is an error.
-    """
-    if d not in SPHERE_DIMS:
-        raise ValueError(f"d must be one of {SPHERE_DIMS}, got {d}")
-    if v_a <= 0:
-        raise ValueError("modulation variance must be positive")
-    m = d // 2
-    mu = m * v_a / 2.0
-    if n_max is None:
-        n_max = 20
-        while _poisson_tail(mu, n_max) > TAIL_BOUND:
-            n_max *= 2
-    elif _poisson_tail(mu, n_max) > TAIL_BOUND:
-        raise ValueError(
-            f"n_max={n_max} truncates {_poisson_tail(mu, n_max):.3e} of photon-number mass"
-        )
-    f = [math.exp(-mu)]
-    for k in range(1, n_max + 1):
-        f.append(f[-1] * mu / k)
-    total = 0.0
-    for k in range(1, n_max + 1):
-        if m == 1:
-            occupancy_sum = k  # single mode: the only tuple is (k)
-        else:
-            occupancy_sum = sum(j * math.comb(k - j + m - 2, m - 2) for j in range(1, k + 1))
-        n_k = math.comb(k + m - 1, m - 1)
-        n_km1 = math.comb(k + m - 2, m - 1)
-        total += math.sqrt(f[k] * f[k - 1]) * occupancy_sum / math.sqrt(n_k * n_km1)
-    return 2.0 * total
 
 
 def z_correlation(d, v_a):
@@ -277,10 +229,8 @@ def equivalent_excess_noise(d, v_a):
     return f_factor, (f_factor - 1.0) * v_a
 
 
-def mutual_information(params, v_a, detection=None):
+def mutual_information(params, v_a):
     """Shannon mutual information of the measured Gaussian channel, bits/symbol."""
-    if detection is not None and detection != params.detection:
-        params = replace(params, detection=detection)
     s = _channel.snr(params, v_a)
     if params.detection == "homodyne":
         return 0.5 * math.log2(1.0 + s)

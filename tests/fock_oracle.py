@@ -3,13 +3,17 @@
 These rebuild the modulated ensembles as explicit density matrices, take the
 canonical purification M = sqrt(rho), and evaluate the quadrature correlation
 <x_A x_B> = Tr[M X M X] with X = a + a*.  A separate Schmidt-form oracle
-enumerates occupation tuples by brute force for the multi-mode spheres.
+enumerates occupation tuples by brute force for the multi-mode spheres, and
+zd_numeric sums the same matrix elements in closed binomial form.
 Everything here is deliberately slow and direct.
 """
 
 import math
 
 import numpy as np
+
+# Poisson mass zd_numeric may leave above its truncation
+TAIL_BOUND = 1e-12
 
 
 def coherent_vector(beta, n_max):
@@ -93,4 +97,51 @@ def sphere_schmidt_correlation(d, v_a, k_max):
             occ_sum += tup[0]
         total += math.sqrt(f[k] * f[k - 1]) * occ_sum / math.sqrt(n_k * n_prev)
         n_prev = n_k
+    return 2.0 * total
+
+
+def _poisson_tail(mu, n_max):
+    # P(N > n_max) via the complementary series, summed from the tail end
+    term = math.exp(-mu)
+    cdf = 0.0
+    for k in range(n_max + 1):
+        cdf += term
+        term *= mu / (k + 1.0)
+    return max(0.0, 1.0 - cdf)
+
+
+def zd_numeric(d, v_a, n_max=None):
+    """Z_d from explicit occupation-tuple combinatorics; slow reference path.
+
+    The matrix element <psi_{k-1}|a1 b1|psi_k> is sum_j j C(k-j+m-2, m-2)
+    over the occupation j of the first mode, normalized by the uniform
+    superposition sizes N_k = C(k+m-1, m-1).  Supplying an n_max that leaves
+    more than 1e-12 of Poisson weight above it is an error.
+    """
+    if d not in (2, 4, 8):
+        raise ValueError(f"d must be one of (2, 4, 8), got {d}")
+    if v_a <= 0:
+        raise ValueError("modulation variance must be positive")
+    m = d // 2
+    mu = m * v_a / 2.0
+    if n_max is None:
+        n_max = 20
+        while _poisson_tail(mu, n_max) > TAIL_BOUND:
+            n_max *= 2
+    elif _poisson_tail(mu, n_max) > TAIL_BOUND:
+        raise ValueError(
+            f"n_max={n_max} truncates {_poisson_tail(mu, n_max):.3e} of photon-number mass"
+        )
+    f = [math.exp(-mu)]
+    for k in range(1, n_max + 1):
+        f.append(f[-1] * mu / k)
+    total = 0.0
+    for k in range(1, n_max + 1):
+        if m == 1:
+            occupancy_sum = k  # single mode: the only tuple is (k)
+        else:
+            occupancy_sum = sum(j * math.comb(k - j + m - 2, m - 2) for j in range(1, k + 1))
+        n_k = math.comb(k + m - 1, m - 1)
+        n_km1 = math.comb(k + m - 2, m - 1)
+        total += math.sqrt(f[k] * f[k - 1]) * occupancy_sum / math.sqrt(n_k * n_km1)
     return 2.0 * total

@@ -197,6 +197,12 @@ def test_decoy_opt_infeasible_exit_code(capsys):
     assert "photon number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_decoy_opt_rejects_non_finite_alpha(capsys, alpha):
+    assert main(["decoy-opt", "--d", "8", "--alpha", alpha, "--p", "0.5"]) == 2
+    assert "alpha must be finite and positive" in capsys.readouterr().err
+
+
 def test_decoy_opt_nmax_flag(tmp_path):
     out = tmp_path / "design.txt"
     rc = main(["decoy-opt", "--d", "2", "--alpha", "0.5", "--p", "0.5",
@@ -205,20 +211,26 @@ def test_decoy_opt_nmax_flag(tmp_path):
     assert DecoyDesign.load(out).n_max == 20
 
 
-def test_reconcile_bench_sweeps_dimensions(tmp_path):
+@pytest.mark.parametrize("code", ["rep16", "identity"])
+def test_reconcile_bench_sweeps_dimensions(tmp_path, code):
     out = tmp_path / "bench.csv"
-    rc = main(["reconcile-bench", "--d", "1,2,4,8", "--snr", "2.5",
+    rc = main(["reconcile-bench", "--d", "1,2,4,8", "--snr", "2.5", "--code", code,
                "--frames", "20", "--seed", "1", "--out", str(out)])
     assert rc == 0
     header, rows, comments = _read_csv(out)
     assert header == ["d", "frame", "success", "pre_bit_errors", "post_bit_errors"]
-    assert len(rows) == 80
-    assert all(row[2] == "1" for row in rows)
+    # one-bit identity frames at d=8 round 20 bits up to 3 whole blocks
+    assert len(rows) == {"rep16": 80, "identity": 84}[code]
     assert len(comments) == 4
     for comment in comments:
-        assert "success_rate=1.0" in comment
         ks_p = float(comment.split("ks_p=")[1])
         assert ks_p >= 0.01
+    if code == "rep16":
+        assert all(row[2] == "1" for row in rows)
+        assert all("success_rate=1.0" in comment for comment in comments)
+    else:
+        # a hard decision corrects nothing, so both counts come from one reduction
+        assert all(row[3] == row[4] for row in rows)
 
 
 def test_reconcile_bench_noiseless(tmp_path):

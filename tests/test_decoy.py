@@ -132,6 +132,16 @@ def test_p_succ_invalid_inputs():
         p_succ(3, 0.5)
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0])
+@pytest.mark.parametrize("call", [
+    f_dist, g_dist, povm_scale, p_succ, lambda d, alpha: p_succ(1, alpha),
+    lambda d, alpha: optimize_decoy(d, alpha, 0.5),
+], ids=["f_dist", "g_dist", "povm_scale", "p_succ", "p_succ_d1", "optimize_decoy"])
+def test_entry_points_reject_bad_alpha(call, alpha):
+    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+        call(8, alpha)
+
+
 def test_mixture_single_radius_reduces_to_sphere_law():
     for d in (2, 8):
         alpha = 0.6

@@ -425,23 +425,35 @@ def test_run_session_deterministic(design8):
     assert np.array_equal(first.alice_bits, second.alice_bits)
 
 
-def test_save_transcript_roundtrip(tmp_path, gaussian_transcript):
+@pytest.mark.parametrize("name", ["gaussian_transcript", "decoy_transcript"])
+def test_save_transcript_roundtrip(tmp_path, request, name):
+    transcript = request.getfixturevalue(name)
     out = tmp_path / "session"
-    save_transcript(gaussian_transcript, out)
+    save_transcript(transcript, out)
     manifest = (out / "manifest.txt").read_text()
     assert manifest.startswith("# cvqkd session manifest v1")
     assert "t_hat " in manifest
     assert "k_bound " in manifest
     blocks, labels = read_blocks_csv(out / "symbols.csv")
-    assert np.allclose(blocks, gaussian_transcript.alice_blocks, atol=0)
+    assert np.array_equal(blocks, transcript.alice_blocks)
+    assert labels == [str(label) for label in transcript.labels]
     transform = OrthogonalTransform.from_bytes((out / "transform.bin").read_bytes())
     probe = np.arange(transform.n, dtype=float)
-    assert np.allclose(
-        transform.apply(probe), gaussian_transcript.transform.apply(probe), atol=0
-    )
-    key_text = (out / "alice_key.txt").read_text().strip()
-    assert key_text == "".join(str(int(b)) for b in gaussian_transcript.alice_bits)
-    outcomes_text = (out / "outcomes.csv").read_text().splitlines()
-    assert outcomes_text[0] == "# cvqkd-csv-v1 outcomes"
-    assert outcomes_text[1] == "mode_index,basis,y"
-    assert len(outcomes_text) == 2 + gaussian_transcript.outcomes.shape[0]
+    assert np.array_equal(transform.apply(probe), transcript.transform.apply(probe))
+    for key, bits in (("alice_key.txt", transcript.alice_bits),
+                      ("bob_key.txt", transcript.bob_bits)):
+        assert (out / key).read_text() == "".join(str(int(b)) for b in bits) + "\n"
+    lines = (out / "outcomes.csv").read_text().splitlines()
+    assert lines[0] == "# cvqkd-csv-v1 outcomes"
+    rows = [line.split(",") for line in lines[2:]]
+    assert [int(row[0]) for row in rows] == list(range(len(transcript.outcomes)))
+    if transcript.config.channel.detection == "homodyne":
+        assert lines[1] == "mode_index,basis,y"
+        assert np.array_equal([int(row[1]) for row in rows], transcript.basis)
+        assert np.array_equal([float(row[2]) for row in rows], transcript.outcomes)
+    else:
+        assert lines[1] == "mode_index,y_x,y_p"
+        values = [[float(v) for v in row[1:]] for row in rows]
+        assert np.array_equal(values, transcript.outcomes)
+    for text in ("manifest.txt", "symbols.csv", "outcomes.csv", "alice_key.txt", "bob_key.txt"):
+        assert b"\r" not in (out / text).read_bytes()

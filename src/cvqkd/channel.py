@@ -41,6 +41,27 @@ class ChannelParams:
         if self.detection not in DETECTIONS:
             raise ValueError(f"detection must be one of {DETECTIONS}, got {self.detection!r}")
 
+    @classmethod
+    def stack(cls, points):
+        """One ChannelParams whose t, xi and eta are arrays over a batch.
+
+        points is a non-empty sequence of ChannelParams, each validated when
+        it was made, that share detection and eta_trusted; one ChannelParams
+        is returned as it is.  t_eff, noise_floor and snr broadcast over it.
+        """
+        if isinstance(points, cls):
+            return points
+        first = points[0]
+        if any((p.detection, p.eta_trusted) != (first.detection, first.eta_trusted)
+               for p in points):
+            raise ValueError("a channel batch must share detection and eta_trusted")
+        batch = object.__new__(cls)
+        for name in ("t", "xi", "eta"):
+            object.__setattr__(batch, name, np.array([getattr(p, name) for p in points]))
+        object.__setattr__(batch, "detection", first.detection)
+        object.__setattr__(batch, "eta_trusted", first.eta_trusted)
+        return batch
+
     @property
     def t_eff(self) -> float:
         """Transmittance seen by the detector.

@@ -79,39 +79,49 @@ def cmd_keyrate(args, parser):
     if base_t is None:
         base_t = 1.0
 
-    names = ["sweep", "value"] + [f.name for f in dataclasses.fields(security.KeyRateReport)]
+    if args.sweep == "va":
+        v_a = values
+    elif args.sweep == "alpha":
+        v_a = 2.0 * values * values
+    else:
+        v_a = args.va
+
+    fields = [f.name for f in dataclasses.fields(security.KeyRateReport)][1:]
     with _out_stream(args.out) as out:
-        modulation.write_csv_header(out, "keyrate", names)
-        rows = []
-        for value in values:
-            value = float(value)
-            t, xi, v_a = base_t, args.xi, args.va
-            if args.sweep == "distance_km":
-                t = distance_to_T(value)
-            elif args.sweep == "xi":
-                xi = value
-            elif args.sweep == "va":
-                v_a = value
-            elif args.sweep == "alpha":
-                v_a = 2.0 * value * value
-            for d in ds:
-                detection = _detection_for(d, args.detection)
-                try:
-                    params = ChannelParams(
-                        t=t, xi=xi, eta=args.eta, detection=detection,
+        modulation.write_csv_header(out, "keyrate", ["sweep", "value", "d"] + fields)
+        try:
+            # one channel point per row, validated in row (value-major) order
+            points = [
+                [
+                    ChannelParams(
+                        t=distance_to_T(value) if args.sweep == "distance_km" else base_t,
+                        xi=value if args.sweep == "xi" else args.xi,
+                        eta=args.eta, detection=_detection_for(d, args.detection),
                         eta_trusted=args.eta_trusted,
                     )
-                    if args.optimize_va:
-                        v_a = security.optimize_va(
-                            d, params, args.beta, (args.va_min, args.va_max)
-                        )
-                    report = security.secret_key_rate(d, v_a, params, args.beta)
-                except ValueError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
-                d_text = "inf" if math.isinf(d) else str(int(d))
-                rows.append((args.sweep, value, d_text) + dataclasses.astuple(report)[1:])
-        modulation.write_csv_rows(out, list(zip(*rows)))
+                    for d in ds
+                ]
+                for value in values.tolist()
+            ]
+            reports = []
+            for j, d in enumerate(ds):
+                column = [row[j] for row in points]
+                va_d = v_a
+                if args.optimize_va:
+                    va_d = security.optimize_va(
+                        d, column, args.beta, (args.va_min, args.va_max)
+                    )
+                reports.append(security.secret_key_rate(d, va_d, column, args.beta))
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        n = len(values)
+        d_texts = ["inf" if math.isinf(d) else str(int(d)) for d in ds]
+        columns = [[args.sweep] * (n * len(ds)), np.repeat(values, len(ds)), d_texts * n]
+        for name in fields:
+            per_d = [np.broadcast_to(getattr(report, name), (n,)) for report in reports]
+            columns.append(np.stack(per_d, axis=1).reshape(-1))
+        modulation.write_csv_rows(out, columns)
     return 0
 
 

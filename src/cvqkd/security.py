@@ -14,30 +14,44 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+from scipy import special
+
 from . import channel as _channel
 
 SPHERE_DIMS = (2, 4, 8)
 
 
+def _value(x):
+    """A 0-d result as a Python float; an array result as it is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _positive_variance(v_a):
+    v = np.asarray(v_a, dtype=float)
+    if not np.all(v > 0):
+        raise ValueError("modulation variance must be positive")
+    return v
+
+
 def z_epr(v_a):
     """Gaussian-modulation correlation sqrt(V_A^2 + 2 V_A)."""
-    if v_a < 0:
+    v = np.asarray(v_a, dtype=float)
+    if np.any(v < 0):
         raise ValueError("modulation variance must be nonnegative")
-    return math.sqrt(v_a * (v_a + 2.0))
+    return _value(np.sqrt(v * (v + 2.0)))
 
 
 def _cosh_minus_cos(x):
-    # direct evaluation loses all digits as x -> 0; both gaps are even/odd
-    # subseries of exp, so a few terms reach double precision for x < 0.5
-    if x >= 0.5:
-        return math.cosh(x) - math.cos(x)
+    # cosh x - cos x for x < 0.5, where direct evaluation loses all digits as
+    # x -> 0; both gaps are even/odd subseries of exp, so a few terms reach
+    # double precision there
     x2 = x * x
     return x2 * (1.0 + x2 * x2 * (1.0 / 360.0 + x2 * x2 * (1.0 / 1814400.0 + x2 * x2 * (2.0 / math.factorial(14)))))
 
 
 def _sinh_minus_sin(x):
-    if x >= 0.5:
-        return math.sinh(x) - math.sin(x)
+    # sinh x - sin x for x < 0.5
     x2 = x * x
     return x * x2 * (1.0 / 3.0 + x2 * x2 * (1.0 / 2520.0 + x2 * x2 * (2.0 / math.factorial(11) + x2 * x2 * (2.0 / math.factorial(15)))))
 
@@ -46,17 +60,28 @@ def lambda_coeffs(alpha):
     """Eigenvalues (lambda_0..lambda_3) of the four-state mixture.
 
     lambda_k = e^{-a^2}/2 * (cosh/sinh +- cos/sin)(a^2); they sum to one and
-    are the weights of the photon-number classes n = k mod 4.
+    are the weights of the photon-number classes n = k mod 4.  The damped
+    forms e^{-x} cosh x = (1 + e^{-2x})/2 and e^{-x} sinh x = -expm1(-2x)/2
+    keep every alpha finite.
     """
-    if alpha <= 0:
+    a = np.asarray(alpha, dtype=float)
+    if not np.all(a > 0):
         raise ValueError("alpha must be positive")
-    x = alpha * alpha
-    damp = 0.5 * math.exp(-x)
-    lam0 = damp * (math.cosh(x) + math.cos(x))
-    lam1 = damp * (math.sinh(x) + math.sin(x))
-    lam2 = damp * _cosh_minus_cos(x)
-    lam3 = damp * _sinh_minus_sin(x)
-    return lam0, lam1, lam2, lam3
+    x = a * a
+    damp = np.exp(-x)
+    cosh_d = 0.5 * (1.0 + np.exp(-2.0 * x))
+    sinh_d = -0.5 * np.expm1(-2.0 * x)
+    cos_d = damp * np.cos(x)
+    sin_d = damp * np.sin(x)
+    small = x < 0.5
+    xs = np.minimum(x, 0.5)
+    lam = (
+        0.5 * (cosh_d + cos_d),
+        0.5 * (sinh_d + sin_d),
+        0.5 * np.where(small, damp * _cosh_minus_cos(xs), cosh_d - cos_d),
+        0.5 * np.where(small, damp * _sinh_minus_sin(xs), sinh_d - sin_d),
+    )
+    return tuple(_value(v) for v in lam)
 
 
 def z1(v_a):
@@ -64,64 +89,73 @@ def z1(v_a):
 
     Z_1 = 2 a^2 sum_k lambda_{k-1}^{3/2} / lambda_k^{1/2} (indices mod 4).
     """
-    if v_a <= 0:
-        raise ValueError("modulation variance must be positive")
-    alpha = math.sqrt(v_a / 2.0)
+    alpha = np.sqrt(_positive_variance(v_a) / 2.0)
     lam = lambda_coeffs(alpha)
-    total = sum(lam[k - 1] ** 1.5 / math.sqrt(lam[k]) for k in range(4))
-    return 2.0 * alpha * alpha * total
+    total = 0.0
+    for k in range(4):
+        # lambda_3, then lambda_2, underflows below a^2 ~ 1e-103, where its
+        # term is far below rounding of the total
+        ratio = np.divide(lam[k - 1], lam[k], out=np.zeros(np.shape(lam[k])), where=lam[k] > 0)
+        total = total + lam[k - 1] * np.sqrt(ratio)
+    return _value(2.0 * alpha * alpha * total)
+
+
+# z_sphere sums WINDOW_SIGMAS standard deviations either side of the Poisson
+# mean plus WINDOW_EXTRA terms above it (truncated mass below 1e-25).  From a
+# standard deviation of 2 * NODES_PER_SIGMA on it takes every
+# floor(sd / NODES_PER_SIGMA)-th term: the weights are smooth on that scale,
+# so the stepped mean is off by about exp(-2 pi^2 NODES_PER_SIGMA^2), and no
+# point needs more than about 430 terms.  CHUNK_NODES caps the terms held at once.
+WINDOW_SIGMAS = 12.0
+WINDOW_EXTRA = 40.0
+NODES_PER_SIGMA = 8.0
+CHUNK_NODES = 2**20
 
 
 def z_sphere(d, v_a):
     """Correlation of the purified sphere modulation in dimension d in {2,4,8}.
 
-    With m = d/2 signal modes and total-photon weights f_k = Poisson(m a^2),
-    Z_d = 2 sum_k sqrt(f_k f_{k-1}) sqrt(k (k + m - 1)) / m.
+    With m = d/2 signal modes and total-photon weights f_k = Poisson(mu),
+    mu = m V_A / 2, Z_d = 2 sum_k sqrt(f_k f_{k-1}) sqrt(k (k + m - 1)) / m,
+    which is (2 sqrt(mu) / m) E[sqrt(N + m)] for N ~ Poisson(mu).  The mean
+    is taken over log-space weights (gammaln) normalized on the window, so
+    nothing underflows at large V_A.  Each point sums its own terms in order,
+    so its value does not depend on the rest of the batch.
     """
     if d not in SPHERE_DIMS:
         raise ValueError(f"d must be one of {SPHERE_DIMS}, got {d}")
-    if v_a <= 0:
-        raise ValueError("modulation variance must be positive")
+    v = _positive_variance(v_a)
     m = d // 2
-    mu = m * v_a / 2.0
-    f_prev = math.exp(-mu)  # f_0
-    total = 0.0
-    k = 1
-    while True:
-        f_k = f_prev * mu / k
-        total += math.sqrt(f_k * f_prev) * math.sqrt(k * (k + m - 1.0)) / m
-        f_prev = f_k
-        k += 1
-        if k > mu + 10 and f_k < 1e-20:
-            break
-        if k > 10_000:
-            raise RuntimeError("sphere correlation series failed to converge")
-    return 2.0 * total
+    mu = (m * v / 2.0).reshape(-1)
+    sd = np.sqrt(mu)
+    step = np.maximum(np.floor(sd / NODES_PER_SIGMA), 1.0)
+    first = np.maximum(np.floor(mu - WINDOW_SIGMAS * sd), 0.0)
+    count = np.floor((mu + WINDOW_SIGMAS * sd + WINDOW_EXTRA - first) / step) + 1.0
+    mean = np.empty_like(mu)
+    rows = max(1, CHUNK_NODES // int(count.max(initial=1.0)))
+    for lo in range(0, mu.size, rows):
+        part = slice(lo, lo + rows)
+        node = np.arange(count[part].max())
+        k = first[part, None] + step[part, None] * node
+        log_w = np.where(
+            node < count[part, None],
+            k * np.log(mu[part, None]) - special.gammaln(k + 1.0),
+            -np.inf,
+        )
+        w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+        # cumulative sums add strictly left to right, unlike np.sum
+        mean[part] = (np.cumsum(w * np.sqrt(k + m), axis=1)[:, -1]
+                      / np.cumsum(w, axis=1)[:, -1])
+    return _value((2.0 * np.sqrt(mu) / m * mean).reshape(v.shape))
 
 
 def z8(v_a):
-    """Z_8 through its printed series (e^{-4a^2}/2) sum sqrt(k+4)/k! (2a)^{2k+1}.
-
-    Kept separate from z_sphere as an independent implementation; the two must
-    agree to full precision.
-    """
-    if v_a <= 0:
-        raise ValueError("modulation variance must be positive")
-    alpha = math.sqrt(v_a / 2.0)
-    w = 2.0 * alpha
-    term = w  # k = 0 value of (2a)^{2k+1}/k!
-    total = 0.0
-    for k in range(400):
-        total += math.sqrt(k + 4.0) * term
-        contrib = math.sqrt(k + 4.0) * term
-        if k > w * w and contrib < 1e-18 * max(total, 1e-300):
-            break
-        term *= w * w / (k + 1.0)
-    return 0.5 * math.exp(-4.0 * alpha * alpha) * total
+    """Z_8, the d = 8 case of z_sphere."""
+    return z_sphere(8, v_a)
 
 
 def z_correlation(d, v_a):
-    """Dispatch Z_d for d in {1, 2, 4, 8, inf}."""
+    """Dispatch Z_d for d in {1, 2, 4, 8, inf}; v_a may be an array."""
     if d == 1:
         return z1(v_a)
     if d in SPHERE_DIMS:
@@ -133,62 +167,67 @@ def z_correlation(d, v_a):
 
 @dataclass(frozen=True)
 class CovarianceMatrix2Mode:
-    """Two-mode covariance [[a I, c sigma_z], [c sigma_z, b I]] in shot units."""
+    """Two-mode covariance [[a I, c sigma_z], [c sigma_z, b I]] in shot units.
+
+    a, b and c may be arrays of one shape, one matrix per element.
+    """
 
     a: float
     b: float
     c: float
 
     def __post_init__(self):
-        if self.a < 1.0 - 1e-12 or self.b < 1.0 - 1e-12:
+        if np.any(self.a < 1.0 - 1e-12) or np.any(self.b < 1.0 - 1e-12):
             raise ValueError(f"diagonals must sit on the vacuum floor, got a={self.a}, b={self.b}")
 
     def symplectic_eigenvalues(self):
         """(nu1, nu2) with nu1 >= nu2, from the Delta/D invariants."""
-        delta = self.a**2 + self.b**2 - 2.0 * self.c**2
-        det = self.a * self.b - self.c**2
+        a, b, c = self.a, self.b, self.c
+        delta = a * a + b * b - 2.0 * c * c
+        det = a * b - c * c
         disc = delta * delta - 4.0 * det * det
-        root = math.sqrt(max(disc, 0.0))
-        nu1 = math.sqrt(max((delta + root) / 2.0, 0.0))
-        nu2 = math.sqrt(max((delta - root) / 2.0, 0.0))
-        return nu1, nu2
+        root = np.sqrt(np.maximum(disc, 0.0))
+        nu1 = np.sqrt(np.maximum((delta + root) / 2.0, 0.0))
+        nu2 = np.sqrt(np.maximum((delta - root) / 2.0, 0.0))
+        return _value(nu1), _value(nu2)
 
     def is_physical(self, tol=1e-9):
         return self.symplectic_eigenvalues()[1] >= 1.0 - tol
 
 
-def gamma_key0(d, v_a):
-    """Pre-channel covariance (V_A + 1, V_A + 1, Z_d); d = inf is Gaussian."""
-    if v_a == 0.0 and math.isinf(d):
-        return CovarianceMatrix2Mode(1.0, 1.0, 0.0)
-    return CovarianceMatrix2Mode(v_a + 1.0, v_a + 1.0, z_correlation(d, v_a))
+def gamma_key0(d, v_a, z_d=None):
+    """Pre-channel covariance (V_A + 1, V_A + 1, Z_d); d = inf is Gaussian.
+
+    z_d is Z_d at v_a when the caller has already evaluated it.
+    """
+    if z_d is None:
+        z_d = z_correlation(d, v_a)
+    return CovarianceMatrix2Mode(v_a + 1.0, v_a + 1.0, z_d)
 
 
 def gamma_after_channel(g0, t_eff, xi):
     """Propagate Bob's mode through transmittance t_eff and excess noise xi."""
-    if not 0.0 < t_eff <= 1.0:
+    if not np.all((0.0 < t_eff) & (t_eff <= 1.0)):
         raise ValueError(f"effective transmittance must lie in (0, 1], got {t_eff}")
-    if xi < 0.0:
+    if np.any(xi < 0.0):
         raise ValueError("excess noise must be nonnegative")
     out = CovarianceMatrix2Mode(
         g0.a,
         1.0 + t_eff * (g0.a - 1.0) + t_eff * xi,
-        math.sqrt(t_eff) * g0.c,
+        np.sqrt(t_eff) * g0.c,
     )
-    if not out.is_physical():
+    if not np.all(out.is_physical()):
         raise ValueError("channel parameters produced an unphysical covariance matrix")
     return out
 
 
 def entropy_g(x):
     """G(x) = (x+1) log2(x+1) - x log2 x, the thermal-state entropy kernel."""
-    if x < 0.0:
-        if x < -1e-9:
-            raise ValueError(f"entropy argument must be nonnegative, got {x}")
-        return 0.0
-    if x == 0.0:
-        return 0.0
-    return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+    x = np.asarray(x, dtype=float)
+    if np.any(x < -1e-9):
+        raise ValueError(f"entropy argument must be nonnegative, got {_value(x)}")
+    x = np.maximum(x, 0.0)
+    return _value((x + 1.0) * np.log2(x + 1.0) - x * np.log2(np.where(x > 0.0, x, 1.0)))
 
 
 def holevo_bound(gamma, detection, gamma_measured=None):
@@ -200,41 +239,48 @@ def holevo_bound(gamma, detection, gamma_measured=None):
     """
     if detection not in _channel.DETECTIONS:
         raise ValueError(f"detection must be one of {_channel.DETECTIONS}")
-    if not gamma.is_physical():
+    if not np.all(gamma.is_physical()):
         raise ValueError("covariance matrix is unphysical")
     if gamma_measured is None:
         gamma_measured = gamma
     nu1, nu2 = gamma.symplectic_eigenvalues()
     a, b, c = gamma_measured.a, gamma_measured.b, gamma_measured.c
     if detection == "homodyne":
-        nu_cond = math.sqrt(a * (a - c * c / b))
+        nu_cond = np.sqrt(a * (a - c * c / b))
     else:
         nu_cond = a - c * c / (b + 1.0)
-    return (
+    return _value(
         entropy_g((nu1 - 1.0) / 2.0)
         + entropy_g((nu2 - 1.0) / 2.0)
         - entropy_g((nu_cond - 1.0) / 2.0)
     )
 
 
-def equivalent_excess_noise(d, v_a):
+def equivalent_excess_noise(d, v_a, z_d=None):
     """(F, delta_xi) with F = (Z_EPR/Z_d)^2 and delta_xi = (F - 1) V_A.
 
     A sphere modulation of dimension d behaves, for security purposes, like a
     Gaussian modulation over a channel with T -> T/F and xi -> F xi + delta_xi.
+    z_d is Z_d at v_a when the caller has already evaluated it; for d = inf
+    Z_d is Z_EPR, so F = 1 and delta_xi = 0 exactly.
     """
-    if math.isinf(d):
-        return 1.0, 0.0
-    f_factor = (z_epr(v_a) / z_correlation(d, v_a)) ** 2
-    return f_factor, (f_factor - 1.0) * v_a
+    v = np.asarray(v_a, dtype=float)
+    if z_d is None:
+        z_d = z_correlation(d, v)
+    ratio = z_epr(v) / z_d
+    f_factor = ratio * ratio
+    return _value(f_factor), _value((f_factor - 1.0) * v)
 
 
 def mutual_information(params, v_a):
-    """Shannon mutual information of the measured Gaussian channel, bits/symbol."""
-    s = _channel.snr(params, v_a)
+    """Shannon mutual information of the measured Gaussian channel, bits/symbol.
+
+    params may be a stacked batch (ChannelParams.stack).
+    """
+    bits = np.log2(1.0 + _channel.snr(params, v_a))
     if params.detection == "homodyne":
-        return 0.5 * math.log2(1.0 + s)
-    return math.log2(1.0 + s)
+        bits = 0.5 * bits
+    return _value(bits)
 
 
 _ALLOWED_PAIRINGS = {"homodyne": (1,), "heterodyne": (2, 4, 8)}
@@ -252,7 +298,12 @@ def _check_pairing(d, detection):
 
 @dataclass(frozen=True)
 class KeyRateReport:
-    """Asymptotic rate K = beta I(A;B) - chi(B;E) and everything behind it."""
+    """Asymptotic rate K = beta I(A;B) - chi(B;E) and everything behind it.
+
+    For one point every field is a Python float (detection a str); for a
+    batch every field but d, beta and detection is an array of the batch
+    shape.
+    """
 
     d: float
     v_a: float
@@ -273,73 +324,82 @@ class KeyRateReport:
 
 
 def secret_key_rate(d, v_a, params, beta):
-    """Key rate in bits per symbol (one symbol = one coherent state)."""
+    """Key rate in bits per symbol (one symbol = one coherent state).
+
+    v_a may be an array and params a sequence of ChannelParams that share
+    detection and eta_trusted; the two broadcast against each other like
+    numpy arrays, with the channel batch on the last axis.  Z_d is evaluated
+    once per call.
+    """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"reconciliation efficiency must lie in (0, 1], got {beta}")
-    if not (math.isfinite(v_a) and v_a > 0):
-        raise ValueError(f"modulation variance v_a must be finite and positive, got {v_a}")
-    _check_pairing(d, params.detection)
-    g0 = gamma_key0(d, v_a)
-    if params.eta_trusted and params.eta < 1.0:
-        # Eve holds the channel output only; detector loss eta degrades Bob's
-        # mode afterwards with vacuum, improving the conditional term.
-        g_channel = gamma_after_channel(g0, params.t, params.xi)
-        g_measured = CovarianceMatrix2Mode(
-            g_channel.a,
-            params.eta * g_channel.b + 1.0 - params.eta,
-            math.sqrt(params.eta) * g_channel.c,
+    v = np.asarray(v_a, dtype=float)
+    valid = np.isfinite(v) & (v > 0)
+    if not valid.all():
+        raise ValueError(
+            f"modulation variance v_a must be finite and positive, got {float(v[~valid][0])}"
         )
-        chi = holevo_bound(g_channel, params.detection, gamma_measured=g_measured)
+    channel = _channel.ChannelParams.stack(params)
+    _check_pairing(d, channel.detection)
+    z_d = z_correlation(d, v)
+    g0 = gamma_key0(d, v, z_d=z_d)
+    if channel.eta_trusted:
+        # Eve holds the channel output only; detector loss eta < 1 degrades
+        # Bob's mode afterwards with vacuum, improving the conditional term.
+        g = gamma_after_channel(g0, channel.t, channel.xi)
+        eta, lossy = channel.eta, channel.eta < 1.0
+        g_measured = CovarianceMatrix2Mode(
+            g.a,
+            np.where(lossy, eta * g.b + 1.0 - eta, g.b),
+            np.where(lossy, np.sqrt(eta) * g.c, g.c),
+        )
+        chi = holevo_bound(g, channel.detection, gamma_measured=g_measured)
     else:
-        g = gamma_after_channel(g0, params.t_eff, params.xi)
-        chi = holevo_bound(g, params.detection)
-    i_ab = mutual_information(params, v_a)
-    f_factor, delta_xi = equivalent_excess_noise(d, v_a)
-    return KeyRateReport(
-        d=float(d),
-        v_a=v_a,
-        t=params.t,
-        xi=params.xi,
-        eta=params.eta,
-        beta=beta,
-        detection=params.detection,
-        t_eff=params.t_eff,
-        snr=_channel.snr(params, v_a),
-        i_ab=i_ab,
-        chi_be=chi,
-        k=beta * i_ab - chi,
-        delta_xi=delta_xi,
-        z_d=z_correlation(d, v_a),
-        z_epr=z_epr(v_a),
-        f_factor=f_factor,
+        g = gamma_after_channel(g0, channel.t_eff, channel.xi)
+        chi = holevo_bound(g, channel.detection)
+    i_ab = mutual_information(channel, v)
+    f_factor, delta_xi = equivalent_excess_noise(d, v, z_d=z_d)
+    fields = dict(
+        v_a=v, t=channel.t, xi=channel.xi, eta=channel.eta, t_eff=channel.t_eff,
+        snr=_channel.snr(channel, v), i_ab=i_ab, chi_be=chi, k=beta * i_ab - chi,
+        delta_xi=delta_xi, z_d=z_d, z_epr=z_epr(v), f_factor=f_factor,
     )
+    shape = np.broadcast_shapes(*map(np.shape, fields.values()))
+    for name, value in fields.items():
+        fields[name] = np.broadcast_to(value, shape) if shape else float(value)
+    return KeyRateReport(d=float(d), beta=float(beta), detection=channel.detection, **fields)
 
 
 def optimize_va(d, params, beta, va_range, tol=1e-3):
-    """Golden-section maximization of K over V_A after a coarse grid scan."""
+    """Golden-section maximization of K over V_A after a 33-point grid scan.
+
+    params is one ChannelParams, giving one float, or a sequence of them
+    sharing detection and eta_trusted, giving an array: the points are
+    searched in lockstep, each taking exactly the steps it would take alone,
+    with one secret_key_rate call per step over the points still open.
+    """
     lo, hi = va_range
     if not (0.0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
-
-    def rate(v):
-        return secret_key_rate(d, v, params, beta).k
-
-    grid = [lo + (hi - lo) * i / 32 for i in range(33)]
-    values = [rate(v) for v in grid]
-    best = max(range(33), key=values.__getitem__)
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, 32)]
+    single = isinstance(params, _channel.ChannelParams)
+    points = [params] if single else list(params)
+    grid = lo + (hi - lo) * np.arange(33) / 32
+    best = np.argmax(secret_key_rate(d, grid[:, None], points, beta).k, axis=0)
+    a, b = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, 32)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = rate(x1), rate(x2)
-    while b - a > tol:
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = rate(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = rate(x2)
-    return (a + b) / 2.0
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = secret_key_rate(d, np.stack([x1, x2]), points, beta).k
+    while (open_ := b - a > tol).any():
+        # keep [a, x2] where f1 >= f2, else [x1, b]; one new point each
+        left = open_ & (f1 >= f2)
+        right = open_ & ~left
+        b, x2, f2 = np.where(left, x2, b), np.where(left, x1, x2), np.where(left, f1, f2)
+        a, x1, f1 = np.where(right, x1, a), np.where(right, x2, x1), np.where(right, f2, f1)
+        x_new = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
+        idx = np.flatnonzero(open_)
+        f_new = np.zeros_like(a)
+        f_new[idx] = secret_key_rate(d, x_new[idx], [points[i] for i in idx], beta).k
+        x1, f1 = np.where(left, x_new, x1), np.where(left, f_new, f1)
+        x2, f2 = np.where(right, x_new, x2), np.where(right, f_new, f2)
+    v_star = (a + b) / 2.0
+    return float(v_star[0]) if single else v_star

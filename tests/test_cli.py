@@ -140,6 +140,24 @@ def test_simulate_flow_override(tmp_path):
     assert "flow gaussian" in (out / "manifest.txt").read_text()
 
 
+@pytest.mark.parametrize("d, va", [("8", "1000"), ("1", "3000"), ("2", "20000")])
+def test_keyrate_large_va(tmp_path, d, va):
+    # these once ended in ZeroDivisionError, OverflowError and "failed to converge"
+    out = tmp_path / "large.csv"
+    rc = main(["keyrate", "--sweep", "xi", "--start", "0", "--stop", "0.01", "--steps", "2",
+               "--d", d, "--va", va, "--out", str(out)])
+    assert rc == 0
+    header, rows, _ = _read_csv(out)
+    assert len(rows) == 2
+    for row in rows:
+        record = dict(zip(header, row))
+        assert float(record["v_a"]) == float(va)
+        for name, text in record.items():
+            if name not in ("sweep", "d", "detection"):
+                assert math.isfinite(float(text)), name
+        assert 0.0 < float(record["z_d"]) < float(record["z_epr"])
+
+
 @pytest.mark.parametrize(
     "flag, value, field", [("--xi", "nan", "xi"), ("--xi", "inf", "xi"), ("--va", "inf", "v_a")]
 )

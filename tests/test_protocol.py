@@ -425,6 +425,16 @@ def test_run_session_deterministic(design8):
     assert np.array_equal(first.alice_bits, second.alice_bits)
 
 
+def test_manifest_k_bound_is_a_plain_float(tmp_path, gaussian_transcript):
+    # numpy 2 would print np.float64(...) through repr()
+    k = gaussian_transcript.report.k
+    assert type(k) is float
+    save_transcript(gaussian_transcript, tmp_path)
+    lines = (tmp_path / "manifest.txt").read_text().splitlines()
+    assert f"k_bound {k!r}" in lines
+    assert "np." not in "".join(lines)
+
+
 @pytest.mark.parametrize("name", ["gaussian_transcript", "decoy_transcript"])
 def test_save_transcript_roundtrip(tmp_path, request, name):
     transcript = request.getfixturevalue(name)

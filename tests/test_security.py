@@ -6,14 +6,16 @@ where the answer sqrt(V_A^2 + 2 V_A) is known independently.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fock_oracle as oracle
 from cvqkd import security as sec
-from cvqkd.channel import ChannelParams
+from cvqkd.channel import ChannelParams, distance_to_T
 
 
 def test_z_epr_values():
@@ -105,7 +107,56 @@ def test_z2_printed_series():
 
 def test_z8_matches_generic_sphere_form():
     for v_a in np.linspace(0.05, 4.0, 40):
-        assert abs(sec.z8(v_a) - sec.z_sphere(8, v_a)) < 1e-12
+        assert abs(oracle.z8_printed_series(v_a) - sec.z_sphere(8, v_a)) < 1e-12
+        assert sec.z8(v_a) == sec.z_sphere(8, v_a)
+
+
+def test_z_sphere_matches_recurrence_oracle():
+    for d in (2, 4, 8):
+        for v_a in np.geomspace(1e-3, 300.0, 60):
+            want = oracle.z_sphere_series(d, v_a)
+            assert abs(sec.z_sphere(d, v_a) - want) <= 1e-13 * want
+
+
+def test_z1_matches_undamped_oracle():
+    for v_a in np.geomspace(1e-3, 20.0, 60):
+        want = oracle.z1_direct(v_a)
+        assert abs(sec.z1(v_a) - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_z_finite_and_below_epr_at_any_va(d):
+    # the regression points once gave 0.0 (d=2, 8), OverflowError (d=1)
+    # or a division by zero in the key rate
+    v_a = np.concatenate([np.geomspace(1e-6, 1e5, 111), [1000.0, 1500.0, 2000.0, 1e4]])
+    z = sec.z_correlation(d, v_a)
+    assert np.all(np.isfinite(z)) and np.all(z > 0)
+    assert np.all(z < sec.z_epr(v_a))
+    for v in v_a[-4:]:
+        assert 0.0 < sec.z_correlation(d, float(v)) < sec.z_epr(float(v))
+    # far below 1e-6 the four correlations agree to rounding; lambda_3 of
+    # the four-state mixture underflows there
+    for v in (1e-120, 1e-200, 1e-300):
+        assert 0.0 < sec.z_correlation(d, v) <= sec.z_epr(v) * (1.0 + 1e-15)
+    det = "homodyne" if d == 1 else "heterodyne"
+    report = sec.secret_key_rate(d, 1000.0, ChannelParams(t=0.5, xi=0.005, detection=det), 0.9)
+    assert all(math.isfinite(getattr(report, f.name)) for f in fields(report) if f.name != "detection")
+
+
+def test_z_sphere_stepped_window_matches_full_sum(monkeypatch):
+    # above mu = 256 the window is sampled every floor(sqrt(mu)/8) terms
+    v_a = np.geomspace(100.0, 1e5, 25)
+    stepped = sec.z_sphere(8, v_a)
+    monkeypatch.setattr(sec, "NODES_PER_SIGMA", 1e9)
+    full = sec.z_sphere(8, v_a)
+    assert np.max(np.abs(stepped - full) / full) < 1e-13
+
+
+def test_z_sphere_chunks_do_not_change_values(monkeypatch):
+    v_a = np.geomspace(0.01, 50.0, 40).reshape(5, 8)
+    whole = sec.z_sphere(4, v_a)
+    monkeypatch.setattr(sec, "CHUNK_NODES", 100)
+    assert np.array_equal(sec.z_sphere(4, v_a), whole)
 
 
 def test_z8_against_schmidt_oracle():
@@ -353,3 +404,116 @@ def test_optimize_va_rejects_empty_range():
     p = ChannelParams(t=0.5, detection="heterodyne")
     with pytest.raises(ValueError):
         sec.optimize_va(8, p, 0.9, (1.0, 1.0))
+
+
+def _sweep_points(d, xi, eta_trusted, steps=41):
+    det = "homodyne" if d == 1 else "heterodyne"
+    return [
+        ChannelParams(t=distance_to_T(km), xi=xi, eta=0.6, detection=det, eta_trusted=eta_trusted)
+        for km in np.linspace(0.0, 100.0, steps)
+    ]
+
+
+@pytest.mark.parametrize("eta_trusted", [False, True])
+@pytest.mark.parametrize("xi", [0.004, 0.006])
+@pytest.mark.parametrize("d", [1, 2, 4, 8, math.inf])
+def test_batched_optimize_va_equals_scalar_oracle(d, xi, eta_trusted):
+    points = _sweep_points(d, xi, eta_trusted)
+    batched = sec.optimize_va(d, points, 0.8, (0.05, 5.0))
+    for p, v_star in zip(points, batched):
+        want = oracle.golden_section_va(
+            lambda v: sec.secret_key_rate(d, v, p, 0.8).k, (0.05, 5.0)
+        )
+        assert v_star == want
+    assert sec.optimize_va(d, points[7], 0.8, (0.05, 5.0)) == batched[7]
+
+
+@pytest.mark.parametrize("eta_trusted", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 4, 8, math.inf])
+def test_batched_key_rate_matches_oracle(d, eta_trusted):
+    points = _sweep_points(d, 0.005, eta_trusted)
+    v_a = np.linspace(0.05, 5.0, len(points))
+    report = sec.secret_key_rate(d, v_a, points, 0.8)
+    want = [oracle.key_rate(d, v, p, 0.8) for v, p in zip(v_a, points)]
+    assert np.max(np.abs(report.k - want)) < 1e-12
+    # a V_A grid against the same batch broadcasts to (grid, points)
+    grid = sec.secret_key_rate(d, v_a[:3, None], points, 0.8)
+    assert grid.k.shape == (3, len(points))
+    assert np.array_equal(grid.k[1], sec.secret_key_rate(d, v_a[1], points, 0.8).k)
+
+
+def test_scalar_report_fields_are_python_floats():
+    p = ChannelParams(t=0.2, xi=0.005, eta=0.6, detection="heterodyne", eta_trusted=True)
+    for d in (2, 8, math.inf):
+        report = sec.secret_key_rate(d, 0.7, p, 0.8)
+        for f in fields(report):
+            want = str if f.name == "detection" else float
+            assert type(getattr(report, f.name)) is want, f.name
+    assert type(sec.optimize_va(8, p, 0.8, (0.05, 3.0))) is float
+
+
+def test_channel_batch_must_share_detection():
+    het = ChannelParams(t=0.5, detection="heterodyne")
+    with pytest.raises(ValueError, match="share detection"):
+        sec.secret_key_rate(math.inf, 0.5, [het, replace(het, detection="homodyne")], 0.9)
+    with pytest.raises(ValueError, match="share detection"):
+        sec.secret_key_rate(8, 0.5, [het, replace(het, eta_trusted=True)], 0.9)
+
+
+# Property tests: derandomized so Tier-1 stays deterministic.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
+DIMENSIONS = st.sampled_from([1, 2, 4, 8, math.inf])
+
+
+def _channel(d, t, xi, eta, eta_trusted):
+    det = "homodyne" if d == 1 else "heterodyne"
+    return ChannelParams(t=t, xi=xi, eta=eta, detection=det, eta_trusted=eta_trusted)
+
+
+@PROPERTY
+@given(
+    d=DIMENSIONS,
+    rows=st.lists(
+        st.tuples(
+            st.floats(1e-3, 50.0), st.floats(1e-3, 1.0), st.floats(0.0, 0.2), st.floats(0.1, 1.0)
+        ),
+        min_size=1, max_size=12,
+    ),
+    eta_trusted=st.booleans(),
+)
+def test_array_call_equals_scalar_calls(d, rows, eta_trusted):
+    v_a = np.array([row[0] for row in rows])
+    points = [_channel(d, t, xi, eta, eta_trusted) for _, t, xi, eta in rows]
+    batch = sec.secret_key_rate(d, v_a, points, 0.9)
+    z = sec.z_correlation(d, v_a)
+    for i, (v, p) in enumerate(zip(v_a, points)):
+        one = sec.secret_key_rate(d, float(v), p, 0.9)
+        for f in fields(one):
+            if f.name not in ("d", "beta", "detection"):
+                assert getattr(batch, f.name)[i] == getattr(one, f.name), f.name
+        assert z[i] == sec.z_correlation(d, float(v))
+
+
+@PROPERTY
+@given(
+    d=DIMENSIONS,
+    v_a=st.floats(1e-3, 20.0),
+    t=st.floats(1e-3, 1.0),
+    xis=st.tuples(st.floats(0.0, 0.5), st.floats(0.0, 0.5)).map(sorted),
+    eta=st.floats(0.1, 1.0),
+    eta_trusted=st.booleans(),
+)
+def test_key_rate_non_increasing_in_xi(d, v_a, t, xis, eta, eta_trusted):
+    low, high = (
+        sec.secret_key_rate(d, v_a, _channel(d, t, xi, eta, eta_trusted), 0.95).k for xi in xis
+    )
+    assert high <= low + 1e-12
+
+
+@PROPERTY
+@given(v_a=st.floats(1e-3, 1e5))
+def test_correlation_ordering_property(v_a):
+    # below V_A ~ 1e-4 Z_1 and Z_2 agree to within rounding (they differ at
+    # order alpha^7), so the strict chain is checked from 1e-3 up
+    z = [sec.z_correlation(d, v_a) for d in (1, 2, 4, 8, math.inf)]
+    assert z[0] < z[1] < z[2] < z[3] < z[4]

@@ -66,6 +66,33 @@ def _detection_for(d, choice):
     return "homodyne" if d == 1 else "heterodyne"
 
 
+def _keyrate_reports(args, ds, base_t, values, v_a):
+    """One KeyRateReport per d over the sweep values, all rows at once.
+
+    Every ChannelParams is built, in value-major order, before any evaluation.
+    """
+    points = [
+        [
+            ChannelParams(
+                t=distance_to_T(value) if args.sweep == "distance_km" else base_t,
+                xi=value if args.sweep == "xi" else args.xi,
+                eta=args.eta, detection=_detection_for(d, args.detection),
+                eta_trusted=args.eta_trusted,
+            )
+            for d in ds
+        ]
+        for value in values.tolist()
+    ]
+    reports = []
+    for j, d in enumerate(ds):
+        column = [row[j] for row in points]
+        va_d = v_a
+        if args.optimize_va:
+            va_d = security.optimize_va(d, column, args.beta, (args.va_min, args.va_max))
+        reports.append(security.secret_key_rate(d, va_d, column, args.beta))
+    return reports
+
+
 def cmd_keyrate(args, parser):
     ds = _parse_d_list(args.d, parser, allow_inf=True)
     values = _sweep_values(args, parser)
@@ -84,35 +111,22 @@ def cmd_keyrate(args, parser):
     elif args.sweep == "alpha":
         v_a = 2.0 * values * values
     else:
-        v_a = args.va
+        v_a = np.full_like(values, args.va)
 
     fields = [f.name for f in dataclasses.fields(security.KeyRateReport)][1:]
     with _out_stream(args.out) as out:
         modulation.write_csv_header(out, "keyrate", ["sweep", "value", "d"] + fields)
         try:
-            # one channel point per row, validated in row (value-major) order
-            points = [
-                [
-                    ChannelParams(
-                        t=distance_to_T(value) if args.sweep == "distance_km" else base_t,
-                        xi=value if args.sweep == "xi" else args.xi,
-                        eta=args.eta, detection=_detection_for(d, args.detection),
-                        eta_trusted=args.eta_trusted,
-                    )
-                    for d in ds
-                ]
-                for value in values.tolist()
-            ]
-            reports = []
-            for j, d in enumerate(ds):
-                column = [row[j] for row in points]
-                va_d = v_a
-                if args.optimize_va:
-                    va_d = security.optimize_va(
-                        d, column, args.beta, (args.va_min, args.va_max)
-                    )
-                reports.append(security.secret_key_rate(d, va_d, column, args.beta))
+            reports = _keyrate_reports(args, ds, base_t, values, v_a)
         except ValueError as exc:
+            # the batch fails at its first bad d; replay the rows one at a
+            # time so the error reported is the first in row order
+            for i in range(len(values)):
+                try:
+                    _keyrate_reports(args, ds, base_t, values[i:i + 1], v_a[i:i + 1])
+                except ValueError as row_exc:
+                    exc = row_exc
+                    break
             print(f"error: {exc}", file=sys.stderr)
             return 2
         n = len(values)

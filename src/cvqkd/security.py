@@ -101,14 +101,12 @@ def z1(v_a):
 
 
 # z_sphere sums WINDOW_SIGMAS standard deviations either side of the Poisson
-# mean plus WINDOW_EXTRA terms above it (truncated mass below 1e-25).  From a
-# standard deviation of 2 * NODES_PER_SIGMA on it takes every
-# floor(sd / NODES_PER_SIGMA)-th term: the weights are smooth on that scale,
-# so the stepped mean is off by about exp(-2 pi^2 NODES_PER_SIGMA^2), and no
-# point needs more than about 430 terms.  CHUNK_NODES caps the terms held at once.
+# mean plus WINDOW_EXTRA terms above it (truncated mass below 1e-25), about
+# 24 sqrt(mu) terms per point: 10.8k at V_A = 1e5 for d = 8.  CHUNK_NODES caps
+# the terms held at once, so a large V_A array is summed a block of points at
+# a time: 1,000 points from 1e4 to 1e5 peak at 48 MB instead of 430 MB.
 WINDOW_SIGMAS = 12.0
 WINDOW_EXTRA = 40.0
-NODES_PER_SIGMA = 8.0
 CHUNK_NODES = 2**20
 
 
@@ -128,15 +126,14 @@ def z_sphere(d, v_a):
     m = d // 2
     mu = (m * v / 2.0).reshape(-1)
     sd = np.sqrt(mu)
-    step = np.maximum(np.floor(sd / NODES_PER_SIGMA), 1.0)
     first = np.maximum(np.floor(mu - WINDOW_SIGMAS * sd), 0.0)
-    count = np.floor((mu + WINDOW_SIGMAS * sd + WINDOW_EXTRA - first) / step) + 1.0
+    count = np.floor(mu + WINDOW_SIGMAS * sd + WINDOW_EXTRA - first) + 1.0
     mean = np.empty_like(mu)
     rows = max(1, CHUNK_NODES // int(count.max(initial=1.0)))
     for lo in range(0, mu.size, rows):
         part = slice(lo, lo + rows)
         node = np.arange(count[part].max())
-        k = first[part, None] + step[part, None] * node
+        k = first[part, None] + node
         log_w = np.where(
             node < count[part, None],
             k * np.log(mu[part, None]) - special.gammaln(k + 1.0),

@@ -169,6 +169,25 @@ def test_keyrate_rejects_non_finite_input(tmp_path, capsys, flag, value, field):
     assert f" {field} must be finite" in err and "unphysical" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # row 0 fails on v_a, row 1 on xi
+        (["--sweep", "xi", "--start", "0", "--stop", "-0.01", "--va", "inf"],
+         "modulation variance v_a must be finite and positive, got inf"),
+        # row 0 fails on pairing at its second d, row 1 on v_a at its first
+        (["--sweep", "va", "--start", "1", "--stop", "-1", "--d", "8,1",
+          "--detection", "heterodyne"],
+         "d=1 does not pair with heterodyne detection"),
+    ],
+)
+def test_keyrate_reports_first_error_in_row_order(tmp_path, capsys, argv, message):
+    rc = main(["keyrate", *argv, "--steps", "2", "--out", str(tmp_path / "r.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_simulate_config_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("flow decoy\nd 8\nmystery 1\n")

@@ -143,15 +143,6 @@ def test_z_finite_and_below_epr_at_any_va(d):
     assert all(math.isfinite(getattr(report, f.name)) for f in fields(report) if f.name != "detection")
 
 
-def test_z_sphere_stepped_window_matches_full_sum(monkeypatch):
-    # above mu = 256 the window is sampled every floor(sqrt(mu)/8) terms
-    v_a = np.geomspace(100.0, 1e5, 25)
-    stepped = sec.z_sphere(8, v_a)
-    monkeypatch.setattr(sec, "NODES_PER_SIGMA", 1e9)
-    full = sec.z_sphere(8, v_a)
-    assert np.max(np.abs(stepped - full) / full) < 1e-13
-
-
 def test_z_sphere_chunks_do_not_change_values(monkeypatch):
     v_a = np.geomspace(0.01, 50.0, 40).reshape(5, 8)
     whole = sec.z_sphere(4, v_a)

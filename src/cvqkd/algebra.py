@@ -176,17 +176,6 @@ class OrthogonalTransform:
         return cls(rows.copy())
 
 
-def householder(u) -> OrthogonalTransform:
-    """Single reflection about the unit vector u (renormalized internally)."""
-    u = np.asarray(u, dtype=float)
-    r = np.linalg.norm(u)
-    if r == 0.0:
-        raise ValueError("cannot reflect about the zero vector")
-    if abs(r - 1.0) > 1e-9:
-        raise ValueError("reflector must be a unit vector within 1e-9")
-    return OrthogonalTransform((u / r)[None, :])
-
-
 def _bisector_reflector(x):
     """Unit u such that reflecting e1 about u gives x/|x|; None when x is along +e1."""
     r = np.linalg.norm(x)

@@ -18,7 +18,8 @@ import numpy as np
 # vacuum noise at the detector in shot-noise units, per detection mode
 NOISE_FLOORS = {"homodyne": 1.0, "heterodyne": 2.0}
 DETECTIONS = tuple(NOISE_FLOORS)
-NOISE_KINDS = ("gaussian", "uniform", "two-point", "none")
+# standard single-mode fiber attenuation at 1550 nm
+FIBER_LOSS_DB_PER_KM = 0.2
 
 
 @dataclass(frozen=True)
@@ -77,76 +78,33 @@ class ChannelParams:
         return NOISE_FLOORS[self.detection]
 
 
-def distance_to_T(d_km, loss_db_per_km=0.2):
-    """Fiber transmittance 10^(-loss*d/10), default 0.2 dB/km."""
+def distance_to_T(d_km):
+    """Fiber transmittance 10^(-FIBER_LOSS_DB_PER_KM * d / 10)."""
     if d_km < 0:
         raise ValueError("distance must be nonnegative")
-    return 10.0 ** (-loss_db_per_km * d_km / 10.0)
+    return 10.0 ** (-FIBER_LOSS_DB_PER_KM * d_km / 10.0)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Zero-mean additive detector noise with a declared total variance.
-
-    The variance counts everything added on top of sqrt(T_eff) q, shot noise
-    included; transmit_measure defaults to the gaussian spec of variance
-    noise_floor + T_eff*xi.
-    """
-
-    kind: str = "gaussian"
-    variance: float = 1.0
-
-    def __post_init__(self):
-        if self.kind not in NOISE_KINDS:
-            raise ValueError(f"noise kind must be one of {NOISE_KINDS}, got {self.kind!r}")
-        if not math.isfinite(self.variance) or self.variance < 0.0:
-            raise ValueError(f"noise variance must be finite and nonnegative, got {self.variance}")
-        if self.kind == "none" and self.variance != 0.0:
-            raise ValueError("'none' noise must declare zero variance")
-
-    def sample(self, shape, rng):
-        if self.kind == "none" or self.variance == 0.0:
-            return np.zeros(shape)
-        s = math.sqrt(self.variance)
-        if self.kind == "gaussian":
-            return s * rng.standard_normal(shape)
-        if self.kind == "uniform":
-            half = math.sqrt(3.0) * s
-            return rng.uniform(-half, half, size=shape)
-        # two-point: +-s with equal probability
-        return s * (rng.integers(0, 2, size=shape) * 2 - 1)
-
-
-def transmit_measure(symbols, params, rng, basis_choices=None, noise=None):
+def transmit_measure(symbols, params, rng):
     """Send quadrature symbols through the channel and detect them.
 
     Returns (outcomes, basis).  Homodyne outcomes have shape (n_modes,) with
-    the measured quadrature recorded in basis (0 = x, 1 = p); heterodyne
-    outcomes have shape (n_modes, 2) and basis None.  The additive noise is
-    drawn from noise, by default the Gaussian spec of variance
-    noise_floor + T_eff*xi; second moments depend only on the declared
-    variance, so estimates from matched non-Gaussian noise agree with it.
+    the uniformly drawn measured quadrature recorded in basis (0 = x, 1 = p);
+    heterodyne outcomes have shape (n_modes, 2) and basis None.  The additive
+    noise is Gaussian with variance noise_floor + T_eff*xi.
     """
     symbols = np.asarray(symbols, dtype=float)
     if symbols.ndim != 2 or symbols.shape[1] != 2:
         raise ValueError("symbols must be quadrature pairs of shape (n_modes, 2)")
     gain = math.sqrt(params.t_eff)
     if params.detection == "heterodyne":
-        if basis_choices is not None:
-            raise ValueError("basis choices apply to homodyne detection only")
         signal, basis = gain * symbols, None
     else:
         n = symbols.shape[0]
-        if basis_choices is None:
-            basis = rng.integers(0, 2, size=n)
-        else:
-            basis = np.asarray(basis_choices, dtype=int)
-            if basis.shape != (n,) or not np.isin(basis, (0, 1)).all():
-                raise ValueError("basis choices must be one 0/1 entry per mode")
+        basis = rng.integers(0, 2, size=n)
         signal = gain * symbols[np.arange(n), basis]
-    if noise is None:
-        noise = NoiseSpec("gaussian", params.noise_floor + params.t_eff * params.xi)
-    return signal + noise.sample(signal.shape, rng), basis
+    sigma = math.sqrt(params.noise_floor + params.t_eff * params.xi)
+    return signal + sigma * rng.standard_normal(signal.shape), basis
 
 
 def snr(params, v_a):

@@ -209,8 +209,8 @@ def cmd_decoy_opt(args, parser):
 
 def cmd_reconcile_bench(args, parser):
     try:
-        code = protocol.resolve_code(args.code)
-    except (OSError, ValueError) as exc:
+        code = protocol.load_code(args.code)
+    except protocol.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ds = _parse_d_list(args.d, parser, allow_inf=False)

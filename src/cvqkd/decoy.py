@@ -273,6 +273,10 @@ def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):
     _check_decoy_args(d, alpha)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"key fraction p must lie in [0, 1), got {p}")
+    if n_radii_max < 1:
+        raise ValueError(f"n_radii_max must be at least 1, got {n_radii_max}")
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     pi_d, k_star = povm_scale(d, alpha)
     if p > pi_d + 1e-12:
         raise InfeasibleDecoyError(

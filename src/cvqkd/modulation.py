@@ -22,8 +22,6 @@ from .algebra import DIVISION_DIMS
 # Quadrature mean per unit coherent amplitude under x = a + a*.
 QUADRATURE_SCALE = 2.0
 
-KINDS = ("key", "gaussian")
-
 # first token of every CSV table's first line; the table kind follows it
 CSV_SCHEMA = "# cvqkd-csv-v1"
 # rows converted to Python objects at a time; converting whole arrays took the peak
@@ -33,19 +31,16 @@ CSV_BLOCK_ROWS = 2**14
 
 @dataclass(frozen=True)
 class ModulationScheme:
-    """Block dimension d in {1, 2, 4, 8}, coherent amplitude alpha, modulation kind."""
+    """Block dimension d in {1, 2, 4, 8} and coherent amplitude alpha."""
 
     d: int
     alpha: float
-    kind: str = "key"
 
     def __post_init__(self):
         if self.d not in DIVISION_DIMS:
             raise ValueError(f"d must be one of {DIVISION_DIMS}, got {self.d}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
 
     @property
     def v_a(self) -> float:
@@ -88,8 +83,6 @@ def sample_key_blocks(scheme, n_blocks, rng):
     For d = 1 the sphere is the two-point set +-alpha/sqrt(2), and consecutive
     blocks pair into the four coherent amplitudes alpha*exp(i(2k+1)pi/4).
     """
-    if scheme.kind != "key":
-        raise ValueError(f"scheme kind must be 'key', got {scheme.kind!r}")
     return sample_sphere_blocks(scheme.d, scheme.sphere_radius, n_blocks, rng)
 
 
@@ -99,8 +92,6 @@ def sample_gaussian_blocks(scheme, n_blocks, rng):
     Normalized block radii then follow chi_pdf, which is what the radius-band
     flow filters on.
     """
-    if scheme.kind != "gaussian":
-        raise ValueError(f"scheme kind must be 'gaussian', got {scheme.kind!r}")
     return rng.normal(0.0, scheme.alpha / math.sqrt(2.0), size=(n_blocks, scheme.d))
 
 
@@ -138,43 +129,18 @@ def label_by_band(blocks, scheme, band):
     return (r >= band.gamma_min) & (r <= band.gamma_max)
 
 
-def blocks_to_amplitudes(blocks, d):
-    """Fold consecutive coordinate pairs into complex coherent amplitudes.
+def blocks_to_quadratures(blocks, d):
+    """Per-mode quadrature mean pairs (2 Re b, 2 Im b), shape (n_modes, 2).
 
-    A d-block yields d/2 amplitudes; for d = 1 two consecutive blocks form one
-    amplitude, so the block count must be even.
+    Consecutive coordinates pair into one mode; for d = 1 two consecutive
+    blocks form one mode, so the coordinate count must be even.
     """
     blocks = np.atleast_2d(np.asarray(blocks, dtype=float))
     if blocks.shape[1] != d:
         raise ValueError(f"blocks have width {blocks.shape[1]}, expected d={d}")
-    flat = blocks.reshape(-1)
-    if flat.size % 2:
-        raise ValueError(f"need an even coordinate count, got {flat.size}")
-    pairs = flat.reshape(-1, 2)
-    return pairs[:, 0] + 1j * pairs[:, 1]
-
-
-def amplitudes_to_blocks(amplitudes, d):
-    """Inverse of blocks_to_amplitudes; the round trip is exact."""
-    amplitudes = np.asarray(amplitudes)
-    flat = np.empty(2 * amplitudes.size)
-    flat[0::2] = np.real(amplitudes)
-    flat[1::2] = np.imag(amplitudes)
-    if flat.size % d:
-        raise ValueError(f"{flat.size} coordinates do not fill d={d} blocks")
-    return flat.reshape(-1, d)
-
-
-def blocks_to_quadratures(blocks, d):
-    """Per-mode quadrature mean pairs (2 Re b, 2 Im b), shape (n_modes, 2)."""
-    amps = blocks_to_amplitudes(blocks, d)
-    return QUADRATURE_SCALE * np.column_stack([amps.real, amps.imag])
-
-
-def quadratures_to_blocks(quadratures, d):
-    quadratures = np.asarray(quadratures, dtype=float)
-    amps = (quadratures[:, 0] + 1j * quadratures[:, 1]) / QUADRATURE_SCALE
-    return amplitudes_to_blocks(amps, d)
+    if blocks.size % 2:
+        raise ValueError(f"need an even coordinate count, got {blocks.size}")
+    return QUADRATURE_SCALE * blocks.reshape(-1, 2)
 
 
 def write_csv_header(fh, kind, names):

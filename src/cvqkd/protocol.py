@@ -25,8 +25,6 @@ from .modulation import ModulationScheme, RadiusBand
 log = logging.getLogger(__name__)
 
 FLOWS = ("gaussian", "decoy")
-# integer label codes used in transcripts; -1 marks band-discarded blocks
-LABELS = ("key", "estimation", "decoy")
 DEFAULT_BAND = RadiusBand(0.95, 1.05)
 MIN_EST_SAMPLES = 100
 
@@ -98,6 +96,7 @@ class ProtocolConfig:
                 f"{self.n_coordinates} retained coordinates do not split into "
                 f"blocks of {self.d}"
             )
+        load_code(self.code)
 
     @property
     def n_coordinates(self):
@@ -164,80 +163,49 @@ _CONFIG_CASTS = {
 }
 
 
+# config-file keys that set a ChannelParams field, and the field each sets
+_CHANNEL_KEYS = {
+    "transmittance": "t",
+    "xi": "xi",
+    "eta": "eta",
+    "detection": "detection",
+    "eta_trusted": "eta_trusted",
+}
+
+
 def _build_config(cls, raw, path):
-    def take(key, default=None, required=False):
+    """Cast the keys the file gives; the dataclass defaults fill in the rest."""
+    for key in ("d", "alpha", "n_symbols"):
         if key not in raw:
-            if required:
-                raise ConfigError(f"{path}: missing required key {key!r}")
-            return default
-        value, line_no = raw.pop(key)
+            raise ConfigError(f"{path}: missing required key {key!r}")
+    values = {}
+    for key, (value, line_no) in raw.items():
         try:
-            return _CONFIG_CASTS[key](value)
+            values[key] = _CONFIG_CASTS[key](value)
         except ValueError as exc:
             raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
-
-    d = take("d", required=True)
-    alpha = take("alpha", required=True)
-    n_symbols = take("n_symbols", required=True)
-    flow = take("flow", default="decoy")
-
-    transmittance = take("transmittance")
-    distance_km = take("distance_km")
-    if transmittance is not None and distance_km is not None:
+    if "transmittance" in values and "distance_km" in values:
         raise ConfigError(f"{path}: give either transmittance or distance_km, not both")
-    if distance_km is not None:
-        transmittance = distance_to_T(distance_km)
-    elif transmittance is None:
-        transmittance = 1.0
 
-    detection = take("detection", default="homodyne" if d == 1 else "heterodyne")
-    try:
-        channel = ChannelParams(
-            t=transmittance,
-            xi=take("xi", default=0.0),
-            eta=take("eta", default=1.0),
-            detection=detection,
-            eta_trusted=take("eta_trusted", default=False),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-    gamma_min = take("gamma_min", default=DEFAULT_BAND.gamma_min)
-    gamma_max = take("gamma_max", default=DEFAULT_BAND.gamma_max)
-    try:
-        band = RadiusBand(gamma_min, gamma_max)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-    decoy = None
-    decoy_file = take("decoy_file")
+    decoy_file = values.pop("decoy_file", None)
     if decoy_file is not None:
         if not os.path.isabs(decoy_file):
             decoy_file = os.path.join(os.path.dirname(os.path.abspath(path)), decoy_file)
         try:
-            decoy = DecoyDesign.load(decoy_file)
+            values["decoy"] = DecoyDesign.load(decoy_file)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"{path}: cannot load decoy design: {exc}") from None
-
-    kwargs = dict(
-        d=d,
-        alpha=alpha,
-        n_symbols=n_symbols,
-        flow=flow,
-        channel=channel,
-        p_est=take("p_est", default=0.5),
-        p=take("p", default=1.0),
-        band=band,
-        decoy=decoy,
-        symmetrization_k=take("symmetrization_k", default=1),
-        beta_target=take("beta_target", default=0.95),
-        code=take("code", default="rep16"),
-        seed=take("seed", default=0),
-        max_frame_failure=take("max_frame_failure", default=0.05),
-        min_est_samples=take("min_est_samples", default=MIN_EST_SAMPLES),
-    )
     try:
-        return cls(**kwargs)
+        if "distance_km" in values:
+            values["transmittance"] = distance_to_T(values.pop("distance_km"))
+        channel = {field: values.pop(key) for key, field in _CHANNEL_KEYS.items()
+                   if key in values}
+        channel.setdefault("detection", "homodyne" if values["d"] == 1 else "heterodyne")
+        values["channel"] = replace(cls.channel, **channel)
+        band = {key: values.pop(key) for key in ("gamma_min", "gamma_max") if key in values}
+        if band:
+            values["band"] = replace(cls.band, **band)
+        return cls(**values)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -272,9 +240,6 @@ class SessionTranscript:
 
     def record(self, event):
         self.events.append(event)
-
-    def phase_index(self, event):
-        return self.events.index(event)
 
 
 def _session_rngs(config):
@@ -345,6 +310,23 @@ def resolve_code(code_id):
     )
 
 
+def load_code(code_id):
+    """resolve_code for a session; any code it cannot use is a ConfigError naming code.
+
+    A code file gives a ParityCheckCode without a soft decoder, so it is
+    refused until an LDPC decoder exists.
+    """
+    try:
+        code = resolve_code(code_id)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"code {code_id!r}: {exc}") from None
+    if isinstance(code, reconciliation.ParityCheckCode) and code.decoder is None:
+        raise ConfigError(
+            f"code {code_id!r}: parity-check code files have no decoder yet"
+        )
+    return code
+
+
 def run_decoy_flow(config, rng=None):
     """Pre-labeled flow: commit labels, modulate, mix, send, measure, reveal."""
     if config.flow != "decoy":
@@ -362,14 +344,13 @@ def run_decoy_flow(config, rng=None):
     transcript.labels = labels
     transcript.record("labels_committed")
 
-    scheme_key = ModulationScheme(d, config.alpha, "key")
-    scheme_est = ModulationScheme(d, config.alpha, "gaussian")
+    scheme = ModulationScheme(d, config.alpha)
     key_idx = np.flatnonzero(labels == 0)
     est_idx = np.flatnonzero(labels == 1)
     dec_idx = np.flatnonzero(labels == 2)
     blocks = np.empty((n_blocks, d))
-    blocks[key_idx] = modulation.sample_key_blocks(scheme_key, key_idx.size, rng)
-    blocks[est_idx] = modulation.sample_gaussian_blocks(scheme_est, est_idx.size, rng)
+    blocks[key_idx] = modulation.sample_key_blocks(scheme, key_idx.size, rng)
+    blocks[est_idx] = modulation.sample_gaussian_blocks(scheme, est_idx.size, rng)
     if dec_idx.size:
         design = config.decoy
         pick = rng.choice(len(design.radii), size=dec_idx.size, p=design.weights)
@@ -424,10 +405,13 @@ def run_gaussian_postselected(config, rng=None):
         )
     transcript = SessionTranscript(config=config)
     n = config.n_symbols
-    x = rng.normal(0.0, config.alpha / math.sqrt(2.0), size=2 * n)
+    scheme = ModulationScheme(d, config.alpha)
+    # both quadratures of every mode are modulated, homodyne or not
+    x = modulation.sample_gaussian_blocks(scheme, 2 * n // d, rng)
     transcript.record("modulated")
 
-    quads = modulation.QUADRATURE_SCALE * x.reshape(n, 2)
+    quads = modulation.blocks_to_quadratures(x, d)
+    x = x.reshape(-1)
     outcomes, basis = transmit_measure(quads, params, rng)
     transcript.outcomes, transcript.basis = outcomes, basis
     transcript.record("transmitted")
@@ -460,7 +444,6 @@ def run_gaussian_postselected(config, rng=None):
     transcript.est_indices = est_idx
     transcript.record("estimation_coordinates_chosen")
 
-    scheme = ModulationScheme(d, config.alpha, "key")
     keep = modulation.label_by_band(alice_blocks[rest], scheme, config.band)
     key_idx = rest[keep]
     transcript.key_indices = key_idx
@@ -496,7 +479,7 @@ def distill(transcript, code=None, rng=None):
     if rng is None:
         rng = _session_rngs(config)[1]
     if code is None:
-        code = resolve_code(config.code)
+        code = load_code(config.code)
     d = config.d
     key_idx = transcript.key_indices
     n_bits_avail = key_idx.size * d

@@ -95,9 +95,6 @@ class IdentityCode:
     def syndrome(self, bits):
         return np.zeros(np.shape(bits)[:-1] + (0,), dtype=np.uint8)
 
-    def info_bits(self, bits):
-        return np.asarray(bits, dtype=np.uint8)
-
     def decode(self, llr, syndrome):
         return (np.asarray(llr) < 0).astype(np.uint8)
 
@@ -126,9 +123,6 @@ class ConcatenatedCode:
         parities = groups[..., 1:] ^ groups[..., :1]
         flat = parities.reshape(parities.shape[:-2] + (-1,))
         return np.concatenate([flat, self.inner.syndrome(groups[..., 0])], axis=-1)
-
-    def info_bits(self, bits):
-        return self.inner.info_bits(self._groups(bits, np.uint8)[..., 0])
 
     def decode(self, llr, syndrome):
         syndrome = np.asarray(syndrome, dtype=np.uint8)
@@ -189,9 +183,6 @@ class ParityCheckCode:
         for j, row in enumerate(self.checks):
             out[..., j] = np.bitwise_xor.reduce(bits[..., row], axis=-1)
         return out
-
-    def info_bits(self, bits):
-        return np.asarray(bits, dtype=np.uint8)[..., : self.k_bits]
 
     def decode(self, llr, syndrome):
         if self.decoder is None:

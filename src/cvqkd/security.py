@@ -178,15 +178,19 @@ class CovarianceMatrix2Mode:
             raise ValueError(f"diagonals must sit on the vacuum floor, got a={self.a}, b={self.b}")
 
     def symplectic_eigenvalues(self):
-        """(nu1, nu2) with nu1 >= nu2, from the Delta/D invariants."""
+        """(nu1, nu2) with nu1 >= nu2, from the Delta/D invariants.
+
+        nu2 is D / nu1: the form sqrt((Delta - sqrt(Delta^2 - 4 D^2)) / 2)
+        cancels at large V_A.  nu1 < 1 only for an unphysical matrix, whose
+        D / max(nu1, 1) then stays below 1 as well.
+        """
         a, b, c = self.a, self.b, self.c
         delta = a * a + b * b - 2.0 * c * c
         det = a * b - c * c
         disc = delta * delta - 4.0 * det * det
         root = np.sqrt(np.maximum(disc, 0.0))
         nu1 = np.sqrt(np.maximum((delta + root) / 2.0, 0.0))
-        nu2 = np.sqrt(np.maximum((delta - root) / 2.0, 0.0))
-        return _value(nu1), _value(nu2)
+        return _value(nu1), _value(det / np.maximum(nu1, 1.0))
 
     def is_physical(self, tol=1e-9):
         return self.symplectic_eigenvalues()[1] >= 1.0 - tol

@@ -167,7 +167,7 @@ def test_householder_reflects_own_axis():
     rng = np.random.default_rng(7)
     u = rng.standard_normal(6)
     u /= np.linalg.norm(u)
-    h = algebra.householder(u)
+    h = algebra.OrthogonalTransform(u[None, :])
     assert np.allclose(h.apply(u), -u, atol=1e-12)
 
 
@@ -177,7 +177,7 @@ def test_householder_fixes_orthogonal_complement():
     u /= np.linalg.norm(u)
     v = rng.standard_normal(6)
     v -= (v @ u) * u
-    h = algebra.householder(u)
+    h = algebra.OrthogonalTransform(u[None, :])
     assert np.allclose(h.apply(v), v, atol=1e-12)
 
 
@@ -186,15 +186,15 @@ def test_householder_is_involutive():
     u = rng.standard_normal(6)
     u /= np.linalg.norm(u)
     v = rng.standard_normal(6)
-    h = algebra.householder(u)
+    h = algebra.OrthogonalTransform(u[None, :])
     assert np.allclose(h.apply(h.apply(v)), v, atol=1e-10)
 
 
 def test_householder_rejects_bad_input():
     with pytest.raises(ValueError):
-        algebra.householder(np.zeros(4))
+        algebra.OrthogonalTransform(np.zeros((1, 4)))
     with pytest.raises(ValueError):
-        algebra.householder(np.array([1.0, 1.0]))
+        algebra.OrthogonalTransform(np.array([[1.0, 1.0]]))
 
 
 def test_identity_transform_is_empty_product():

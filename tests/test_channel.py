@@ -1,4 +1,4 @@
-"""Channel transmission, detection statistics, and noise-spec tests."""
+"""Channel transmission and detection statistics tests."""
 
 import math
 
@@ -17,7 +17,7 @@ def test_distance_to_transmittance():
     assert ch.distance_to_T(0.0) == 1.0
     assert abs(ch.distance_to_T(50.0) - 0.1) < 1e-15
     assert abs(ch.distance_to_T(100.0) - 0.01) < 1e-16
-    assert abs(ch.distance_to_T(10.0, loss_db_per_km=0.5) - 10 ** -0.5) < 1e-15
+    assert abs(ch.distance_to_T(10.0) - 10 ** -0.2) < 1e-15
     with pytest.raises(ValueError):
         ch.distance_to_T(-1.0)
 
@@ -101,26 +101,24 @@ def test_snr_values():
     assert abs(ch.snr(lossy, 2.0) - 0.25 * 2.0 / (1 + 0.25 * 0.04)) < 1e-15
 
 
-def test_forced_basis_choices():
-    rng = np.random.default_rng(4)
-    p = ch.ChannelParams(t=1.0, xi=0.0, detection="homodyne")
-    q = np.column_stack([np.full(8, 50.0), np.full(8, -50.0)])
-    basis = np.array([0, 1] * 4)
-    y, recorded = ch.transmit_measure(q, p, rng, basis_choices=basis)
-    assert np.array_equal(recorded, basis)
-    assert np.all(np.sign(y) == np.where(basis == 0, 1.0, -1.0))
-
-
-def test_basis_argument_errors():
-    rng = np.random.default_rng(5)
-    het = ch.ChannelParams(t=1.0)
-    with pytest.raises(ValueError):
-        ch.transmit_measure(np.zeros((4, 2)), het, rng, basis_choices=np.zeros(4, dtype=int))
-    hom = ch.ChannelParams(t=1.0, detection="homodyne")
-    with pytest.raises(ValueError):
-        ch.transmit_measure(np.zeros((4, 2)), hom, rng, basis_choices=np.array([0, 1, 2, 0]))
-    with pytest.raises(ValueError):
-        ch.transmit_measure(np.zeros(4), hom, rng)
+def test_transmit_measure_replays_stream():
+    # homodyne draws the basis first; then either detection draws the noise
+    q = gaussian_symbols(1.5, 1000, np.random.default_rng(4))
+    for detection in ("homodyne", "heterodyne"):
+        p = ch.ChannelParams(t=0.3, xi=0.02, eta=0.9, detection=detection)
+        y, basis = ch.transmit_measure(q, p, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        if detection == "homodyne":
+            want_basis = rng.integers(0, 2, size=1000)
+            assert np.array_equal(basis, want_basis)
+            signal = math.sqrt(p.t_eff) * q[np.arange(1000), want_basis]
+        else:
+            assert basis is None
+            signal = math.sqrt(p.t_eff) * q
+        sigma = math.sqrt(p.noise_floor + p.t_eff * p.xi)
+        assert np.array_equal(y, signal + sigma * rng.standard_normal(signal.shape))
+        with pytest.raises(ValueError):
+            ch.transmit_measure(np.zeros(4), p, rng)
 
 
 def test_channel_is_memoryless():
@@ -152,55 +150,14 @@ def test_trust_flag_does_not_change_statistics():
             y_ref = y
 
 
-def test_noise_spec_validation():
-    with pytest.raises(ValueError):
-        ch.NoiseSpec(kind="cauchy")
-    with pytest.raises(ValueError):
-        ch.NoiseSpec(variance=-1.0)
-    with pytest.raises(ValueError):
-        ch.NoiseSpec(variance=math.nan)
-    with pytest.raises(ValueError):
-        ch.NoiseSpec(variance=math.inf)
-    with pytest.raises(ValueError):
-        ch.NoiseSpec(kind="none", variance=1.0)
-
-
-def test_noise_spec_variances():
-    rng = np.random.default_rng(11)
-    for kind in ("gaussian", "uniform", "two-point"):
-        draws = ch.NoiseSpec(kind=kind, variance=0.37).sample(200_000, rng)
-        assert abs(np.mean(draws)) < 0.01
-        assert abs(np.var(draws) - 0.37) < 0.01
-
-
-def test_gaussian_spec_matches_transmit_measure():
-    p = ch.ChannelParams(t=0.5, xi=0.02, detection="homodyne")
-    spec = ch.NoiseSpec(variance=p.noise_floor + p.t_eff * p.xi)
-    q = np.zeros((100_000, 2))
-    y1, _ = ch.transmit_measure(q, p, np.random.default_rng(12))
-    y2, _ = ch.transmit_measure(q, p, np.random.default_rng(12), noise=spec)
-    # the default noise is this spec, drawn from the same stream
-    assert np.array_equal(y1, y2)
-
-
-def test_zero_noise_is_identity_at_unit_transmittance():
-    rng = np.random.default_rng(14)
-    p = ch.ChannelParams(t=1.0, detection="heterodyne")
-    q = rng.standard_normal((100, 2))
-    y, _ = ch.transmit_measure(q, p, rng, noise=ch.NoiseSpec(kind="none", variance=0.0))
-    assert np.array_equal(y, q)
-
-
 def test_uniform_noise_gives_same_estimates():
     # Second-moment estimation of (T, xi) cannot tell uniform noise from
     # Gaussian noise of the same variance.
     rng = np.random.default_rng(15)
     t, xi, v_a = 0.5, 0.05, 1.0
-    p = ch.ChannelParams(t=t, xi=xi, detection="homodyne")
-    spec = ch.NoiseSpec(kind="uniform", variance=1 + t * xi)
+    half = math.sqrt(3.0 * (1 + t * xi))
     q = gaussian_symbols(v_a, 1_000_000, rng)
-    basis = np.zeros(q.shape[0], dtype=int)
-    y, _ = ch.transmit_measure(q, p, rng, basis_choices=basis, noise=spec)
+    y = math.sqrt(t) * q[:, 0] + rng.uniform(-half, half, size=q.shape[0])
     t_hat = (np.mean(q[:, 0] * y) / v_a) ** 2
     xi_hat = (np.var(y) - 1.0 - t_hat * v_a) / t_hat
     assert abs(t_hat - t) < 0.01

@@ -8,7 +8,7 @@ import pytest
 from cvqkd.cli import main
 from cvqkd.channel import distance_to_T
 from cvqkd.decoy import DecoyDesign
-from cvqkd import security
+from cvqkd import protocol, security
 
 
 def _read_csv(path):
@@ -196,6 +196,19 @@ def test_simulate_config_error_exit_code(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 2
 
 
+@pytest.mark.parametrize("code", ["foo", "rep0", "file"])
+def test_simulate_bad_code_exits_before_running(tmp_path, capsys, monkeypatch, code):
+    if code == "file":
+        code = str(tmp_path / "code.txt")
+        (tmp_path / "code.txt").write_text("4 3\n0 0\n0 1\n")
+    cfg = tmp_path / "session.cfg"
+    _write_config(cfg, code=code)
+    monkeypatch.setattr(protocol, "run_session", None)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "code" in err
+
+
 def test_simulate_runtime_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "degenerate.cfg"
     _write_config(
@@ -238,6 +251,17 @@ def test_decoy_opt_infeasible_exit_code(capsys):
 def test_decoy_opt_rejects_non_finite_alpha(capsys, alpha):
     assert main(["decoy-opt", "--d", "8", "--alpha", alpha, "--p", "0.5"]) == 2
     assert "alpha must be finite and positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--max-radii", "0", "n_radii_max"),
+    ("--max-radii", "-1", "n_radii_max"),
+    ("--nmax", "0", "n_max"),
+    ("--nmax", "-5", "n_max"),
+])
+def test_decoy_opt_rejects_nonpositive_sizes(capsys, flag, value, field):
+    assert main(["decoy-opt", "--d", "2", "--alpha", "0.5", "--p", "0.5", flag, value]) == 2
+    assert f"error: {field} must be at least 1" in capsys.readouterr().err
 
 
 def test_decoy_opt_nmax_flag(tmp_path):
@@ -286,3 +310,8 @@ def test_reconcile_bench_bad_code_exit_code(tmp_path, capsys):
     bad.write_text("not a header\n")
     assert main(["reconcile-bench", "--code", str(bad)]) == 2
     assert "error" in capsys.readouterr().err
+    # a well-formed code file is refused as well: it has no decoder yet
+    bad.write_text("4 3\n0 0\n0 1\n")
+    assert main(["reconcile-bench", "--code", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "decoder" in err

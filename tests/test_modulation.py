@@ -24,8 +24,6 @@ def test_scheme_validation():
         mod.ModulationScheme(3, 0.5)
     with pytest.raises(ValueError):
         mod.ModulationScheme(2, 0.0)
-    with pytest.raises(ValueError):
-        mod.ModulationScheme(2, 0.5, kind="squeezed")
 
 
 @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
@@ -56,10 +54,11 @@ def test_key_blocks_d1_are_two_point():
     want = s.sphere_radius
     assert abs(want - 0.5 / math.sqrt(2.0)) < 1e-15
     assert set(np.unique(blocks)) == {-want, want}
-    # consecutive pairs form the four-state constellation of amplitude alpha
-    amps = mod.blocks_to_amplitudes(blocks, 1)
-    assert np.allclose(np.abs(amps), 0.5, atol=1e-12)
-    assert len(np.unique(np.round(np.angle(amps), 12))) == 4
+    # consecutive pairs form the four-state constellation of amplitude alpha,
+    # whose quadrature means have norm 2 alpha
+    quads = mod.blocks_to_quadratures(blocks, 1)
+    assert np.allclose(np.linalg.norm(quads, axis=1), 2 * 0.5, atol=1e-12)
+    assert len(np.unique(quads, axis=0)) == 4
 
 
 def test_key_blocks_lie_on_sphere():
@@ -89,7 +88,7 @@ def test_key_blocks_isotropic():
 
 def test_gaussian_blocks_moments():
     rng = np.random.default_rng(4)
-    s = mod.ModulationScheme(4, 0.8, kind="gaussian")
+    s = mod.ModulationScheme(4, 0.8)
     blocks = mod.sample_gaussian_blocks(s, 1_000_000, rng)
     want = s.alpha**2 / 2.0
     assert abs(np.var(blocks) / want - 1.0) < 0.01
@@ -98,19 +97,11 @@ def test_gaussian_blocks_moments():
 
 def test_gaussian_radius_follows_chi():
     rng = np.random.default_rng(5)
-    s = mod.ModulationScheme(8, 0.6, kind="gaussian")
+    s = mod.ModulationScheme(8, 0.6)
     blocks = mod.sample_gaussian_blocks(s, 20_000, rng)
     r = np.linalg.norm(blocks, axis=1) / s.sphere_radius
     res = stats.kstest(r, stats.chi(df=8, scale=1 / math.sqrt(8)).cdf)
     assert res.pvalue > 0.01
-
-
-def test_kind_preconditions():
-    rng = np.random.default_rng(6)
-    with pytest.raises(ValueError):
-        mod.sample_key_blocks(mod.ModulationScheme(2, 0.5, kind="gaussian"), 1, rng)
-    with pytest.raises(ValueError):
-        mod.sample_gaussian_blocks(mod.ModulationScheme(2, 0.5), 1, rng)
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 8])
@@ -163,7 +154,7 @@ def test_band_probability_matches_monte_carlo():
 
 def test_label_by_band():
     rng = np.random.default_rng(8)
-    s = mod.ModulationScheme(8, 0.5, kind="gaussian")
+    s = mod.ModulationScheme(8, 0.5)
     blocks = mod.sample_gaussian_blocks(s, 1000, rng)
     assert mod.label_by_band(blocks, s, mod.RadiusBand(0.0, np.inf)).all()
     on_sphere = np.zeros(8)
@@ -173,7 +164,7 @@ def test_label_by_band():
 
 def test_label_fraction_matches_integral():
     rng = np.random.default_rng(9)
-    s = mod.ModulationScheme(8, 0.5, kind="gaussian")
+    s = mod.ModulationScheme(8, 0.5)
     band = mod.RadiusBand(0.95, 1.05)
     blocks = mod.sample_gaussian_blocks(s, 1_000_000, rng)
     frac = np.mean(mod.label_by_band(blocks, s, band))
@@ -182,16 +173,19 @@ def test_label_fraction_matches_integral():
 
 
 def test_blocks_to_amplitudes_d2():
-    amp = mod.blocks_to_amplitudes(np.array([[0.3, -0.4]]), 2)
-    assert amp.shape == (1,)
-    assert amp[0] == 0.3 - 0.4j
+    # a d = 2 block is one amplitude b = 0.3 - 0.4i, sent as (2 Re b, 2 Im b)
+    quads = mod.blocks_to_quadratures(np.array([[0.3, -0.4]]), 2)
+    assert quads.shape == (1, 2)
+    assert np.array_equal(quads, [[0.6, -0.8]])
 
 
 def test_amplitude_roundtrip_exact():
+    # amplitude coordinates map to quadratures in order, and scaling by 2 is exact
     rng = np.random.default_rng(10)
     for d in (1, 2, 4, 8):
-        blocks = rng.standard_normal((6, d)) if d > 1 else rng.standard_normal((6, 1))
-        back = mod.amplitudes_to_blocks(mod.blocks_to_amplitudes(blocks, d), d)
+        blocks = rng.standard_normal((6, d))
+        quads = mod.blocks_to_quadratures(blocks, d)
+        back = (quads / mod.QUADRATURE_SCALE).reshape(-1, d)
         assert np.array_equal(back, blocks)
 
 
@@ -199,29 +193,26 @@ def test_amplitude_norm_bookkeeping():
     rng = np.random.default_rng(11)
     s = mod.ModulationScheme(8, 0.5)
     block = mod.sample_key_blocks(s, 1, rng)
-    amps = mod.blocks_to_amplitudes(block, 8)
-    assert amps.shape == (4,)
-    assert abs(np.sum(np.abs(amps) ** 2) - 4 * s.alpha**2) < 1e-12
+    quads = mod.blocks_to_quadratures(block, 8)
+    assert quads.shape == (4, 2)
+    # four amplitudes of total |b|^2 = 4 alpha^2, each quadrature mean 2 b
+    assert abs(np.sum(quads**2) - 4 * 4 * s.alpha**2) < 1e-12
 
 
 def test_amplitude_shape_errors():
     with pytest.raises(ValueError):
-        mod.blocks_to_amplitudes(np.ones((3, 1)), 1)
+        mod.blocks_to_quadratures(np.ones((3, 1)), 1)
     with pytest.raises(ValueError):
-        mod.blocks_to_amplitudes(np.ones((2, 4)), 8)
-    with pytest.raises(ValueError):
-        mod.amplitudes_to_blocks(np.ones(3, dtype=complex), 8)
+        mod.blocks_to_quadratures(np.ones((2, 4)), 8)
 
 
 def test_quadrature_scale():
     rng = np.random.default_rng(12)
-    s = mod.ModulationScheme(2, 0.9, kind="gaussian")
+    s = mod.ModulationScheme(2, 0.9)
     blocks = mod.sample_gaussian_blocks(s, 500_000, rng)
     quads = mod.blocks_to_quadratures(blocks, 2)
     assert quads.shape == (500_000, 2)
     assert abs(np.var(quads) / s.v_a - 1.0) < 0.01
-    back = mod.quadratures_to_blocks(quads, 2)
-    assert np.allclose(back, blocks, atol=1e-15)
 
 
 def test_blocks_csv_roundtrip(tmp_path):

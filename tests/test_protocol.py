@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cvqkd.channel import ChannelParams, NoiseSpec, transmit_measure
+from cvqkd.channel import ChannelParams
 from cvqkd.decoy import optimize_decoy
 from cvqkd.modulation import RadiusBand, band_acceptance_probability, read_blocks_csv
 from cvqkd.protocol import (
@@ -117,6 +117,9 @@ def test_config_from_file(tmp_path):
     assert config.channel.eta == 0.6
     assert config.seed == 3
     assert config.band == RadiusBand(0.95, 1.05)
+    # keys the file leaves out take the dataclass defaults
+    path.write_text("d 8\nalpha 1.0\nn_symbols 4000\n")
+    assert ProtocolConfig.from_file(path) == ProtocolConfig(d=8, alpha=1.0, n_symbols=4000)
 
 
 def test_config_from_file_errors(tmp_path):
@@ -181,9 +184,8 @@ def test_estimate_channel_insensitive_to_noise_shape():
     params = ChannelParams(t=0.4, xi=0.05, detection="heterodyne")
     n = 10**6
     a = rng.normal(0.0, math.sqrt(0.5), size=(n, 2))
-    quads = 2.0 * a
-    spec = NoiseSpec("uniform", params.noise_floor + params.t_eff * params.xi)
-    y = transmit_measure(quads, params, rng, noise=spec)[0]
+    half = math.sqrt(3.0 * (params.noise_floor + params.t_eff * params.xi))
+    y = math.sqrt(params.t_eff) * 2.0 * a + rng.uniform(-half, half, size=a.shape)
     t_hat, xi_hat = estimate_channel(a, y, 2.0, "heterodyne")
     std_t, std_xi = estimation_std(params.t, params.xi, 2.0, 2 * n, "heterodyne")
     assert abs(t_hat - 0.4) < 3 * std_t
@@ -239,7 +241,7 @@ def test_decoy_flow_label_counts_multinomial(decoy_transcript):
 
 
 def test_decoy_flow_event_ordering(decoy_transcript):
-    idx = decoy_transcript.phase_index
+    idx = decoy_transcript.events.index
     assert idx("labels_committed") < idx("transmitted")
     assert idx("transmitted") < idx("measured")
     assert idx("measured") < idx("labels_revealed")
@@ -347,7 +349,7 @@ def test_gaussian_flow_acceptance_fraction():
 
 
 def test_gaussian_flow_event_ordering(gaussian_transcript):
-    idx = gaussian_transcript.phase_index
+    idx = gaussian_transcript.events.index
     assert idx("modulated") < idx("transmitted") < idx("measured")
     assert idx("measured") < idx("symmetrized") < idx("band_filtered")
 

@@ -139,7 +139,6 @@ def test_repetition_code_cosets():
         assert synd.size == 4
         llr = 10.0 * (1.0 - 2.0 * word)  # exact-codeword likelihoods
         assert np.array_equal(code.decode(llr, synd), word)
-        assert np.array_equal(code.info_bits(word), word[:1])
 
 
 def test_repetition_majority_example():

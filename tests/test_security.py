@@ -5,6 +5,7 @@ fock_oracle.py, which were written first and validated on the thermal state
 where the answer sqrt(V_A^2 + 2 V_A) is known independently.
 """
 
+import decimal
 import math
 from dataclasses import fields, replace
 
@@ -141,6 +142,34 @@ def test_z_finite_and_below_epr_at_any_va(d):
     det = "homodyne" if d == 1 else "heterodyne"
     report = sec.secret_key_rate(d, 1000.0, ChannelParams(t=0.5, xi=0.005, detection=det), 0.9)
     assert all(math.isfinite(getattr(report, f.name)) for f in fields(report) if f.name != "detection")
+
+
+def _nu2_decimal(a, b, c):
+    """nu2 from the Delta/D invariants, in 50-digit arithmetic on the float inputs."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a, b, c = (decimal.Decimal(float(x)) for x in (a, b, c))
+        delta = a * a + b * b - 2 * c * c
+        det = a * b - c * c
+        return float(((delta - (delta * delta - 4 * det * det).sqrt()) / 2).sqrt())
+
+
+@pytest.mark.parametrize("t", [0.01, 0.5])
+@pytest.mark.parametrize("d", [1, 8, math.inf])
+def test_nu2_matches_decimal_oracle(d, t):
+    # the double-precision difference form lost up to 2e-2 of nu2 by V_A = 1e8
+    for v_a in (1.0, 1e3, 1e5, 1e8):
+        g = sec.gamma_after_channel(sec.gamma_key0(d, v_a), t, 0.01)
+        want = _nu2_decimal(g.a, g.b, g.c)
+        assert abs(g.symplectic_eigenvalues()[1] - want) <= 1e-7 * want
+
+
+@pytest.mark.parametrize("d, detection", [(1, "homodyne"), (math.inf, "heterodyne")])
+def test_key_rate_finite_at_huge_va(d, detection):
+    # these once raised "unphysical covariance matrix" through a cancelling nu2
+    params = ChannelParams(t=0.5, xi=0.01, detection=detection)
+    report = sec.secret_key_rate(d, np.array([1e9, 1e10, 1e12]), params, 0.95)
+    assert np.all(np.isfinite(report.k)) and np.all(np.isfinite(report.chi_be))
 
 
 def test_z_sphere_chunks_do_not_change_values(monkeypatch):

@@ -101,8 +101,20 @@ def test_snr_values():
     assert abs(ch.snr(lossy, 2.0) - 0.25 * 2.0 / (1 + 0.25 * 0.04)) < 1e-15
 
 
-def test_transmit_measure_replays_stream():
-    # homodyne draws the basis first; then either detection draws the noise
+def test_forced_basis_choices():
+    # homodyne draws the measured quadrature uniformly, before the noise
+    p = ch.ChannelParams(t=1.0, xi=0.0, detection="homodyne")
+    q = np.column_stack([np.full(8, 50.0), np.full(8, -50.0)])
+    y, basis = ch.transmit_measure(q, p, np.random.default_rng(4))
+    assert np.array_equal(basis, np.random.default_rng(4).integers(0, 2, size=8))
+    assert np.all(np.sign(y) == np.where(basis == 0, 1.0, -1.0))
+    with pytest.raises(ValueError):
+        ch.transmit_measure(np.zeros(4), p, np.random.default_rng(4))
+
+
+def test_gaussian_spec_matches_transmit_measure():
+    # the noise is Gaussian with variance noise_floor + T_eff*xi, drawn from
+    # the same stream right after the homodyne basis
     q = gaussian_symbols(1.5, 1000, np.random.default_rng(4))
     for detection in ("homodyne", "heterodyne"):
         p = ch.ChannelParams(t=0.3, xi=0.02, eta=0.9, detection=detection)
@@ -117,8 +129,15 @@ def test_transmit_measure_replays_stream():
             signal = math.sqrt(p.t_eff) * q
         sigma = math.sqrt(p.noise_floor + p.t_eff * p.xi)
         assert np.array_equal(y, signal + sigma * rng.standard_normal(signal.shape))
-        with pytest.raises(ValueError):
-            ch.transmit_measure(np.zeros(4), p, rng)
+
+
+def test_zero_noise_is_identity_at_unit_transmittance():
+    # with the replayed noise taken out, a lossless channel passes q unchanged
+    q = np.random.default_rng(13).standard_normal((100, 2))
+    p = ch.ChannelParams(t=1.0, detection="heterodyne")
+    y, _ = ch.transmit_measure(q, p, np.random.default_rng(14))
+    noise = math.sqrt(p.noise_floor) * np.random.default_rng(14).standard_normal(q.shape)
+    assert np.array_equal(y, q + noise)
 
 
 def test_channel_is_memoryless():

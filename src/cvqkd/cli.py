@@ -135,7 +135,7 @@ def cmd_keyrate(args, parser):
         for name in fields:
             per_d = [np.broadcast_to(getattr(report, name), (n,)) for report in reports]
             columns.append(np.stack(per_d, axis=1).reshape(-1))
-        modulation.write_csv_rows(out, columns)
+        modulation.write_csv_rows(out, "keyrate", columns)
     return 0
 
 
@@ -243,7 +243,7 @@ def cmd_reconcile_bench(args, parser):
             w = v - (1.0 - 2.0 * result.bob_bits) / math.sqrt(d)
             pre = (v < 0) != result.bob_bits.astype(bool)
             post = result.alice_bits != result.bob_bits
-            modulation.write_csv_rows(out, [
+            modulation.write_csv_rows(out, "reconcile-bench", [
                 np.full(n_frames, d),
                 range(n_frames),
                 result.frame_success.astype(np.uint8),

@@ -22,11 +22,26 @@ from .algebra import DIVISION_DIMS
 # Quadrature mean per unit coherent amplitude under x = a + a*.
 QUADRATURE_SCALE = 2.0
 
-# first token of every CSV table's first line; the table kind follows it
+# first token of every CSV table's first line; the table kind follows it.  The
+# v1 tables write decimal floats; the v2 tables are the transcript tables, whose
+# float cells are the 16 hex digits of their big-endian IEEE-754 bits
 CSV_SCHEMA = "# cvqkd-csv-v1"
-# rows converted to Python objects at a time; converting whole arrays took the peak
-# memory of a saved 1e6-symbol d=8 session from 260 MB to 450 MB
+CSV_SCHEMA_V2 = "# cvqkd-csv-v2"
+V2_KINDS = ("blocks", "symbols", "outcomes")
+# the integer columns of v2 tables, written in decimal; every other v2 column is hex
+V2_INT_COLUMNS = ("block_index", "label", "mode_index", "basis")
+# rows encoded at a time, so no table's text is held whole: converting whole
+# arrays with .tolist() took the peak memory of a saved 1e6-symbol d=8 session
+# from 260 MB to 450 MB
 CSV_BLOCK_ROWS = 2**14
+
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+# byte value -> its two hex digits, laid out in memory in reading order
+_HEX_PAIRS = np.frombuffer(b"".join(b"%02x" % i for i in range(256)), dtype=np.uint16)
+_HEX_VALUES = np.full(256, -1, dtype=np.int16)
+_HEX_VALUES[_HEX_DIGITS] = np.arange(16)
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_COMMA, _NEWLINE, _MINUS, _ZERO = b",\n-0"
 
 
 @dataclass(frozen=True)
@@ -144,47 +159,161 @@ def blocks_to_quadratures(blocks, d):
 
 
 def write_csv_header(fh, kind, names):
-    """Write the schema line for a table of the given kind and its column names."""
-    fh.write(f"{CSV_SCHEMA} {kind}\n{','.join(names)}\n")
+    """Write the schema line for a table of the given kind and its column names.
+
+    Tables of the V2_KINDS go to files opened in binary mode, the others to
+    text streams.
+    """
+    if kind in V2_KINDS:
+        fh.write(f"{CSV_SCHEMA_V2} {kind}\n{','.join(names)}\n".encode("ascii"))
+    else:
+        fh.write(f"{CSV_SCHEMA} {kind}\n{','.join(names)}\n")
 
 
-def write_csv_rows(fh, columns):
+def write_csv_rows(fh, kind, columns):
     """Write equal-length columns as comma-separated rows ending in \\n.
 
-    Arrays are converted block by block with .tolist() and every cell is
-    written with str(), so a float comes out in its shortest round-trip form.
+    Tables of the V2_KINDS are encoded in numpy a block of rows at a time:
+    float columns as the 16 lowercase hex digits of their big-endian IEEE-754
+    bits, integer columns in decimal.  Other tables convert each block with
+    .tolist() and write every cell with str(), so a float comes out in its
+    shortest round-trip form.
     """
     n = len(columns[0])
     if any(len(column) != n for column in columns):
         raise ValueError("columns must have equal length")
     for start in range(0, n, CSV_BLOCK_ROWS):
         block = [column[start : start + CSV_BLOCK_ROWS] for column in columns]
-        block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
-        fh.write("".join(",".join(map(str, row)) + "\n" for row in zip(*block)))
+        if kind in V2_KINDS:
+            fh.write(_encode_v2_rows(block))
+        else:
+            block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+            fh.write("".join(",".join(map(str, row)) + "\n" for row in zip(*block)))
 
 
-def write_blocks_csv(path, blocks, labels=None, kind="blocks"):
-    """Dump blocks as CSV: block_index, coord_0..coord_{d-1}, label."""
+def _hex_cells(values):
+    """(n, 16) ASCII hex digits of the big-endian IEEE-754 bits of the values."""
+    raw = np.ascontiguousarray(values, dtype=">f8").view(np.uint8)
+    return np.take(_HEX_PAIRS, raw).view(np.uint8).reshape(-1, 16)
+
+
+def _decimal_cells(values):
+    """Right-aligned ASCII decimal cells of integers, (n, w), and the mask of bytes in use.
+
+    The mask is None when every cell fills the width.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    neg = values < 0
+    q = np.abs(values)
+    width = np.searchsorted(_POW10[1:], q, side="right") + 1 + neg
+    w = int(width.max(initial=1))
+    cells = np.empty((values.size, w), dtype=np.uint8)
+    for j in range(w - 1, -1, -1):
+        q, cells[:, j] = np.divmod(q, 10)
+    cells += _ZERO
+    rows = np.flatnonzero(neg)
+    cells[rows, w - width[rows]] = _MINUS
+    if width.min(initial=w) == w:
+        return cells, None
+    return cells, np.arange(w) >= (w - width)[:, None]
+
+
+def _encode_v2_rows(columns):
+    """One block of v2 rows as a uint8 array of ASCII bytes."""
+    parts = []
+    for column in columns:
+        column = np.asarray(column)
+        if column.dtype.kind in "iu":
+            parts.append(_decimal_cells(column))
+        elif column.dtype.kind == "f":
+            parts.append((_hex_cells(column), None))
+        else:
+            raise TypeError(f"v2 columns hold integers or floats, got dtype {column.dtype}")
+    out = np.empty((len(columns[0]), sum(cells.shape[1] + 1 for cells, _ in parts)), np.uint8)
+    keep = None
+    at = 0
+    for cells, used in parts:
+        w = cells.shape[1]
+        out[:, at : at + w] = cells
+        out[:, at + w] = _COMMA
+        if used is not None:
+            if keep is None:
+                keep = np.ones(out.shape, dtype=bool)
+            keep[:, at : at + w] = used
+        at += w + 1
+    out[:, -1] = _NEWLINE
+    return out.reshape(-1) if keep is None else out[keep]
+
+
+def write_blocks_csv(path, blocks, labels, kind="blocks"):
+    """Dump blocks as a v2 table: block_index, coord_0..coord_{d-1}, label."""
+    if kind not in V2_KINDS:
+        raise ValueError(f"kind must be one of {V2_KINDS}, got {kind!r}")
     blocks = np.atleast_2d(np.asarray(blocks, dtype=float))
     n, d = blocks.shape
-    if labels is None:
-        labels = [""] * n
-    if len(labels) != n:
+    labels = np.asarray(labels)
+    if labels.shape != (n,):
         raise ValueError("one label per block required")
-    with open(path, "w") as fh:
+    with open(path, "wb") as fh:
         write_csv_header(fh, kind, ["block_index"] + [f"coord_{i}" for i in range(d)] + ["label"])
-        write_csv_rows(fh, [range(n), *blocks.T, labels])
+        write_csv_rows(fh, kind, [np.arange(n), *blocks.T, labels])
 
 
-def read_blocks_csv(path):
-    """Read a block dump back; returns (blocks, labels)."""
-    with open(path) as fh:
-        if not fh.readline().startswith(CSV_SCHEMA):
-            raise ValueError(f"{path} is not a block dump (missing schema line)")
-        d = len(fh.readline().split(",")) - 2
-        rows, labels = [], []
-        for line in fh:
-            row = line.rstrip("\n").split(",")
-            rows.append([float(v) for v in row[1 : 1 + d]])
-            labels.append(row[-1])
-    return np.array(rows, dtype=float).reshape(-1, d), labels
+def read_csv_table(path):
+    """Read a cvqkd-csv-v2 table back; returns (kind, {column name: array}).
+
+    The exact inverse of write_csv_header and write_csv_rows for the V2_KINDS:
+    hex cells decode bit for bit to float64 and the V2_INT_COLUMNS to int64.
+    Any other schema line, a row with the wrong number of cells and a cell
+    that does not decode raise ValueError naming the path and the line.
+    """
+    with open(path, "rb") as fh:
+        schema = fh.readline().decode("ascii", "replace").rstrip("\n")
+        names = fh.readline().decode("ascii", "replace").rstrip("\n").split(",")
+        data = np.frombuffer(fh.read(), dtype=np.uint8)
+    tag, _, kind = schema.rpartition(" ")
+    if tag != CSV_SCHEMA_V2 or kind not in V2_KINDS:
+        raise ValueError(f"{path}: line 1: expected '{CSV_SCHEMA_V2} <kind>' "
+                         f"with kind in {V2_KINDS}, got {schema!r}")
+    n_cols = len(names)
+    ends = np.flatnonzero((data == _COMMA) | (data == _NEWLINE))
+    row_ends = np.flatnonzero(data[ends] == _NEWLINE)
+    cells_per_row = np.diff(row_ends, prepend=-1)
+    bad = np.flatnonzero(cells_per_row != n_cols)
+    if bad.size:
+        raise ValueError(f"{path}: line {bad[0] + 3}: {cells_per_row[bad[0]]} cells, "
+                         f"expected {n_cols}")
+    n_rows = row_ends.size
+    if data.size and data[-1] != _NEWLINE:
+        raise ValueError(f"{path}: line {n_rows + 3}: row does not end in a newline")
+    starts = np.concatenate(([0], ends + 1))[:-1].reshape(n_rows, n_cols)
+    ends = ends.reshape(n_rows, n_cols)
+    widths = ends - starts
+
+    def require(ok, c, expected):
+        if not ok.all():
+            r = int(np.argmin(ok))
+            cell = data[starts[r, c] : ends[r, c]].tobytes().decode("ascii", "replace")
+            raise ValueError(f"{path}: line {r + 3}, column {names[c]}: "
+                             f"expected {expected}, got {cell!r}")
+
+    table = {}
+    for c, name in enumerate(names):
+        if name not in V2_INT_COLUMNS:
+            require(widths[:, c] == 16, c, "16 hex digits")
+            nibbles = _HEX_VALUES[data[starts[:, c, None] + np.arange(16)]]
+            require((nibbles >= 0).all(axis=1), c, "16 lowercase hex digits")
+            raw = (nibbles[:, 0::2] << 4 | nibbles[:, 1::2]).astype(np.uint8)
+            table[name] = raw.view(">f8").reshape(-1).astype(float)
+            continue
+        require((widths[:, c] > 0) & (widths[:, c] <= 18), c,
+                "a decimal integer of 1 to 18 characters")
+        w = int(widths[:, c].max(initial=1))
+        neg = (data[starts[:, c]] == _MINUS) & (widths[:, c] > 1)
+        at = ends[:, c, None] - w + np.arange(w)
+        digit = data[np.maximum(at, 0)].astype(np.int64) - _ZERO
+        inside = at >= starts[:, c, None] + neg[:, None]
+        require(((digit >= 0) & (digit <= 9) | ~inside).all(axis=1), c, "a decimal integer")
+        value = (np.where(inside, digit, 0) * _POW10[w - 1 :: -1]).sum(axis=1)
+        table[name] = np.where(neg, -value, value)
+    return kind, table

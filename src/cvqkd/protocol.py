@@ -597,9 +597,9 @@ def save_transcript(transcript, dir_path):
         names, columns = ["basis", "y"], [transcript.basis, outcomes]
     else:
         names, columns = ["y_x", "y_p"], list(outcomes.T)
-    with open(os.path.join(dir_path, "outcomes.csv"), "w") as fh:
+    with open(os.path.join(dir_path, "outcomes.csv"), "wb") as fh:
         modulation.write_csv_header(fh, "outcomes", ["mode_index"] + names)
-        modulation.write_csv_rows(fh, [range(len(outcomes))] + columns)
+        modulation.write_csv_rows(fh, "outcomes", [np.arange(len(outcomes))] + columns)
     with open(os.path.join(dir_path, "transform.bin"), "wb") as fh:
         fh.write(transcript.transform.to_bytes())
     for name, bits in (("alice_key.txt", transcript.alice_bits),

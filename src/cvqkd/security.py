@@ -104,7 +104,9 @@ def z1(v_a):
 # mean plus WINDOW_EXTRA terms above it (truncated mass below 1e-25), about
 # 24 sqrt(mu) terms per point: 10.8k at V_A = 1e5 for d = 8.  CHUNK_NODES caps
 # the terms held at once, so a large V_A array is summed a block of points at
-# a time: 1,000 points from 1e4 to 1e5 peak at 48 MB instead of 430 MB.
+# a time: 1,000 points from 1e4 to 1e5 peak at 48 MB instead of 430 MB.  A
+# point whose window alone is longer (V_A above about 9.5e8 for d = 8) is
+# summed in slices of CHUNK_NODES terms.
 WINDOW_SIGMAS = 12.0
 WINDOW_EXTRA = 40.0
 CHUNK_NODES = 2**20
@@ -129,9 +131,13 @@ def z_sphere(d, v_a):
     first = np.maximum(np.floor(mu - WINDOW_SIGMAS * sd), 0.0)
     count = np.floor(mu + WINDOW_SIGMAS * sd + WINDOW_EXTRA - first) + 1.0
     mean = np.empty_like(mu)
-    rows = max(1, CHUNK_NODES // int(count.max(initial=1.0)))
-    for lo in range(0, mu.size, rows):
-        part = slice(lo, lo + rows)
+    long = count > CHUNK_NODES
+    for i in np.flatnonzero(long):
+        mean[i] = _sliced_window_mean(mu[i : i + 1], first[i], int(count[i]), m)
+    short = np.flatnonzero(~long)
+    rows = max(1, CHUNK_NODES // int(count[short].max(initial=1.0)))
+    for lo in range(0, short.size, rows):
+        part = short[lo : lo + rows]
         node = np.arange(count[part].max())
         k = first[part, None] + node
         log_w = np.where(
@@ -144,6 +150,30 @@ def z_sphere(d, v_a):
         mean[part] = (np.cumsum(w * np.sqrt(k + m), axis=1)[:, -1]
                       / np.cumsum(w, axis=1)[:, -1])
     return _value((2.0 * np.sqrt(mu) / m * mean).reshape(v.shape))
+
+
+def _sliced_window_mean(mu, first, count, m):
+    """E[sqrt(N + m)] over one point's window, CHUNK_NODES terms at a time.
+
+    mu is a one-element array.  A first pass takes the largest log weight, the
+    normalizer of the unsliced sum; the second carries the running sums from
+    slice to slice, so every addition happens in the same left-to-right order
+    and the result is bit-identical to summing the window at once.
+    """
+    def log_weights(lo):
+        k = first + np.arange(lo, min(lo + CHUNK_NODES, count))
+        return k, k * np.log(mu) - special.gammaln(k + 1.0)
+
+    top = max(log_weights(lo)[1].max() for lo in range(0, count, CHUNK_NODES))
+    num = den = 0.0
+    for lo in range(0, count, CHUNK_NODES):
+        k, log_w = log_weights(lo)
+        w = np.exp(log_w - top)
+        terms = w * np.sqrt(k + m)
+        terms[0] += num
+        w[0] += den
+        num, den = np.cumsum(terms)[-1], np.cumsum(w)[-1]
+    return num / den
 
 
 def z8(v_a):

@@ -1,4 +1,8 @@
 import pytest
+from hypothesis import settings
+
+# Property tests are derandomized so Tier-1 stays deterministic.
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
 
 _acceptance_results = {}
 

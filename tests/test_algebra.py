@@ -9,8 +9,12 @@ Oracles used here and written before the implementation:
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+from conftest import PROPERTY
 from cvqkd import algebra
 
 
@@ -312,3 +316,48 @@ def test_serialization_rejects_corrupt_data():
         algebra.OrthogonalTransform.from_bytes(data[:-3])
     with pytest.raises(ValueError):
         algebra.OrthogonalTransform.from_bytes(b"\x01")
+
+
+# Coordinates are zero or of magnitude 1e-6 to 1e3, so squared norms neither
+# underflow nor overflow and rounding stays relative to the operands' norms.
+COORD = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
+
+
+def _elements(count):
+    """Strategy: (d, [count elements of dimension d]) for d in {1, 2, 4, 8}."""
+    return st.sampled_from(algebra.DIVISION_DIMS).flatmap(
+        lambda d: st.tuples(st.just(d), st.lists(arrays(float, d, elements=COORD),
+                                                 min_size=count, max_size=count)))
+
+
+@PROPERTY
+@given(_elements(2))
+def test_norm_multiplicativity_property(case):
+    _, (a, b) = case
+    lhs = algebra.norm(algebra.mul(a, b))
+    rhs = algebra.norm(a) * algebra.norm(b)
+    assert abs(lhs - rhs) <= 1e-13 * rhs
+
+
+@PROPERTY
+@given(_elements(1))
+def test_inverse_property(case):
+    d, (a,) = case
+    if not np.any(a):
+        with pytest.raises(ZeroDivisionError):
+            algebra.inv(a)
+        return
+    a_inv = algebra.inv(a)
+    assert np.allclose(algebra.mul(a, a_inv), algebra.identity(d), rtol=0.0, atol=1e-13)
+    assert np.allclose(algebra.mul(a_inv, a), algebra.identity(d), rtol=0.0, atol=1e-13)
+
+
+@PROPERTY
+@given(_elements(2))
+def test_alternativity_property(case):
+    # (a a) b = a (a b) and (b a) a = b (a a) hold in every division algebra
+    _, (a, b) = case
+    scale = 1e-13 * float(algebra.norm(a)) ** 2 * float(algebra.norm(b))
+    aa = algebra.mul(a, a)
+    assert np.max(np.abs(algebra.mul(aa, b) - algebra.mul(a, algebra.mul(a, b)))) <= scale
+    assert np.max(np.abs(algebra.mul(algebra.mul(b, a), a) - algebra.mul(b, aa))) <= scale

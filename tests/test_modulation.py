@@ -7,6 +7,8 @@ P(d/2, d t^2 / 2).
 """
 
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -218,17 +220,162 @@ def test_quadrature_scale():
 def test_blocks_csv_roundtrip(tmp_path):
     rng = np.random.default_rng(13)
     blocks = rng.standard_normal((5, 4))
-    labels = ["key", "key", "decoy", "est", "key"]
+    labels = np.array([0, 0, 2, 1, -1])
     path = tmp_path / "blocks.csv"
     mod.write_blocks_csv(path, blocks, labels, kind="symbols")
-    got, got_labels = mod.read_blocks_csv(path)
+    kind, table = mod.read_csv_table(path)
+    got = np.column_stack([table[f"coord_{i}"] for i in range(4)])
+    assert kind == "symbols"
     assert np.array_equal(got, blocks)
-    assert got_labels == labels
-    assert path.read_text().startswith("# cvqkd-csv-v1 symbols\n")
+    assert np.array_equal(table["label"], labels)
+    assert np.array_equal(table["block_index"], np.arange(5))
+    assert path.read_text().startswith("# cvqkd-csv-v2 symbols\n")
 
 
 def test_blocks_csv_rejects_unknown_file(tmp_path):
     path = tmp_path / "junk.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        mod.read_blocks_csv(path)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: line 1: .*'a,b,c'"):
+        mod.read_csv_table(path)
+
+
+def test_blocks_csv_rejects_bad_arguments(tmp_path):
+    with pytest.raises(ValueError, match="one label per block"):
+        mod.write_blocks_csv(tmp_path / "a.csv", np.ones((3, 2)), [0, 1])
+    with pytest.raises(ValueError, match="kind must be one of"):
+        mod.write_blocks_csv(tmp_path / "a.csv", np.ones((3, 2)), [0, 1, 2], kind="keyrate")
+    with pytest.raises(TypeError, match="integers or floats"):
+        mod.write_blocks_csv(tmp_path / "a.csv", np.ones((3, 2)), ["key", "est", "key"])
+
+
+# 5e-324 is the smallest subnormal, 2.225073858507201e-308 the largest
+GOLDEN_SYMBOLS = (
+    b"# cvqkd-csv-v2 symbols\n"
+    b"block_index,coord_0,coord_1,label\n"
+    b"0,3ff0000000000000,8000000000000000,0\n"
+    b"1,0000000000000001,7ff0000000000000,-1\n"
+    b"2,7ff8000000000000,c004000000000000,2\n"
+)
+GOLDEN_HOMODYNE = (
+    b"# cvqkd-csv-v2 outcomes\n"
+    b"mode_index,basis,y\n"
+    b"0,0,3fb999999999999a\n"
+    b"1,1,fff0000000000000\n"
+    b"2,0,000fffffffffffff\n"
+)
+GOLDEN_HETERODYNE = (
+    b"# cvqkd-csv-v2 outcomes\n"
+    b"mode_index,y_x,y_p\n"
+    b"0,bff0000000000000,0000000000000000\n"
+    b"1,7fefffffffffffff,8000000000000001\n"
+    b"2,400921fb54442d18,fff8000000000000\n"
+)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+def test_symbols_golden_bytes(tmp_path):
+    blocks = np.array([[1.0, -0.0], [5e-324, math.inf], [math.nan, -2.5]])
+    path = tmp_path / "symbols.csv"
+    mod.write_blocks_csv(path, blocks, np.array([0, -1, 2]), kind="symbols")
+    assert path.read_bytes() == GOLDEN_SYMBOLS
+    kind, table = mod.read_csv_table(path)
+    assert kind == "symbols"
+    assert list(table) == ["block_index", "coord_0", "coord_1", "label"]
+    got = np.column_stack([table["coord_0"], table["coord_1"]])
+    assert np.array_equal(_bits(got), _bits(blocks))
+    assert table["label"].tolist() == [0, -1, 2]
+    assert table["block_index"].tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "names, columns, golden",
+    [
+        (["basis", "y"], [np.array([0, 1, 0]), np.array([0.1, -math.inf, 2.225073858507201e-308])],
+         GOLDEN_HOMODYNE),
+        (["y_x", "y_p"], [np.array([-1.0, 1.7976931348623157e308, math.pi]),
+                          np.array([0.0, -5e-324, -math.nan])],
+         GOLDEN_HETERODYNE),
+    ],
+    ids=["homodyne", "heterodyne"],
+)
+def test_outcomes_golden_bytes(tmp_path, names, columns, golden):
+    path = tmp_path / "outcomes.csv"
+    with open(path, "wb") as fh:
+        mod.write_csv_header(fh, "outcomes", ["mode_index"] + names)
+        mod.write_csv_rows(fh, "outcomes", [np.arange(3)] + columns)
+    assert path.read_bytes() == golden
+    kind, table = mod.read_csv_table(path)
+    assert kind == "outcomes"
+    assert list(table) == ["mode_index"] + names
+    assert table["mode_index"].tolist() == [0, 1, 2]
+    for name, column in zip(names, columns):
+        if column.dtype.kind == "f":
+            assert np.array_equal(_bits(table[name]), _bits(column))
+        else:
+            assert table[name].tolist() == column.tolist()
+
+
+def test_v2_rows_span_several_blocks(tmp_path, monkeypatch):
+    # indices 0..999 change width inside blocks; labels mix signs and widths
+    monkeypatch.setattr(mod, "CSV_BLOCK_ROWS", 64)
+    rng = np.random.default_rng(14)
+    blocks = rng.standard_normal((1000, 8)) * 10.0 ** rng.integers(-300, 300, (1000, 8))
+    labels = rng.integers(-1, 3, 1000) * rng.integers(1, 10**6, 1000)
+    path = tmp_path / "symbols.csv"
+    mod.write_blocks_csv(path, blocks, labels)
+    # reference: one cell at a time through struct
+    rows = b"".join(
+        b",".join([b"%d" % i, *(struct.pack(">d", v).hex().encode() for v in row), b"%d" % label])
+        + b"\n"
+        for i, (row, label) in enumerate(zip(blocks, labels))
+    )
+    header = b"# cvqkd-csv-v2 blocks\nblock_index," + b",".join(
+        b"coord_%d" % i for i in range(8)) + b",label\n"
+    assert path.read_bytes() == header + rows
+    _, table = mod.read_csv_table(path)
+    got = np.column_stack([table[f"coord_{i}"] for i in range(8)])
+    assert np.array_equal(_bits(got), _bits(blocks))
+    assert np.array_equal(table["label"], labels)
+
+
+def test_empty_v2_table_roundtrip(tmp_path):
+    path = tmp_path / "empty.csv"
+    mod.write_blocks_csv(path, np.zeros((0, 2)), np.zeros(0, dtype=int))
+    assert path.read_bytes() == b"# cvqkd-csv-v2 blocks\nblock_index,coord_0,coord_1,label\n"
+    kind, table = mod.read_csv_table(path)
+    assert kind == "blocks"
+    assert all(column.size == 0 for column in table.values())
+
+
+@pytest.mark.parametrize(
+    "body, line, detail",
+    [
+        (b"# cvqkd-csv-v1 symbols\nblock_index,coord_0,label\n0,1.0,0\n",
+         "line 1", "'# cvqkd-csv-v1 symbols'"),
+        (b"# cvqkd-csv-v2 keyrate\nsweep,value\n", "line 1", "'# cvqkd-csv-v2 keyrate'"),
+        (GOLDEN_SYMBOLS + b"3,3ff0000000000000,0\n", "line 6", "3 cells, expected 4"),
+        (GOLDEN_SYMBOLS[:-1], "line 5", "does not end in a newline"),
+        (GOLDEN_SYMBOLS.replace(b"c004", b"c0g4"), "line 5, column coord_1",
+         "lowercase hex digits, got 'c0g4000000000000'"),
+        (GOLDEN_SYMBOLS.replace(b"c004", b"C004"), "line 5, column coord_1",
+         "lowercase hex digits, got 'C004000000000000'"),
+        (GOLDEN_SYMBOLS.replace(b"8000000000000000", b"800000000000000"),
+         "line 3, column coord_1", "16 hex digits, got '800000000000000'"),
+        (GOLDEN_SYMBOLS.replace(b",-1\n", b",-x\n"), "line 4, column label",
+         "a decimal integer, got '-x'"),
+        (GOLDEN_SYMBOLS.replace(b",-1\n", b",\n"), "line 4, column label",
+         "a decimal integer of 1 to 18 characters, got ''"),
+        (GOLDEN_SYMBOLS.replace(b",-1\n", b",1.0\n"), "line 4, column label",
+         "a decimal integer, got '1.0'"),
+    ],
+    ids=["v1", "unknown-kind", "short-row", "unterminated", "not-hex", "uppercase-hex",
+         "hex-width", "bad-integer", "empty-integer", "float-label"],
+)
+def test_reader_rejects_malformed_tables(tmp_path, body, line, detail):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(body)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {line}") + ".*" + re.escape(detail)):
+        mod.read_csv_table(path)

@@ -7,7 +7,7 @@ import pytest
 
 from cvqkd.channel import ChannelParams
 from cvqkd.decoy import optimize_decoy
-from cvqkd.modulation import RadiusBand, band_acceptance_probability, read_blocks_csv
+from cvqkd.modulation import RadiusBand, band_acceptance_probability, read_csv_table
 from cvqkd.protocol import (
     ConfigError,
     ProtocolConfig,
@@ -446,9 +446,12 @@ def test_save_transcript_roundtrip(tmp_path, request, name):
     assert manifest.startswith("# cvqkd session manifest v1")
     assert "t_hat " in manifest
     assert "k_bound " in manifest
-    blocks, labels = read_blocks_csv(out / "symbols.csv")
+    kind, symbols = read_csv_table(out / "symbols.csv")
+    assert kind == "symbols"
+    blocks = np.column_stack([symbols[f"coord_{i}"] for i in range(transcript.config.d)])
     assert np.array_equal(blocks, transcript.alice_blocks)
-    assert labels == [str(label) for label in transcript.labels]
+    assert np.array_equal(symbols["label"], transcript.labels)
+    assert np.array_equal(symbols["block_index"], np.arange(len(transcript.labels)))
     transform = OrthogonalTransform.from_bytes((out / "transform.bin").read_bytes())
     probe = np.arange(transform.n, dtype=float)
     assert np.array_equal(transform.apply(probe), transcript.transform.apply(probe))
@@ -456,16 +459,17 @@ def test_save_transcript_roundtrip(tmp_path, request, name):
                       ("bob_key.txt", transcript.bob_bits)):
         assert (out / key).read_text() == "".join(str(int(b)) for b in bits) + "\n"
     lines = (out / "outcomes.csv").read_text().splitlines()
-    assert lines[0] == "# cvqkd-csv-v1 outcomes"
-    rows = [line.split(",") for line in lines[2:]]
-    assert [int(row[0]) for row in rows] == list(range(len(transcript.outcomes)))
+    assert lines[0] == "# cvqkd-csv-v2 outcomes"
+    kind, table = read_csv_table(out / "outcomes.csv")
+    assert kind == "outcomes"
+    assert np.array_equal(table["mode_index"], np.arange(len(transcript.outcomes)))
     if transcript.config.channel.detection == "homodyne":
         assert lines[1] == "mode_index,basis,y"
-        assert np.array_equal([int(row[1]) for row in rows], transcript.basis)
-        assert np.array_equal([float(row[2]) for row in rows], transcript.outcomes)
+        assert np.array_equal(table["basis"], transcript.basis)
+        assert np.array_equal(table["y"], transcript.outcomes)
     else:
         assert lines[1] == "mode_index,y_x,y_p"
-        values = [[float(v) for v in row[1:]] for row in rows]
+        values = np.column_stack([table["y_x"], table["y_p"]])
         assert np.array_equal(values, transcript.outcomes)
     for text in ("manifest.txt", "symbols.csv", "outcomes.csv", "alice_key.txt", "bob_key.txt"):
         assert b"\r" not in (out / text).read_bytes()

@@ -9,11 +9,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import PROPERTY
 from cvqkd import algebra
 from cvqkd import reconciliation as rec
 from cvqkd.modulation import sample_sphere_blocks
+from cvqkd.protocol import resolve_code
 
 
 def unit_sphere_blocks(d, n, rng):
@@ -308,3 +312,28 @@ def test_reconcile_concatenated_matches_plain_repetition():
     res2 = rec.reconcile(x, y, nested, rng2)
     assert np.array_equal(res1.alice_bits, res2.alice_bits)
     assert np.array_equal(res1.frame_success, res2.frame_success)
+
+
+# every code the package builds: the session ids and concatenations over them
+SESSION_CODES = st.one_of(
+    st.just("identity"), st.integers(1, 64).map(lambda n: f"rep{n}")
+).map(resolve_code)
+BUILT_IN_CODES = st.one_of(
+    SESSION_CODES,
+    st.builds(rec.IdentityCode, st.integers(1, 16)),
+    st.builds(rec.ConcatenatedCode, st.integers(1, 8), SESSION_CODES),
+    st.builds(rec.ConcatenatedCode, st.integers(1, 4),
+              st.builds(rec.ConcatenatedCode, st.integers(1, 4),
+                        st.builds(rec.IdentityCode, st.integers(1, 8)))),
+)
+
+
+@PROPERTY
+@given(code=BUILT_IN_CODES, n_frames=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       magnitude=st.floats(1e-3, 1e3))
+def test_noiseless_batch_decodes_to_itself(code, n_frames, seed, magnitude):
+    words = np.random.default_rng(seed).integers(0, 2, (n_frames, code.n_bits)).astype(np.uint8)
+    llr = magnitude * (1.0 - 2.0 * words)
+    syndrome = code.syndrome(words)
+    assert syndrome.shape == (n_frames, code.n_bits - code.k_bits)
+    assert np.array_equal(code.decode(llr, syndrome), words)

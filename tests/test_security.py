@@ -11,10 +11,11 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import fock_oracle as oracle
+from conftest import PROPERTY
 from cvqkd import security as sec
 from cvqkd.channel import ChannelParams, distance_to_T
 
@@ -177,6 +178,26 @@ def test_z_sphere_chunks_do_not_change_values(monkeypatch):
     whole = sec.z_sphere(4, v_a)
     monkeypatch.setattr(sec, "CHUNK_NODES", 100)
     assert np.array_equal(sec.z_sphere(4, v_a), whole)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_z_sphere_slices_long_windows_exactly(monkeypatch, d):
+    # integer Poisson means put two equal log weights at the mode
+    v_a = np.concatenate([np.geomspace(1e-3, 1e6, 30), 2.0 * np.arange(1, 6) / (d // 2)])
+    whole = sec.z_sphere(d, v_a)
+    for chunk in (7, 64):
+        monkeypatch.setattr(sec, "CHUNK_NODES", chunk)
+        assert np.array_equal(sec.z_sphere(d, v_a), whole)
+
+
+def test_benchmarked_windows_are_not_sliced(monkeypatch):
+    calls = []
+    real = sec._sliced_window_mean
+    monkeypatch.setattr(sec, "_sliced_window_mean", lambda *a: calls.append(a) or real(*a))
+    sec.z_sphere(8, np.array([0.05, 5.0, 1e5]))
+    assert calls == []
+    sec.z_sphere(8, 1e9)
+    assert len(calls) == 1
 
 
 def test_z8_against_schmidt_oracle():
@@ -480,8 +501,6 @@ def test_channel_batch_must_share_detection():
         sec.secret_key_rate(8, 0.5, [het, replace(het, eta_trusted=True)], 0.9)
 
 
-# Property tests: derandomized so Tier-1 stays deterministic.
-PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=50)
 DIMENSIONS = st.sampled_from([1, 2, 4, 8, math.inf])
 
 

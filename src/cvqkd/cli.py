@@ -12,7 +12,6 @@ import math
 import sys
 
 import numpy as np
-from scipy import stats
 
 from . import decoy, modulation, protocol, reconciliation, security
 from .channel import ChannelParams, distance_to_T
@@ -251,6 +250,8 @@ def cmd_reconcile_bench(args, parser):
                 post.reshape(n_frames, code.n_bits).sum(axis=1),
             ])
             if sigma > 0:
+                from scipy import stats
+
                 ks_p = stats.kstest(w, "norm", args=(0.0, sigma)).pvalue
             else:
                 ks_p = float("nan")

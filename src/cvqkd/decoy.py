@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
 
 log = logging.getLogger(__name__)
 
@@ -61,6 +60,8 @@ def _auto_n_max(tail_of):
 
 def f_dist(d, alpha, n_max=None):
     """Sphere-modulation photon-number law: Poisson with mean (d/2) alpha^2."""
+    from scipy import stats
+
     _check_decoy_args(d, alpha)
     mu = (d / 2.0) * alpha * alpha
     if n_max is None:
@@ -73,6 +74,8 @@ def g_dist(d, alpha, n_max=None):
 
     g(k) = C(m+k-1, k) alpha^{2k} / (1+alpha^2)^{m+k} with m = d/2 modes.
     """
+    from scipy import stats
+
     _check_decoy_args(d, alpha)
     m = d // 2
     p_nb = 1.0 / (1.0 + alpha * alpha)
@@ -135,6 +138,8 @@ def mixture_photon_dist(radii, weights, n_max=None):
     A sphere of amplitude radius rho carries Poisson(rho^2) total photons,
     independent of d.
     """
+    from scipy import stats
+
     radii = np.asarray(radii, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if radii.shape != weights.shape or radii.ndim != 1 or radii.size == 0:
@@ -246,6 +251,8 @@ class DecoyDesign:
 
 def _fit_weights(means, target, one_minus_p, n_max):
     """Best l1 fit of (1-p) * mixture(means) to target; returns (weights, l1)."""
+    from scipy import optimize, stats
+
     k = np.arange(n_max + 1)
     q = np.column_stack([stats.poisson.pmf(k, mu) for mu in means])
     n_w, n_e = q.shape[1], q.shape[0]
@@ -303,6 +310,8 @@ def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):
 
     factors = (0.8, 0.9, 0.95, 1.05, 1.1, 1.25)
     for _ in range(2):
+        # the fit is deterministic: a pass that moves nothing is a fixed point
+        before = mus
         for j in range(mus.size):
             for factor in factors:
                 trial = mus.copy()
@@ -310,6 +319,8 @@ def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):
                 w_try, l1_try = _fit_weights(trial, target, 1.0 - p, n_max)
                 if l1_try < best - 1e-15:
                     mus, weights, best = trial, w_try, l1_try
+        if mus is before:
+            break
 
     weights = np.clip(weights, 0.0, None)
     keep = weights > 1e-12

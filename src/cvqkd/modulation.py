@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .algebra import DIVISION_DIMS
 
@@ -104,37 +103,10 @@ def sample_key_blocks(scheme, n_blocks, rng):
 def sample_gaussian_blocks(scheme, n_blocks, rng):
     """Gaussian modulation: i.i.d. N(0, alpha^2/2) coordinates.
 
-    Normalized block radii then follow chi_pdf, which is what the radius-band
-    flow filters on.
+    Block radii over alpha sqrt(d/2) then follow chi_d / sqrt(d), the law
+    the radius-band flow filters on.
     """
     return rng.normal(0.0, scheme.alpha / math.sqrt(2.0), size=(n_blocks, scheme.d))
-
-
-def chi_pdf(r, d):
-    """Density of the normalized radius r = |block| / (alpha sqrt(d/2)).
-
-    f(r, d) = 2 (d/2)^{d/2} r^{d-1} exp(-d r^2/2) / Gamma(d/2), the law of
-    chi_d / sqrt(d); it does not depend on alpha.
-    """
-    if d not in DIVISION_DIMS:
-        raise ValueError(f"d must be one of {DIVISION_DIMS}, got {d}")
-    r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("radius factor must be nonnegative")
-    half = d / 2.0
-    coeff = 2.0 * half**half / math.gamma(half)
-    out = coeff * r ** (d - 1) * np.exp(-half * r * r)
-    return out if out.ndim else float(out)
-
-
-def band_acceptance_probability(band, d):
-    """Probability that a Gaussian block's normalized radius falls in the band."""
-    if band.gamma_min == band.gamma_max:
-        return 0.0
-    p, _ = integrate.quad(
-        chi_pdf, band.gamma_min, band.gamma_max, args=(d,), epsabs=1e-10, limit=200
-    )
-    return float(min(max(p, 0.0), 1.0))
 
 
 def label_by_band(blocks, scheme, band):

@@ -163,14 +163,18 @@ class ParityCheckCode:
             raise ValueError("need 1 <= k_bits <= n_bits")
         self.n_bits = n_bits
         self.k_bits = k_bits
-        self.checks = [np.asarray(sorted(c), dtype=int) for c in checks]
-        if len(self.checks) != n_bits - k_bits:
-            raise ValueError(
-                f"{len(self.checks)} checks do not match n-k = {n_bits - k_bits}"
-            )
-        for row in self.checks:
+        rows = [np.asarray(sorted(c), dtype=np.intp) for c in checks]
+        if len(rows) != n_bits - k_bits:
+            raise ValueError(f"{len(rows)} checks do not match n-k = {n_bits - k_bits}")
+        for row in rows:
             if row.size and (row[0] < 0 or row[-1] >= n_bits):
                 raise ValueError("parity check references a bit out of range")
+        # CSR layout: the checks' bit lists end to end, and where each nonempty
+        # check starts.  reduceat would give an empty segment the next bit, not 0
+        sizes = np.array([row.size for row in rows], dtype=np.intp)
+        self._check_bits = np.concatenate([np.zeros(0, dtype=np.intp), *rows])
+        self._nonempty = sizes > 0
+        self._starts = (np.cumsum(sizes) - sizes)[self._nonempty]
         self.decoder = decoder
 
     @property
@@ -179,9 +183,9 @@ class ParityCheckCode:
 
     def syndrome(self, bits):
         bits = np.asarray(bits, dtype=np.uint8)
-        out = np.empty(bits.shape[:-1] + (len(self.checks),), dtype=np.uint8)
-        for j, row in enumerate(self.checks):
-            out[..., j] = np.bitwise_xor.reduce(bits[..., row], axis=-1)
+        out = np.zeros(bits.shape[:-1] + (self.n_bits - self.k_bits,), dtype=np.uint8)
+        gathered = bits[..., self._check_bits]
+        out[..., self._nonempty] = np.bitwise_xor.reduceat(gathered, self._starts, axis=-1)
         return out
 
     def decode(self, llr, syndrome):

@@ -251,6 +251,24 @@ def test_optimize_decoy_feasibility_boundary():
         optimize_decoy(2, 0.5, pi_d + 1e-9)
 
 
+@pytest.mark.parametrize("args, solves", [((8, 1.0, 0.5), 56), ((2, 0.5, 0.5), 86)])
+def test_descent_stops_at_its_fixed_point(monkeypatch, args, solves):
+    # 2 fits, then 6 trial factors per radius and pass: (8, 1, 0.5) keeps 9 radii
+    # and its first pass accepts nothing; (2, 0.5, 0.5) runs both passes on 7
+    from scipy import optimize
+
+    calls = []
+    linprog = optimize.linprog
+
+    def counting(*a, **kw):
+        calls.append(1)
+        return linprog(*a, **kw)
+
+    monkeypatch.setattr(optimize, "linprog", counting)
+    optimize_decoy(*args)
+    assert len(calls) == solves
+
+
 def test_optimize_decoy_input_validation():
     with pytest.raises(ValueError):
         optimize_decoy(1, 0.5, 0.1)

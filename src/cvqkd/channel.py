@@ -24,7 +24,12 @@ FIBER_LOSS_DB_PER_KM = 0.2
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Transmittance, input-referenced excess noise, and detector settings."""
+    """Transmittance, input-referenced excess noise, and detector settings.
+
+    t, xi and eta may be arrays that broadcast together: one ChannelParams is
+    then a batch of channels sharing detection and eta_trusted, and t_eff,
+    noise_floor and snr broadcast over it.  Every element is checked.
+    """
 
     t: float
     xi: float = 0.0
@@ -33,35 +38,20 @@ class ChannelParams:
     eta_trusted: bool = False
 
     def __post_init__(self):
-        if not 0.0 < self.t <= 1.0:
-            raise ValueError(f"transmittance t must lie in (0, 1], got {self.t}")
-        if not (math.isfinite(self.xi) and self.xi >= 0.0):
-            raise ValueError(f"excess noise xi must be finite and nonnegative, got {self.xi}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ValueError(f"detector efficiency eta must lie in (0, 1], got {self.eta}")
+        for name, rule, ok in (
+            ("t", "transmittance t must lie in (0, 1]", lambda v: (0.0 < v) & (v <= 1.0)),
+            ("xi", "excess noise xi must be finite and nonnegative",
+             lambda v: np.isfinite(v) & (v >= 0.0)),
+            ("eta", "detector efficiency eta must lie in (0, 1]", lambda v: (0.0 < v) & (v <= 1.0)),
+        ):
+            value = getattr(self, name)
+            values = np.asarray(value, dtype=float)
+            bad = ~ok(values)
+            if bad.any():
+                first = float(values[bad][0]) if values.ndim else value
+                raise ValueError(f"{rule}, got {first}")
         if self.detection not in DETECTIONS:
             raise ValueError(f"detection must be one of {DETECTIONS}, got {self.detection!r}")
-
-    @classmethod
-    def stack(cls, points):
-        """One ChannelParams whose t, xi and eta are arrays over a batch.
-
-        points is a non-empty sequence of ChannelParams, each validated when
-        it was made, that share detection and eta_trusted; one ChannelParams
-        is returned as it is.  t_eff, noise_floor and snr broadcast over it.
-        """
-        if isinstance(points, cls):
-            return points
-        first = points[0]
-        if any((p.detection, p.eta_trusted) != (first.detection, first.eta_trusted)
-               for p in points):
-            raise ValueError("a channel batch must share detection and eta_trusted")
-        batch = object.__new__(cls)
-        for name in ("t", "xi", "eta"):
-            object.__setattr__(batch, name, np.array([getattr(p, name) for p in points]))
-        object.__setattr__(batch, "detection", first.detection)
-        object.__setattr__(batch, "eta_trusted", first.eta_trusted)
-        return batch
 
     @property
     def t_eff(self) -> float:

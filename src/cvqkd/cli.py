@@ -66,29 +66,21 @@ def _detection_for(d, choice):
 
 
 def _keyrate_reports(args, ds, base_t, values, v_a):
-    """One KeyRateReport per d over the sweep values, all rows at once.
-
-    Every ChannelParams is built, in value-major order, before any evaluation.
-    """
-    points = [
-        [
-            ChannelParams(
-                t=distance_to_T(value) if args.sweep == "distance_km" else base_t,
-                xi=value if args.sweep == "xi" else args.xi,
-                eta=args.eta, detection=_detection_for(d, args.detection),
-                eta_trusted=args.eta_trusted,
-            )
-            for d in ds
-        ]
-        for value in values.tolist()
-    ]
+    """One KeyRateReport per d over the sweep values, all rows at once."""
+    t = base_t
+    if args.sweep == "distance_km":
+        t = np.array([distance_to_T(value) for value in values.tolist()])
+    xi = values if args.sweep == "xi" else args.xi
     reports = []
-    for j, d in enumerate(ds):
-        column = [row[j] for row in points]
+    for d in ds:
+        channel = ChannelParams(
+            t=t, xi=xi, eta=args.eta, detection=_detection_for(d, args.detection),
+            eta_trusted=args.eta_trusted,
+        )
         va_d = v_a
         if args.optimize_va:
-            va_d = security.optimize_va(d, column, args.beta, (args.va_min, args.va_max))
-        reports.append(security.secret_key_rate(d, va_d, column, args.beta))
+            va_d = security.optimize_va(d, channel, args.beta, (args.va_min, args.va_max))
+        reports.append(security.secret_key_rate(d, va_d, channel, args.beta))
     return reports
 
 
@@ -208,13 +200,15 @@ def cmd_decoy_opt(args, parser):
 
 def cmd_reconcile_bench(args, parser):
     try:
-        code = protocol.load_code(args.code)
+        code = protocol.resolve_code(args.code)
     except protocol.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     ds = _parse_d_list(args.d, parser, allow_inf=False)
-    if args.snr < 0:
-        parser.error("--snr must be nonnegative")
+    if not args.snr >= 0:
+        parser.error(f"--snr must be a nonnegative number, got {args.snr}")
+    if args.seed < 0:
+        parser.error(f"--seed must be nonnegative, got {args.seed}")
     if args.frames < 1:
         parser.error("--frames must be at least 1")
 

@@ -58,15 +58,25 @@ def _auto_n_max(tail_of):
     return n
 
 
-def f_dist(d, alpha, n_max=None):
-    """Sphere-modulation photon-number law: Poisson with mean (d/2) alpha^2."""
+def _poisson_table(means, n_max=None):
+    """Poisson(mu) weights at k = 0..n_max, one column per mean in means.
+
+    n_max defaults to the _auto_n_max truncation of the widest law.
+    """
     from scipy import stats
 
-    _check_decoy_args(d, alpha)
-    mu = (d / 2.0) * alpha * alpha
+    means = np.asarray(means, dtype=float)
     if n_max is None:
-        n_max = _auto_n_max(lambda n: stats.poisson.sf(n, mu))
-    return PhotonNumberDistribution(stats.poisson.pmf(np.arange(n_max + 1), mu))
+        n_max = _auto_n_max(
+            lambda n: float(np.max(stats.poisson.sf(n, np.maximum(means, 1e-300))))
+        )
+    return stats.poisson.pmf(np.arange(n_max + 1)[:, None], means)
+
+
+def f_dist(d, alpha, n_max=None):
+    """Sphere-modulation photon-number law: Poisson with mean (d/2) alpha^2."""
+    _check_decoy_args(d, alpha)
+    return PhotonNumberDistribution(_poisson_table([(d / 2.0) * alpha * alpha], n_max)[:, 0])
 
 
 def g_dist(d, alpha, n_max=None):
@@ -138,8 +148,6 @@ def mixture_photon_dist(radii, weights, n_max=None):
     A sphere of amplitude radius rho carries Poisson(rho^2) total photons,
     independent of d.
     """
-    from scipy import stats
-
     radii = np.asarray(radii, dtype=float)
     weights = np.asarray(weights, dtype=float)
     if radii.shape != weights.shape or radii.ndim != 1 or radii.size == 0:
@@ -148,14 +156,9 @@ def mixture_photon_dist(radii, weights, n_max=None):
         raise ValueError("radii and weights must be nonnegative")
     if abs(weights.sum() - 1.0) > 1e-9:
         raise ValueError(f"weights sum to {weights.sum()}, expected 1")
-    means = radii * radii
-    if n_max is None:
-        n_max = _auto_n_max(
-            lambda n: float(np.max(stats.poisson.sf(n, np.maximum(means, 1e-300))))
-        )
-    k = np.arange(n_max + 1)
-    probs = sum(w * stats.poisson.pmf(k, mu) for w, mu in zip(weights, means))
-    return PhotonNumberDistribution(probs)
+    table = _poisson_table(radii * radii, n_max)
+    # in-order sum of the weighted columns, so the law keeps its bits
+    return PhotonNumberDistribution(sum(w * column for w, column in zip(weights, table.T)))
 
 
 def trace_distance(pd1, pd2):
@@ -251,10 +254,9 @@ class DecoyDesign:
 
 def _fit_weights(means, target, one_minus_p, n_max):
     """Best l1 fit of (1-p) * mixture(means) to target; returns (weights, l1)."""
-    from scipy import optimize, stats
+    from scipy import optimize
 
-    k = np.arange(n_max + 1)
-    q = np.column_stack([stats.poisson.pmf(k, mu) for mu in means])
+    q = _poisson_table(means, n_max)
     n_w, n_e = q.shape[1], q.shape[0]
     c = np.concatenate([np.zeros(n_w), np.ones(n_e)])
     block = one_minus_p * q

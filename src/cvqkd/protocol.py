@@ -73,6 +73,8 @@ class ProtocolConfig:
             raise ConfigError("max_frame_failure must lie in [0, 1]")
         if self.min_est_samples < 1:
             raise ConfigError("min_est_samples must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.flow == "decoy":
             if self.d < 2:
                 raise ConfigError("the decoy flow needs block dimension d >= 2")
@@ -96,7 +98,7 @@ class ProtocolConfig:
                 f"{self.n_coordinates} retained coordinates do not split into "
                 f"blocks of {self.d}"
             )
-        load_code(self.code)
+        resolve_code(self.code)
 
     @property
     def n_coordinates(self):
@@ -297,34 +299,26 @@ def estimation_std(t_hat, xi_hat, v_a, n_samples, detection):
 
 
 def resolve_code(code_id):
-    """Map a config code id to a code object: 'identity', 'repN', or a file path."""
-    if code_id == "identity":
-        return reconciliation.IdentityCode(1)
-    match = re.fullmatch(r"rep(\d+)", code_id)
-    if match:
-        return reconciliation.concatenated_code(int(match.group(1)))
-    if os.path.exists(code_id):
-        return reconciliation.ParityCheckCode.from_file(code_id)
-    raise ValueError(
-        f"unknown code {code_id!r} (expected 'identity', 'repN', or a code file path)"
-    )
+    """Map a config code id to a code object: 'identity', 'repN', or a file path.
 
-
-def load_code(code_id):
-    """resolve_code for a session; any code it cannot use is a ConfigError naming code.
-
-    A code file gives a ParityCheckCode without a soft decoder, so it is
-    refused until an LDPC decoder exists.
+    Any code a session cannot use is a ConfigError naming the code.  A code
+    file gives a ParityCheckCode without a soft decoder, so it is refused
+    until an LDPC decoder exists.
     """
     try:
-        code = resolve_code(code_id)
+        if code_id == "identity":
+            return reconciliation.IdentityCode(1)
+        match = re.fullmatch(r"rep(\d+)", code_id)
+        if match:
+            return reconciliation.concatenated_code(int(match.group(1)))
+        if not os.path.exists(code_id):
+            raise ValueError(
+                f"unknown code {code_id!r} (expected 'identity', 'repN', or a code file path)"
+            )
+        reconciliation.ParityCheckCode.from_file(code_id)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"code {code_id!r}: {exc}") from None
-    if isinstance(code, reconciliation.ParityCheckCode) and code.decoder is None:
-        raise ConfigError(
-            f"code {code_id!r}: parity-check code files have no decoder yet"
-        )
-    return code
+    raise ConfigError(f"code {code_id!r}: parity-check code files have no decoder yet")
 
 
 def run_decoy_flow(config, rng=None):
@@ -466,7 +460,7 @@ def run_gaussian_postselected(config, rng=None):
     return transcript
 
 
-def distill(transcript, code=None, rng=None):
+def distill(transcript, rng=None):
     """Reconcile the key blocks, bound the key rate, truncate to the bound.
 
     Privacy amplification is modeled as plain truncation of the agreed bit
@@ -478,8 +472,7 @@ def distill(transcript, code=None, rng=None):
         raise ProtocolError("transcript has no channel estimate")
     if rng is None:
         rng = _session_rngs(config)[1]
-    if code is None:
-        code = load_code(config.code)
+    code = resolve_code(config.code)
     d = config.d
     key_idx = transcript.key_indices
     n_bits_avail = key_idx.size * d

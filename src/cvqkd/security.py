@@ -12,7 +12,7 @@ extremality on that covariance matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -103,10 +103,10 @@ def z1(v_a):
 # z_sphere sums WINDOW_SIGMAS standard deviations either side of the Poisson
 # mean plus WINDOW_EXTRA terms above it (truncated mass below 1e-25), about
 # 24 sqrt(mu) terms per point: 10.8k at V_A = 1e5 for d = 8.  CHUNK_NODES caps
-# the terms held at once, so a large V_A array is summed a block of points at
-# a time: 1,000 points from 1e4 to 1e5 peak at 48 MB instead of 430 MB.  A
-# point whose window alone is longer (V_A above about 9.5e8 for d = 8) is
-# summed in slices of CHUNK_NODES terms.
+# the terms held at once: points are summed a chunk at a time, and a chunk's
+# windows in slices of at most CHUNK_NODES terms, so 1,000 points from 1e4 to
+# 1e5 peak at 48 MB instead of 430 MB, and a point whose window alone is
+# longer (V_A above about 9.5e8 for d = 8) is summed one slice at a time.
 WINDOW_SIGMAS = 12.0
 WINDOW_EXTRA = 40.0
 CHUNK_NODES = 2**20
@@ -118,9 +118,11 @@ def z_sphere(d, v_a):
     With m = d/2 signal modes and total-photon weights f_k = Poisson(mu),
     mu = m V_A / 2, Z_d = 2 sum_k sqrt(f_k f_{k-1}) sqrt(k (k + m - 1)) / m,
     which is (2 sqrt(mu) / m) E[sqrt(N + m)] for N ~ Poisson(mu).  The mean
-    is taken over log-space weights (gammaln) normalized on the window, so
-    nothing underflows at large V_A.  Each point sums its own terms in order,
-    so its value does not depend on the rest of the batch.
+    is taken over log-space weights (gammaln) normalized by their largest
+    value on the window, so nothing underflows at large V_A.  Each point sums
+    its own terms strictly left to right, carrying the running sums from
+    slice to slice, so its value depends neither on the rest of the batch nor
+    on CHUNK_NODES.
     """
     if d not in SPHERE_DIMS:
         raise ValueError(f"d must be one of {SPHERE_DIMS}, got {d}")
@@ -131,49 +133,38 @@ def z_sphere(d, v_a):
     first = np.maximum(np.floor(mu - WINDOW_SIGMAS * sd), 0.0)
     count = np.floor(mu + WINDOW_SIGMAS * sd + WINDOW_EXTRA - first) + 1.0
     mean = np.empty_like(mu)
-    long = count > CHUNK_NODES
-    for i in np.flatnonzero(long):
-        mean[i] = _sliced_window_mean(mu[i : i + 1], first[i], int(count[i]), m)
-    short = np.flatnonzero(~long)
-    rows = max(1, CHUNK_NODES // int(count[short].max(initial=1.0)))
-    for lo in range(0, short.size, rows):
-        part = short[lo : lo + rows]
-        node = np.arange(count[part].max())
-        k = first[part, None] + node
-        log_w = np.where(
-            node < count[part, None],
-            k * np.log(mu[part, None]) - special.gammaln(k + 1.0),
-            -np.inf,
-        )
-        w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
-        # cumulative sums add strictly left to right, unlike np.sum
-        mean[part] = (np.cumsum(w * np.sqrt(k + m), axis=1)[:, -1]
-                      / np.cumsum(w, axis=1)[:, -1])
+    rows = CHUNK_NODES // int(min(count.max(initial=1.0), CHUNK_NODES))
+    for lo in range(0, mu.size, rows):
+        part = slice(lo, lo + rows)
+        log_mu, start, stop = np.log(mu[part, None]), first[part, None], count[part, None]
+        width = int(stop.max())
+
+        def log_weights(col):
+            node = np.arange(col, min(col + CHUNK_NODES, width), dtype=float)
+            k = start + node
+            return k, np.where(node < stop, k * log_mu - special.gammaln(k + 1.0), -np.inf)
+
+        # the max pass takes the first slice last and keeps its log weights
+        cols = range(0, width, CHUNK_NODES)
+        top = -np.inf
+        for col in cols[1:]:
+            top = np.maximum(top, log_weights(col)[1].max(axis=1, keepdims=True))
+        k, log_w = log_weights(0)
+        top = np.maximum(top, log_w.max(axis=1, keepdims=True))
+        num = den = 0.0
+        for col in cols:
+            if col:
+                k, log_w = log_weights(col)
+            # each slice's log weights are used once, so exp may overwrite them
+            w = np.exp(log_w - top, out=log_w)
+            terms = w * np.sqrt(k + m)
+            terms[:, 0] += num
+            w[:, 0] += den
+            # cumulative sums add strictly left to right, unlike np.sum
+            num = np.cumsum(terms, axis=1, out=terms)[:, -1]
+            den = np.cumsum(w, axis=1, out=w)[:, -1]
+        mean[part] = num / den
     return _value((2.0 * np.sqrt(mu) / m * mean).reshape(v.shape))
-
-
-def _sliced_window_mean(mu, first, count, m):
-    """E[sqrt(N + m)] over one point's window, CHUNK_NODES terms at a time.
-
-    mu is a one-element array.  A first pass takes the largest log weight, the
-    normalizer of the unsliced sum; the second carries the running sums from
-    slice to slice, so every addition happens in the same left-to-right order
-    and the result is bit-identical to summing the window at once.
-    """
-    def log_weights(lo):
-        k = first + np.arange(lo, min(lo + CHUNK_NODES, count))
-        return k, k * np.log(mu) - special.gammaln(k + 1.0)
-
-    top = max(log_weights(lo)[1].max() for lo in range(0, count, CHUNK_NODES))
-    num = den = 0.0
-    for lo in range(0, count, CHUNK_NODES):
-        k, log_w = log_weights(lo)
-        w = np.exp(log_w - top)
-        terms = w * np.sqrt(k + m)
-        terms[0] += num
-        w[0] += den
-        num, den = np.cumsum(terms)[-1], np.cumsum(w)[-1]
-    return num / den
 
 
 def z8(v_a):
@@ -306,7 +297,7 @@ def equivalent_excess_noise(d, v_a, z_d=None):
 def mutual_information(params, v_a):
     """Shannon mutual information of the measured Gaussian channel, bits/symbol.
 
-    params may be a stacked batch (ChannelParams.stack).
+    params may be a batch (array t, xi, eta); the result broadcasts with v_a.
     """
     bits = np.log2(1.0 + _channel.snr(params, v_a))
     if params.detection == "homodyne":
@@ -357,10 +348,9 @@ class KeyRateReport:
 def secret_key_rate(d, v_a, params, beta):
     """Key rate in bits per symbol (one symbol = one coherent state).
 
-    v_a may be an array and params a sequence of ChannelParams that share
-    detection and eta_trusted; the two broadcast against each other like
-    numpy arrays, with the channel batch on the last axis.  Z_d is evaluated
-    once per call.
+    v_a may be an array and params a batch (array t, xi, eta); the two
+    broadcast against each other like numpy arrays.  Z_d is evaluated once
+    per call.
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"reconciliation efficiency must lie in (0, 1], got {beta}")
@@ -370,56 +360,61 @@ def secret_key_rate(d, v_a, params, beta):
         raise ValueError(
             f"modulation variance v_a must be finite and positive, got {float(v[~valid][0])}"
         )
-    channel = _channel.ChannelParams.stack(params)
-    _check_pairing(d, channel.detection)
+    _check_pairing(d, params.detection)
     z_d = z_correlation(d, v)
     g0 = gamma_key0(d, v, z_d=z_d)
-    if channel.eta_trusted:
+    if params.eta_trusted:
         # Eve holds the channel output only; detector loss eta < 1 degrades
         # Bob's mode afterwards with vacuum, improving the conditional term.
-        g = gamma_after_channel(g0, channel.t, channel.xi)
-        eta, lossy = channel.eta, channel.eta < 1.0
+        g = gamma_after_channel(g0, params.t, params.xi)
+        eta, lossy = params.eta, params.eta < 1.0
         g_measured = CovarianceMatrix2Mode(
             g.a,
             np.where(lossy, eta * g.b + 1.0 - eta, g.b),
             np.where(lossy, np.sqrt(eta) * g.c, g.c),
         )
-        chi = holevo_bound(g, channel.detection, gamma_measured=g_measured)
+        chi = holevo_bound(g, params.detection, gamma_measured=g_measured)
     else:
-        g = gamma_after_channel(g0, channel.t_eff, channel.xi)
-        chi = holevo_bound(g, channel.detection)
-    i_ab = mutual_information(channel, v)
+        g = gamma_after_channel(g0, params.t_eff, params.xi)
+        chi = holevo_bound(g, params.detection)
+    i_ab = mutual_information(params, v)
     f_factor, delta_xi = equivalent_excess_noise(d, v, z_d=z_d)
     fields = dict(
-        v_a=v, t=channel.t, xi=channel.xi, eta=channel.eta, t_eff=channel.t_eff,
-        snr=_channel.snr(channel, v), i_ab=i_ab, chi_be=chi, k=beta * i_ab - chi,
+        v_a=v, t=params.t, xi=params.xi, eta=params.eta, t_eff=params.t_eff,
+        snr=_channel.snr(params, v), i_ab=i_ab, chi_be=chi, k=beta * i_ab - chi,
         delta_xi=delta_xi, z_d=z_d, z_epr=z_epr(v), f_factor=f_factor,
     )
     shape = np.broadcast_shapes(*map(np.shape, fields.values()))
     for name, value in fields.items():
         fields[name] = np.broadcast_to(value, shape) if shape else float(value)
-    return KeyRateReport(d=float(d), beta=float(beta), detection=channel.detection, **fields)
+    return KeyRateReport(d=float(d), beta=float(beta), detection=params.detection, **fields)
 
 
 def optimize_va(d, params, beta, va_range, tol=1e-3):
     """Golden-section maximization of K over V_A after a 33-point grid scan.
 
-    params is one ChannelParams, giving one float, or a sequence of them
-    sharing detection and eta_trusted, giving an array: the points are
-    searched in lockstep, each taking exactly the steps it would take alone,
-    with one secret_key_rate call per step over the points still open.
+    A scalar params gives one float; a batch (array t, xi, eta) gives an
+    array of its broadcast shape: the points are searched in lockstep, each
+    taking exactly the steps it would take alone, with one secret_key_rate
+    call per step over the points still open.
     """
     lo, hi = va_range
     if not (0.0 < lo < hi):
         raise ValueError(f"need 0 < lo < hi, got ({lo}, {hi})")
-    single = isinstance(params, _channel.ChannelParams)
-    points = [params] if single else list(params)
+    batch = np.broadcast_arrays(params.t, params.xi, params.eta)
+    shape = batch[0].shape
+    t, xi, eta = (np.reshape(field, -1) for field in batch)
+
+    def points(idx):
+        return replace(params, t=t[idx], xi=xi[idx], eta=eta[idx])
+
+    every = points(slice(None))
     grid = lo + (hi - lo) * np.arange(33) / 32
-    best = np.argmax(secret_key_rate(d, grid[:, None], points, beta).k, axis=0)
+    best = np.argmax(secret_key_rate(d, grid[:, None], every, beta).k, axis=0)
     a, b = grid[np.maximum(best - 1, 0)], grid[np.minimum(best + 1, 32)]
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
-    f1, f2 = secret_key_rate(d, np.stack([x1, x2]), points, beta).k
+    f1, f2 = secret_key_rate(d, np.stack([x1, x2]), every, beta).k
     while (open_ := b - a > tol).any():
         # keep [a, x2] where f1 >= f2, else [x1, b]; one new point each
         left = open_ & (f1 >= f2)
@@ -429,8 +424,8 @@ def optimize_va(d, params, beta, va_range, tol=1e-3):
         x_new = np.where(left, b - invphi * (b - a), a + invphi * (b - a))
         idx = np.flatnonzero(open_)
         f_new = np.zeros_like(a)
-        f_new[idx] = secret_key_rate(d, x_new[idx], [points[i] for i in idx], beta).k
+        f_new[idx] = secret_key_rate(d, x_new[idx], points(idx), beta).k
         x1, f1 = np.where(left, x_new, x1), np.where(left, f_new, f1)
         x2, f2 = np.where(right, x_new, x2), np.where(right, f_new, f2)
     v_star = (a + b) / 2.0
-    return float(v_star[0]) if single else v_star
+    return float(v_star[0]) if shape == () else v_star.reshape(shape)

@@ -42,6 +42,16 @@ def test_params_reject_non_finite(field, value):
         ch.ChannelParams(**kwargs)
 
 
+@pytest.mark.parametrize(
+    "field, first, later", [("t", 0.0, 1.5), ("xi", -0.1, math.inf), ("eta", math.nan, 0.0)]
+)
+def test_batch_params_report_field_and_first_bad_element(field, first, later):
+    kwargs = {name: np.full(4, 0.5) for name in ("t", "xi", "eta")}
+    kwargs[field][1], kwargs[field][3] = first, later
+    with pytest.raises(ValueError, match=rf"\b{field}\b.*, got {first}$"):
+        ch.ChannelParams(**kwargs)
+
+
 def test_effective_transmittance():
     p = ch.ChannelParams(t=0.5, eta=0.6)
     assert abs(p.t_eff - 0.3) < 1e-15

@@ -209,6 +209,25 @@ def test_simulate_bad_code_exits_before_running(tmp_path, capsys, monkeypatch, c
     assert err.startswith("error: ") and err.count("\n") == 1 and "code" in err
 
 
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_simulate_rejects_negative_seed(tmp_path, capsys, where):
+    cfg = tmp_path / "session.cfg"
+    _write_config(cfg, seed=-3 if where == "config" else 3)
+    argv = ["simulate", "--config", str(cfg)] + (["--seed", "-1"] if where == "flag" else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err
+
+
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--snr", "nan")])
+def test_reconcile_bench_rejects_bad_seed_and_snr(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc_info:
+        main(["reconcile-bench", "--frames", "2", flag, value])
+    assert exc_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0]
+
+
 def test_simulate_runtime_error_exit_code(tmp_path, capsys):
     cfg = tmp_path / "degenerate.cfg"
     _write_config(

@@ -221,15 +221,18 @@ def test_resolve_code():
     assert resolve_code("identity").n_bits == 1
     code = resolve_code("rep16")
     assert (code.n_bits, code.k_bits) == (16, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="'turbo9000'"):
         resolve_code("turbo9000")
 
 
 def test_resolve_code_file(tmp_path):
     path = tmp_path / "code.txt"
     path.write_text("4 3\n0 0\n0 1\n")
-    code = resolve_code(str(path))
+    code = reconciliation.ParityCheckCode.from_file(str(path))
     assert (code.n_bits, code.k_bits) == (4, 3)
+    # it parses, but a session cannot decode it yet
+    with pytest.raises(ConfigError, match="no decoder"):
+        resolve_code(str(path))
 
 
 def test_decoy_flow_label_counts_multinomial(decoy_transcript):

@@ -190,14 +190,12 @@ def test_z_sphere_slices_long_windows_exactly(monkeypatch, d):
         assert np.array_equal(sec.z_sphere(d, v_a), whole)
 
 
-def test_benchmarked_windows_are_not_sliced(monkeypatch):
-    calls = []
-    real = sec._sliced_window_mean
-    monkeypatch.setattr(sec, "_sliced_window_mean", lambda *a: calls.append(a) or real(*a))
-    sec.z_sphere(8, np.array([0.05, 5.0, 1e5]))
-    assert calls == []
-    sec.z_sphere(8, 1e9)
-    assert len(calls) == 1
+def test_z_sphere_mixed_windows_equal_scalar_calls(monkeypatch):
+    # d = 8 windows of 41 to about 1,900 terms, either side of CHUNK_NODES
+    v_a = np.array([0.5, 3e3, 7.0, 1e3, 1e-3, 2e2])
+    want = [sec.z_sphere(8, float(v)) for v in v_a]
+    monkeypatch.setattr(sec, "CHUNK_NODES", 100)
+    assert np.array_equal(sec.z_sphere(8, v_a), want)
 
 
 def test_z8_against_schmidt_oracle():
@@ -448,19 +446,19 @@ def test_optimize_va_rejects_empty_range():
 
 
 def _sweep_points(d, xi, eta_trusted, steps=41):
+    """A channel batch over 0-100 km, and the same channels one at a time."""
     det = "homodyne" if d == 1 else "heterodyne"
-    return [
-        ChannelParams(t=distance_to_T(km), xi=xi, eta=0.6, detection=det, eta_trusted=eta_trusted)
-        for km in np.linspace(0.0, 100.0, steps)
-    ]
+    t = np.array([distance_to_T(km) for km in np.linspace(0.0, 100.0, steps)])
+    batch = ChannelParams(t=t, xi=xi, eta=0.6, detection=det, eta_trusted=eta_trusted)
+    return batch, [replace(batch, t=float(value)) for value in t]
 
 
 @pytest.mark.parametrize("eta_trusted", [False, True])
 @pytest.mark.parametrize("xi", [0.004, 0.006])
 @pytest.mark.parametrize("d", [1, 2, 4, 8, math.inf])
 def test_batched_optimize_va_equals_scalar_oracle(d, xi, eta_trusted):
-    points = _sweep_points(d, xi, eta_trusted)
-    batched = sec.optimize_va(d, points, 0.8, (0.05, 5.0))
+    batch, points = _sweep_points(d, xi, eta_trusted)
+    batched = sec.optimize_va(d, batch, 0.8, (0.05, 5.0))
     for p, v_star in zip(points, batched):
         want = oracle.golden_section_va(
             lambda v: sec.secret_key_rate(d, v, p, 0.8).k, (0.05, 5.0)
@@ -472,15 +470,15 @@ def test_batched_optimize_va_equals_scalar_oracle(d, xi, eta_trusted):
 @pytest.mark.parametrize("eta_trusted", [False, True])
 @pytest.mark.parametrize("d", [1, 2, 4, 8, math.inf])
 def test_batched_key_rate_matches_oracle(d, eta_trusted):
-    points = _sweep_points(d, 0.005, eta_trusted)
+    batch, points = _sweep_points(d, 0.005, eta_trusted)
     v_a = np.linspace(0.05, 5.0, len(points))
-    report = sec.secret_key_rate(d, v_a, points, 0.8)
+    report = sec.secret_key_rate(d, v_a, batch, 0.8)
     want = [oracle.key_rate(d, v, p, 0.8) for v, p in zip(v_a, points)]
     assert np.max(np.abs(report.k - want)) < 1e-12
     # a V_A grid against the same batch broadcasts to (grid, points)
-    grid = sec.secret_key_rate(d, v_a[:3, None], points, 0.8)
+    grid = sec.secret_key_rate(d, v_a[:3, None], batch, 0.8)
     assert grid.k.shape == (3, len(points))
-    assert np.array_equal(grid.k[1], sec.secret_key_rate(d, v_a[1], points, 0.8).k)
+    assert np.array_equal(grid.k[1], sec.secret_key_rate(d, v_a[1], batch, 0.8).k)
 
 
 def test_scalar_report_fields_are_python_floats():
@@ -491,14 +489,6 @@ def test_scalar_report_fields_are_python_floats():
             want = str if f.name == "detection" else float
             assert type(getattr(report, f.name)) is want, f.name
     assert type(sec.optimize_va(8, p, 0.8, (0.05, 3.0))) is float
-
-
-def test_channel_batch_must_share_detection():
-    het = ChannelParams(t=0.5, detection="heterodyne")
-    with pytest.raises(ValueError, match="share detection"):
-        sec.secret_key_rate(math.inf, 0.5, [het, replace(het, detection="homodyne")], 0.9)
-    with pytest.raises(ValueError, match="share detection"):
-        sec.secret_key_rate(8, 0.5, [het, replace(het, eta_trusted=True)], 0.9)
 
 
 DIMENSIONS = st.sampled_from([1, 2, 4, 8, math.inf])
@@ -521,12 +511,11 @@ def _channel(d, t, xi, eta, eta_trusted):
     eta_trusted=st.booleans(),
 )
 def test_array_call_equals_scalar_calls(d, rows, eta_trusted):
-    v_a = np.array([row[0] for row in rows])
-    points = [_channel(d, t, xi, eta, eta_trusted) for _, t, xi, eta in rows]
-    batch = sec.secret_key_rate(d, v_a, points, 0.9)
+    v_a, t, xi, eta = np.array(rows).T
+    batch = sec.secret_key_rate(d, v_a, _channel(d, t, xi, eta, eta_trusted), 0.9)
     z = sec.z_correlation(d, v_a)
-    for i, (v, p) in enumerate(zip(v_a, points)):
-        one = sec.secret_key_rate(d, float(v), p, 0.9)
+    for i, (v, *channel) in enumerate(rows):
+        one = sec.secret_key_rate(d, v, _channel(d, *channel, eta_trusted), 0.9)
         for f in fields(one):
             if f.name not in ("d", "beta", "detection"):
                 assert getattr(batch, f.name)[i] == getattr(one, f.name), f.name

@@ -18,6 +18,8 @@ import numpy as np
 # vacuum noise at the detector in shot-noise units, per detection mode
 NOISE_FLOORS = {"homodyne": 1.0, "heterodyne": 2.0}
 DETECTIONS = tuple(NOISE_FLOORS)
+# measured coordinates per mode: homodyne reads one quadrature, heterodyne both
+COORDS_PER_MODE = {"homodyne": 1, "heterodyne": 2}
 # standard single-mode fiber attenuation at 1550 nm
 FIBER_LOSS_DB_PER_KM = 0.2
 

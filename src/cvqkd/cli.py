@@ -59,12 +59,6 @@ def _sweep_values(args, parser):
     return np.linspace(args.start, args.stop, args.steps)
 
 
-def _detection_for(d, choice):
-    if choice != "auto":
-        return choice
-    return "homodyne" if d == 1 else "heterodyne"
-
-
 def _keyrate_reports(args, ds, base_t, values, v_a):
     """One KeyRateReport per d over the sweep values, all rows at once."""
     t = base_t
@@ -73,9 +67,9 @@ def _keyrate_reports(args, ds, base_t, values, v_a):
     xi = values if args.sweep == "xi" else args.xi
     reports = []
     for d in ds:
+        detection = security.default_detection(d) if args.detection == "auto" else args.detection
         channel = ChannelParams(
-            t=t, xi=xi, eta=args.eta, detection=_detection_for(d, args.detection),
-            eta_trusted=args.eta_trusted,
+            t=t, xi=xi, eta=args.eta, detection=detection, eta_trusted=args.eta_trusted,
         )
         va_d = v_a
         if args.optimize_va:
@@ -89,11 +83,16 @@ def cmd_keyrate(args, parser):
     values = _sweep_values(args, parser)
     if args.optimize_va and args.sweep in ("va", "alpha"):
         parser.error(f"--optimize-va conflicts with sweeping {args.sweep}")
+    if args.sweep == "distance_km" and (args.transmittance, args.distance_km) != (None, None):
+        parser.error("--transmittance and --distance-km conflict with sweeping distance_km")
     if args.transmittance is not None and args.distance_km is not None:
         parser.error("give either --transmittance or --distance-km, not both")
     base_t = args.transmittance
     if args.distance_km is not None:
-        base_t = distance_to_T(args.distance_km)
+        try:
+            base_t = distance_to_T(args.distance_km)
+        except ValueError as exc:
+            parser.error(f"--distance-km: {exc}, got {args.distance_km}")
     if base_t is None:
         base_t = 1.0
 
@@ -133,7 +132,7 @@ def cmd_keyrate(args, parser):
 def cmd_simulate(args, parser):
     try:
         config = protocol.ProtocolConfig.from_file(args.config)
-    except (OSError, protocol.ConfigError) as exc:
+    except protocol.ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     overrides = {}
@@ -321,7 +320,12 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        return args.func(args, parser)
+    except OSError as exc:
+        # an unreadable --config or an unwritable --out; the message names the path
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

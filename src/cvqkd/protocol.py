@@ -3,8 +3,8 @@
 Two flows are provided: a Gaussian-modulated run whose key blocks are carved
 out afterwards by a norm band (post-selection), and a pre-labeled run that
 mixes key spheres, Gaussian estimation blocks, and decoy spheres before
-anything is sent.  Both hand their key blocks to the reconciliation layer and
-report a secret-key-rate bound from the estimated channel.
+anything is sent.  run_session runs a flow, estimates the channel from its
+estimation blocks, then reconciles the key blocks and bounds the key rate.
 """
 
 from __future__ import annotations
@@ -13,12 +13,14 @@ import logging
 import math
 import os
 import re
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import algebra, modulation, reconciliation, security
-from .channel import DETECTIONS, NOISE_FLOORS, ChannelParams, distance_to_T, transmit_measure
+from .channel import COORDS_PER_MODE, DETECTIONS, NOISE_FLOORS, ChannelParams
+from .channel import distance_to_T, transmit_measure
 from .decoy import DecoyDesign, mix_probabilities
 from .modulation import ModulationScheme, RadiusBand
 
@@ -60,6 +62,11 @@ class ProtocolConfig:
             raise ConfigError(f"d must be one of {algebra.DIVISION_DIMS}, got {self.d}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ConfigError(f"alpha must be finite and positive, got {self.alpha}")
+        if not sys.float_info.min <= self.v_a <= sys.float_info.max:
+            raise ConfigError(
+                f"alpha {self.alpha} gives V_A = 2 alpha^2 = {self.v_a}, outside "
+                f"[{sys.float_info.min}, {sys.float_info.max}]"
+            )
         if self.n_symbols < 1:
             raise ConfigError("n_symbols must be at least 1")
         if self.flow not in FLOWS:
@@ -75,11 +82,13 @@ class ProtocolConfig:
             raise ConfigError("min_est_samples must be at least 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        try:
+            security.check_pairing(self.d, self.channel.detection)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.flow == "decoy":
             if self.d < 2:
                 raise ConfigError("the decoy flow needs block dimension d >= 2")
-            if self.channel.detection != "heterodyne":
-                raise ConfigError("the decoy flow requires heterodyne detection")
             if self.p < 1.0:
                 if self.decoy is None:
                     raise ConfigError("decoy flow with p < 1 needs a decoy design")
@@ -103,9 +112,7 @@ class ProtocolConfig:
     @property
     def n_coordinates(self):
         """Coordinates entering the block structure (homodyne keeps one per mode)."""
-        if self.flow == "gaussian" and self.channel.detection == "homodyne":
-            return self.n_symbols
-        return 2 * self.n_symbols
+        return COORDS_PER_MODE[self.channel.detection] * self.n_symbols
 
     @property
     def v_a(self):
@@ -202,7 +209,7 @@ def _build_config(cls, raw, path):
             values["transmittance"] = distance_to_T(values.pop("distance_km"))
         channel = {field: values.pop(key) for key, field in _CHANNEL_KEYS.items()
                    if key in values}
-        channel.setdefault("detection", "homodyne" if values["d"] == 1 else "heterodyne")
+        channel.setdefault("detection", security.default_detection(values["d"]))
         values["channel"] = replace(cls.channel, **channel)
         band = {key: values.pop(key) for key in ("gamma_min", "gamma_max") if key in values}
         if band:
@@ -242,11 +249,6 @@ class SessionTranscript:
 
     def record(self, event):
         self.events.append(event)
-
-
-def _session_rngs(config):
-    children = np.random.SeedSequence(config.seed).spawn(2)
-    return np.random.default_rng(children[0]), np.random.default_rng(children[1])
 
 
 def estimate_channel(alice_blocks, bob_blocks, v_a, detection, min_samples=MIN_EST_SAMPLES):
@@ -321,12 +323,10 @@ def resolve_code(code_id):
     raise ConfigError(f"code {code_id!r}: parity-check code files have no decoder yet")
 
 
-def run_decoy_flow(config, rng=None):
+def run_decoy_flow(config, rng):
     """Pre-labeled flow: commit labels, modulate, mix, send, measure, reveal."""
     if config.flow != "decoy":
         raise ValueError(f"config.flow is {config.flow!r}, expected 'decoy'")
-    if rng is None:
-        rng = _session_rngs(config)[0]
     d, params = config.d, config.channel
     if d != 8:
         log.info("decoy flow with d=%d is non-standard (designed for d=8)", d)
@@ -373,30 +373,16 @@ def run_decoy_flow(config, rng=None):
 
     transcript.key_indices = key_idx
     transcript.est_indices = est_idx
-    transcript.t_hat, transcript.xi_hat = estimate_channel(
-        blocks[est_idx],
-        transcript.bob_blocks[est_idx],
-        config.v_a,
-        params.detection,
-        config.min_est_samples,
-    )
-    transcript.n_est_samples = est_idx.size * d
-    transcript.record("estimated")
     return transcript
 
 
-def run_gaussian_postselected(config, rng=None):
+def run_gaussian_postselected(config, rng):
     """Gaussian flow: send, measure, symmetrize, pick estimation, band-filter."""
     if config.flow != "gaussian":
         raise ValueError(f"config.flow is {config.flow!r}, expected 'gaussian'")
-    if rng is None:
-        rng = _session_rngs(config)[0]
     d, params = config.d, config.channel
-    if (d, params.detection) not in ((1, "homodyne"), (8, "heterodyne")):
-        log.info(
-            "gaussian-postselected flow with d=%d/%s is non-standard",
-            d, params.detection,
-        )
+    if d not in (1, 8):
+        log.info("gaussian-postselected flow with d=%d is non-standard", d)
     transcript = SessionTranscript(config=config)
     n = config.n_symbols
     scheme = ModulationScheme(d, config.alpha)
@@ -447,20 +433,10 @@ def run_gaussian_postselected(config, rng=None):
     labels[est_idx] = 1
     transcript.labels = labels
     transcript.record("band_filtered")
-
-    transcript.t_hat, transcript.xi_hat = estimate_channel(
-        alice_blocks[est_idx],
-        bob_blocks[est_idx],
-        config.v_a,
-        params.detection,
-        config.min_est_samples,
-    )
-    transcript.n_est_samples = est_idx.size * d
-    transcript.record("estimated")
     return transcript
 
 
-def distill(transcript, rng=None):
+def distill(transcript, rng):
     """Reconcile the key blocks, bound the key rate, truncate to the bound.
 
     Privacy amplification is modeled as plain truncation of the agreed bit
@@ -470,8 +446,6 @@ def distill(transcript, rng=None):
     config = transcript.config
     if transcript.t_hat is None:
         raise ProtocolError("transcript has no channel estimate")
-    if rng is None:
-        rng = _session_rngs(config)[1]
     code = resolve_code(config.code)
     d = config.d
     key_idx = transcript.key_indices
@@ -512,11 +486,7 @@ def distill(transcript, rng=None):
     )
     report = security.secret_key_rate(d, config.v_a, params_hat, config.beta_target)
     transcript.report = report
-    key_coords = key_idx.size * d
-    if config.channel.detection == "homodyne":
-        transcript.n_key_modes = key_coords
-    else:
-        transcript.n_key_modes = key_coords // 2
+    transcript.n_key_modes = key_idx.size * d // COORDS_PER_MODE[config.channel.detection]
     transcript.record("reconciled")
 
     if report.k <= 0.0:
@@ -524,7 +494,7 @@ def distill(transcript, rng=None):
         transcript.alice_bits = np.zeros(0, dtype=np.uint8)
         transcript.bob_bits = np.zeros(0, dtype=np.uint8)
         transcript.record("key_refused")
-        return transcript.alice_bits, transcript.bob_bits, report
+        return
 
     # failed frames are detected (hash in a real system) and discarded, so the
     # distillable pool is the corrected bits of the successful frames only
@@ -535,17 +505,28 @@ def distill(transcript, rng=None):
     transcript.alice_bits = alice_pool[:n_emit].copy()
     transcript.bob_bits = bob_pool[:n_emit].copy()
     transcript.record("key_emitted")
-    return transcript.alice_bits, transcript.bob_bits, report
 
 
 def run_session(config):
-    """Run the configured flow end to end and return the finished transcript."""
-    rng_flow, rng_distill = _session_rngs(config)
+    """Run the session in protocol order: flow, channel estimate, distillation.
+
+    The flow and distillation draw from two streams spawned from config.seed,
+    so equal configs give byte-identical transcripts.
+    """
+    rng_flow, rng_distill = map(np.random.default_rng,
+                                np.random.SeedSequence(config.seed).spawn(2))
     if config.flow == "decoy":
         transcript = run_decoy_flow(config, rng_flow)
     else:
         transcript = run_gaussian_postselected(config, rng_flow)
-    distill(transcript, rng=rng_distill)
+    est = transcript.est_indices
+    transcript.t_hat, transcript.xi_hat = estimate_channel(
+        transcript.alice_blocks[est], transcript.bob_blocks[est], config.v_a,
+        config.channel.detection, config.min_est_samples,
+    )
+    transcript.n_est_samples = est.size * config.d
+    transcript.record("estimated")
+    distill(transcript, rng_distill)
     return transcript
 
 

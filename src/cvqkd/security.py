@@ -308,7 +308,13 @@ def mutual_information(params, v_a):
 _ALLOWED_PAIRINGS = {"homodyne": (1,), "heterodyne": (2, 4, 8)}
 
 
-def _check_pairing(d, detection):
+def default_detection(d):
+    """The detection a block dimension pairs with: homodyne for d=1, else heterodyne."""
+    return "homodyne" if d == 1 else "heterodyne"
+
+
+def check_pairing(d, detection):
+    """Refuse a (d, detection) pair the key-rate bound does not cover."""
     if math.isinf(d):
         return
     if d not in _ALLOWED_PAIRINGS[detection]:
@@ -360,7 +366,7 @@ def secret_key_rate(d, v_a, params, beta):
         raise ValueError(
             f"modulation variance v_a must be finite and positive, got {float(v[~valid][0])}"
         )
-    _check_pairing(d, params.detection)
+    check_pairing(d, params.detection)
     z_d = z_correlation(d, v)
     g0 = gamma_key0(d, v, z_d=z_d)
     if params.eta_trusted:

@@ -98,6 +98,22 @@ def test_keyrate_usage_errors():
     assert exc_info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    # the swept distance sets t, so a base channel flag would be ignored
+    ["--sweep", "distance_km", "--stop", "10", "--transmittance", "2"],
+    ["--sweep", "distance_km", "--stop", "10", "--distance-km", "5"],
+    ["--sweep", "xi", "--stop", "0.01", "--distance-km", "-5"],
+])
+def test_keyrate_rejects_bad_base_channel(tmp_path, capsys, argv):
+    out = tmp_path / "r.csv"
+    with pytest.raises(SystemExit) as exc_info:
+        main(["keyrate", *argv, "--start", "0", "--steps", "2", "--out", str(out)])
+    assert exc_info.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--distance-km" in errors[0]
+    assert not out.exists()
+
+
 def _write_config(path, **overrides):
     base = {
         "flow": "decoy",
@@ -209,6 +225,17 @@ def test_simulate_bad_code_exits_before_running(tmp_path, capsys, monkeypatch, c
     assert err.startswith("error: ") and err.count("\n") == 1 and "code" in err
 
 
+@pytest.mark.parametrize("d, detection", [(8, "homodyne"), (1, "heterodyne")])
+def test_simulate_rejects_unpaired_detection_at_load(tmp_path, capsys, monkeypatch,
+                                                     d, detection):
+    cfg = tmp_path / "session.cfg"
+    _write_config(cfg, flow="gaussian", d=d, detection=detection)
+    monkeypatch.setattr(protocol, "run_session", None)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "does not pair" in err
+
+
 @pytest.mark.parametrize("where", ["flag", "config"])
 def test_simulate_rejects_negative_seed(tmp_path, capsys, where):
     cfg = tmp_path / "session.cfg"
@@ -245,6 +272,24 @@ def test_simulate_refuses_without_positive_rate(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "key_bits=0" in captured.out
     assert "not positive" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["keyrate", "--sweep", "xi", "--start", "0", "--stop", "0.01", "--steps", "2"],
+    ["simulate", "--config", None],
+    ["decoy-opt", "--d", "2", "--alpha", "0.5", "--p", "0.5"],
+    ["reconcile-bench", "--frames", "2"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    cfg = tmp_path / "session.cfg"
+    _write_config(cfg)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub"
+    argv = [str(cfg) if arg is None else arg for arg in argv]
+    assert main([*argv, "--out", str(out)]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and str(out) in errors[0]
 
 
 def test_decoy_opt_writes_design(tmp_path, capsys):

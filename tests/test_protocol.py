@@ -16,11 +16,8 @@ from cvqkd.protocol import (
     estimate_channel,
     estimation_std,
     resolve_code,
-    run_decoy_flow,
-    run_gaussian_postselected,
     run_session,
     save_transcript,
-    distill,
 )
 from cvqkd.algebra import OrthogonalTransform
 from cvqkd import reconciliation
@@ -75,15 +72,25 @@ def test_config_validation():
     # p < 1 needs a decoy design
     with pytest.raises(ConfigError):
         ProtocolConfig(d=8, alpha=1.0, n_symbols=100, flow="decoy", p=0.5)
-    # homodyne gaussian flow keeps n_symbols coordinates; must split into blocks
-    with pytest.raises(ConfigError):
+    # heterodyne keeps 2 * n_symbols coordinates; they must split into blocks
+    with pytest.raises(ConfigError, match="do not split"):
         ProtocolConfig(
-            d=8, alpha=1.0, n_symbols=100, flow="gaussian",
-            channel=ChannelParams(t=1.0, detection="homodyne"),
+            d=8, alpha=1.0, n_symbols=102, flow="gaussian",
+            channel=ChannelParams(t=1.0, detection="heterodyne"),
         )
 
 
-@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("d, detection", [(8, "homodyne"), (1, "heterodyne")])
+def test_config_rejects_unpaired_detection(d, detection):
+    with pytest.raises(ConfigError, match=f"d={d} does not pair with {detection}"):
+        ProtocolConfig(
+            d=d, alpha=1.0, n_symbols=800, flow="gaussian",
+            channel=ChannelParams(t=1.0, detection=detection),
+        )
+
+
+# the last three are finite, but V_A = 2 alpha^2 is 0, subnormal and inf
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf, 1e-200, 1e-160, 1e200])
 def test_config_rejects_non_finite_alpha(alpha):
     with pytest.raises(ConfigError, match="alpha"):
         ProtocolConfig(d=8, alpha=alpha, n_symbols=100)
@@ -369,10 +376,8 @@ def test_gaussian_flow_degenerate_band_gives_zero_key_blocks():
         band=RadiusBand(1.0, 1.0),
         seed=1,
     )
-    transcript = run_gaussian_postselected(config)
-    assert transcript.key_indices.size == 0
-    with pytest.raises(ProtocolError, match="key blocks"):
-        distill(transcript)
+    with pytest.raises(ProtocolError, match="^0 key blocks"):
+        run_session(config)
 
 
 def test_distill_refuses_on_entanglement_breaking_noise(design8):

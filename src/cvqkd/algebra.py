@@ -121,11 +121,9 @@ class OrthogonalTransform:
         reflectors = np.array(reflectors, dtype=float)
         if reflectors.ndim != 2:
             raise ValueError("reflectors must be a (k, n) array")
-        if reflectors.shape[0]:
-            norms = np.linalg.norm(reflectors, axis=1)
-            if np.any(np.abs(norms - 1.0) > 1e-9):
-                raise ValueError("reflectors must be unit vectors")
-            reflectors = reflectors / norms[:, None]
+        # stored as given, so a transform loads back bit for bit
+        if np.any(np.abs(np.linalg.norm(reflectors, axis=1) - 1.0) > 1e-9):
+            raise ValueError("reflectors must be unit vectors")
         self.reflectors = reflectors
 
     @property
@@ -212,4 +210,5 @@ def sample_orthogonal(n, k, rng) -> OrthogonalTransform:
         rows.append(row)
     if not rows:
         return OrthogonalTransform(np.zeros((0, n)))
-    return OrthogonalTransform(np.array(rows))
+    rows = np.array(rows)
+    return OrthogonalTransform(rows / np.linalg.norm(rows, axis=1)[:, None])

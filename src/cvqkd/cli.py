@@ -8,7 +8,9 @@ Exit codes: 0 success, 1 runtime failure or infeasibility, 2 usage or config.
 import argparse
 import contextlib
 import dataclasses
+import errno
 import math
+import os
 import sys
 
 import numpy as np
@@ -28,33 +30,48 @@ def _out_stream(path):
             yield fh
 
 
-def _parse_d_list(text, parser, allow_inf):
+def _check_out(path, make_dirs):
+    """Raise the OSError that writing --out would end in, creating nothing.
+
+    save_transcript creates missing directories (make_dirs), so there the
+    nearest existing ancestor of path must be a directory; a file needs an
+    existing parent directory.
+    """
+    directory = os.path.abspath(path) if make_dirs else os.path.dirname(os.path.abspath(path))
+    while make_dirs and not os.path.exists(directory):
+        directory = os.path.dirname(directory)
+    if not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+        raise OSError(code, os.strerror(code), path)
+
+
+def _parse_d_list(args, allow_inf):
     values = []
-    for part in text.split(","):
+    for part in args.d.split(","):
         part = part.strip()
         if part == "inf":
             if not allow_inf:
-                parser.error("d=inf is not supported by this command")
+                args.parser.error("d=inf is not supported by this command")
             values.append(math.inf)
             continue
         try:
             d = int(part)
         except ValueError:
-            parser.error(f"bad block dimension {part!r}")
+            args.parser.error(f"bad block dimension {part!r}")
         if d not in (1, 2, 4, 8):
-            parser.error(f"d must be in {{1, 2, 4, 8}}, got {d}")
+            args.parser.error(f"d must be in {{1, 2, 4, 8}}, got {d}")
         values.append(d)
     if not values:
-        parser.error("empty d list")
+        args.parser.error("empty d list")
     return values
 
 
-def _sweep_values(args, parser):
+def _sweep_values(args):
     if args.steps < 2:
-        parser.error("--steps must be at least 2")
+        args.parser.error("--steps must be at least 2")
     if args.scale == "log":
         if args.start <= 0 or args.stop <= 0:
-            parser.error("log scale needs positive --start/--stop")
+            args.parser.error("log scale needs positive --start/--stop")
         return np.geomspace(args.start, args.stop, args.steps)
     return np.linspace(args.start, args.stop, args.steps)
 
@@ -78,21 +95,21 @@ def _keyrate_reports(args, ds, base_t, values, v_a):
     return reports
 
 
-def cmd_keyrate(args, parser):
-    ds = _parse_d_list(args.d, parser, allow_inf=True)
-    values = _sweep_values(args, parser)
+def cmd_keyrate(args):
+    ds = _parse_d_list(args, allow_inf=True)
+    values = _sweep_values(args)
     if args.optimize_va and args.sweep in ("va", "alpha"):
-        parser.error(f"--optimize-va conflicts with sweeping {args.sweep}")
+        args.parser.error(f"--optimize-va conflicts with sweeping {args.sweep}")
     if args.sweep == "distance_km" and (args.transmittance, args.distance_km) != (None, None):
-        parser.error("--transmittance and --distance-km conflict with sweeping distance_km")
+        args.parser.error("--transmittance and --distance-km conflict with sweeping distance_km")
     if args.transmittance is not None and args.distance_km is not None:
-        parser.error("give either --transmittance or --distance-km, not both")
+        args.parser.error("give either --transmittance or --distance-km, not both")
     base_t = args.transmittance
     if args.distance_km is not None:
         try:
             base_t = distance_to_T(args.distance_km)
         except ValueError as exc:
-            parser.error(f"--distance-km: {exc}, got {args.distance_km}")
+            args.parser.error(f"--distance-km: {exc}, got {args.distance_km}")
     if base_t is None:
         base_t = 1.0
 
@@ -129,12 +146,8 @@ def cmd_keyrate(args, parser):
     return 0
 
 
-def cmd_simulate(args, parser):
-    try:
-        config = protocol.ProtocolConfig.from_file(args.config)
-    except protocol.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_simulate(args):
+    config = protocol.ProtocolConfig.from_file(args.config)
     overrides = {}
     if args.seed is not None:
         overrides["seed"] = args.seed
@@ -144,16 +157,10 @@ def cmd_simulate(args, parser):
         flow = "gaussian" if args.flow == "gaussian-postselected" else args.flow
         overrides["flow"] = flow
     if overrides:
-        try:
-            config = dataclasses.replace(config, **overrides)
-        except protocol.ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    try:
-        transcript = protocol.run_session(config)
-    except protocol.ProtocolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        config = dataclasses.replace(config, **overrides)
+    if args.out is not None:
+        _check_out(args.out, make_dirs=True)
+    transcript = protocol.run_session(config)
     if args.out is not None:
         protocol.save_transcript(transcript, args.out)
     result = transcript.reconcile_result
@@ -168,21 +175,12 @@ def cmd_simulate(args, parser):
     return 0
 
 
-def cmd_decoy_opt(args, parser):
-    try:
-        design = decoy.optimize_decoy(
-            args.d, args.alpha, args.p, n_radii_max=args.max_radii, n_max=args.nmax
-        )
-    except decoy.InfeasibleDecoyError as exc:
-        print(
-            f"error: infeasible: {exc} (violating photon number "
-            f"{exc.photon_number})",
-            file=sys.stderr,
-        )
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_decoy_opt(args):
+    if args.out is not None:
+        _check_out(args.out, make_dirs=False)
+    design = decoy.optimize_decoy(
+        args.d, args.alpha, args.p, n_radii_max=args.max_radii, n_max=args.nmax
+    )
     pi_d, k_star = decoy.povm_scale(args.d, args.alpha)
     print(f"pi_d={repr(pi_d)} k_star={k_star} p={repr(args.p)} feasible=yes")
     print(
@@ -197,19 +195,15 @@ def cmd_decoy_opt(args, parser):
     return 0
 
 
-def cmd_reconcile_bench(args, parser):
-    try:
-        code = protocol.resolve_code(args.code)
-    except protocol.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    ds = _parse_d_list(args.d, parser, allow_inf=False)
+def cmd_reconcile_bench(args):
+    code = protocol.resolve_code(args.code)
+    ds = _parse_d_list(args, allow_inf=False)
     if not args.snr >= 0:
-        parser.error(f"--snr must be a nonnegative number, got {args.snr}")
+        args.parser.error(f"--snr must be a nonnegative number, got {args.snr}")
     if args.seed < 0:
-        parser.error(f"--seed must be nonnegative, got {args.seed}")
+        args.parser.error(f"--seed must be nonnegative, got {args.seed}")
     if args.frames < 1:
-        parser.error("--frames must be at least 1")
+        args.parser.error("--frames must be at least 1")
 
     master = np.random.SeedSequence(args.seed)
     with _out_stream(args.out) as out:
@@ -284,7 +278,7 @@ def build_parser():
     kr.add_argument("--va-min", type=float, default=0.05)
     kr.add_argument("--va-max", type=float, default=5.0)
     kr.add_argument("--out", default=None)
-    kr.set_defaults(func=cmd_keyrate)
+    kr.set_defaults(func=cmd_keyrate, parser=kr)
 
     sim = sub.add_parser("simulate", help="run one session from a config file")
     sim.add_argument("--config", required=True)
@@ -293,7 +287,7 @@ def build_parser():
     sim.add_argument("--n-symbols", type=int, default=None)
     sim.add_argument("--flow", choices=("gaussian-postselected", "decoy"),
                      default=None)
-    sim.set_defaults(func=cmd_simulate)
+    sim.set_defaults(func=cmd_simulate, parser=sim)
 
     do = sub.add_parser("decoy-opt", help="design a decoy radius mixture")
     do.add_argument("--d", type=int, required=True)
@@ -302,7 +296,7 @@ def build_parser():
     do.add_argument("--nmax", type=int, default=None)
     do.add_argument("--max-radii", type=int, default=12)
     do.add_argument("--out", default=None)
-    do.set_defaults(func=cmd_decoy_opt)
+    do.set_defaults(func=cmd_decoy_opt, parser=do)
 
     rb = sub.add_parser("reconcile-bench", help="benchmark reconciliation codes")
     rb.add_argument("--d", default="8", help="comma list from {1,2,4,8}")
@@ -312,20 +306,26 @@ def build_parser():
     rb.add_argument("--frames", type=int, default=100)
     rb.add_argument("--seed", type=int, default=0)
     rb.add_argument("--out", default=None)
-    rb.set_defaults(func=cmd_reconcile_bench)
+    rb.set_defaults(func=cmd_reconcile_bench, parser=rb)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command, mapping any failure it raises to one ``error:`` line and exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
-    except OSError as exc:
-        # an unreadable --config or an unwritable --out; the message names the path
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return args.func(args)
+    except decoy.InfeasibleDecoyError as exc:
+        message, code = f"infeasible: {exc} (violating photon number {exc.photon_number})", 1
+    except protocol.ProtocolError as exc:
+        message, code = exc, 1
+    except (ValueError, OSError) as exc:
+        # ValueError covers ConfigError; OSError is an unreadable --config or an
+        # unwritable --out, and its message names the path
+        message, code = exc, 2
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

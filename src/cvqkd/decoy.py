@@ -190,6 +190,10 @@ class InfeasibleDecoyError(ValueError):
         self.photon_number = photon_number
 
 
+# the header keys of a design file and how each value is read
+_DESIGN_KEYS = {"d": int, "alpha": float, "p": float, "epsilon": float, "n_max": int}
+
+
 @dataclass(frozen=True)
 class DecoyDesign:
     """Radius mixture certified to hide the key states inside the Gaussian law."""
@@ -205,6 +209,9 @@ class DecoyDesign:
     def __post_init__(self):
         if len(self.radii) != len(self.weights) or not self.radii:
             raise ValueError("radii and weights must be nonempty and aligned")
+        for name in ("alpha", "p", "epsilon", "radii", "weights"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if any(w < 0 for w in self.weights) or any(r < 0 for r in self.radii):
             raise ValueError("radii and weights must be nonnegative")
         if abs(sum(self.weights) - 1.0) > 1e-9:
@@ -225,31 +232,37 @@ class DecoyDesign:
 
     @classmethod
     def load(cls, path):
+        """Read a design written by save; each error names the field or path:line."""
         header = {}
         rows = []
         with open(path) as fh:
-            for raw in fh:
+            for line_no, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
-                if "," in line:
-                    r, w = line.split(",")
-                    rows.append((float(r), float(w)))
-                else:
-                    key, value = line.split()
-                    header[key] = value
-        missing = {"d", "alpha", "p", "epsilon", "n_max"} - set(header)
-        if missing or not rows:
-            raise ValueError(f"{path}: malformed decoy design (missing {sorted(missing)})")
-        return cls(
-            d=int(header["d"]),
-            alpha=float(header["alpha"]),
-            p=float(header["p"]),
-            epsilon=float(header["epsilon"]),
-            n_max=int(header["n_max"]),
-            radii=tuple(r for r, _ in rows),
-            weights=tuple(w for _, w in rows),
-        )
+                parts = line.split(",") if "," in line else line.split()
+                try:
+                    if len(parts) != 2:
+                        raise ValueError(f"expected 'key value' or 'radius,weight', got {line!r}")
+                    if "," in line:
+                        rows.append((float(parts[0]), float(parts[1])))
+                        continue
+                    key, value = parts
+                    if key not in _DESIGN_KEYS:
+                        raise ValueError(f"unknown key {key!r}")
+                    if key in header:
+                        raise ValueError(f"duplicate key {key!r}")
+                    header[key] = _DESIGN_KEYS[key](value)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from None
+        missing = sorted(set(_DESIGN_KEYS) - set(header)) + ([] if rows else ["radius,weight"])
+        if missing:
+            raise ValueError(f"{path}: malformed decoy design (missing {missing})")
+        try:
+            return cls(radii=tuple(r for r, _ in rows), weights=tuple(w for _, w in rows),
+                       **header)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _fit_weights(means, target, one_minus_p, n_max):

@@ -300,13 +300,15 @@ def test_application_cost_is_linear_in_k_and_n():
 
 
 def test_serialization_roundtrip():
-    rng = np.random.default_rng(19)
-    t = algebra.sample_orthogonal(6, 3, rng)
-    data = t.to_bytes()
-    back = algebra.OrthogonalTransform.from_bytes(data)
-    assert np.array_equal(back.reflectors, t.reflectors)
-    v = rng.standard_normal(6)
-    assert np.array_equal(back.apply(v), t.apply(v))
+    # renormalizing on load would move some reflectors by 1 ulp at n = 1e5
+    cases = [(6, 3, 19)] + [(100_000, k, seed) for k in (2, 3) for seed in range(4)]
+    for n, k, seed in cases:
+        rng = np.random.default_rng(seed)
+        t = algebra.sample_orthogonal(n, k, rng)
+        back = algebra.OrthogonalTransform.from_bytes(t.to_bytes())
+        assert np.array_equal(back.reflectors, t.reflectors), (n, k, seed)
+        v = rng.standard_normal(n)
+        assert np.array_equal(back.apply(v), t.apply(v))
 
 
 def test_serialization_rejects_corrupt_data():

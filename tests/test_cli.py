@@ -8,7 +8,7 @@ import pytest
 from cvqkd.cli import main
 from cvqkd.channel import distance_to_T
 from cvqkd.decoy import DecoyDesign
-from cvqkd import protocol, security
+from cvqkd import decoy, protocol, security
 
 
 def _read_csv(path):
@@ -109,8 +109,10 @@ def test_keyrate_rejects_bad_base_channel(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc_info:
         main(["keyrate", *argv, "--start", "0", "--steps", "2", "--out", str(out)])
     assert exc_info.value.code == 2
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and "--distance-km" in errors[0]
+    assert err.startswith("usage: cvqkd keyrate ") and errors[0].startswith("cvqkd keyrate: error:")
     assert not out.exists()
 
 
@@ -204,12 +206,20 @@ def test_keyrate_reports_first_error_in_row_order(tmp_path, capsys, argv, messag
     assert err.startswith("error: ") and message in err
 
 
-def test_simulate_config_error_exit_code(tmp_path, capsys):
+def test_simulate_config_error_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(protocol, "run_session", None)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("flow decoy\nd 8\nmystery 1\n")
     assert main(["simulate", "--config", str(cfg)]) == 2
     assert "bad.cfg:3" in capsys.readouterr().err
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 2
+    # abs(nan - alpha) > 1e-9 is false, so the design itself must refuse a NaN
+    (tmp_path / "nan.txt").write_text("d 8\nalpha nan\np 0.5\nepsilon 0.0\nn_max 8\n0.5,1.0\n")
+    _write_config(cfg, p=0.5, decoy_file="nan.txt")
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "alpha must be finite" in err
 
 
 @pytest.mark.parametrize("code", ["foo", "rep0", "file"])
@@ -251,8 +261,22 @@ def test_reconcile_bench_rejects_bad_seed_and_snr(capsys, flag, value):
     with pytest.raises(SystemExit) as exc_info:
         main(["reconcile-bench", "--frames", "2", flag, value])
     assert exc_info.value.code == 2
-    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and flag in errors[0]
+    assert err.startswith("usage: cvqkd reconcile-bench ")
+    assert errors[0].startswith("cvqkd reconcile-bench: error:")
+
+
+def test_simulate_value_error_is_one_error_line(tmp_path, capsys, monkeypatch):
+    def boom(config):
+        raise ValueError("boom")
+
+    cfg = tmp_path / "session.cfg"
+    _write_config(cfg)
+    monkeypatch.setattr(protocol, "run_session", boom)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: boom\n"
 
 
 def test_simulate_runtime_error_exit_code(tmp_path, capsys):
@@ -280,7 +304,10 @@ def test_simulate_refuses_without_positive_rate(tmp_path, capsys):
     ["decoy-opt", "--d", "2", "--alpha", "0.5", "--p", "0.5"],
     ["reconcile-bench", "--frames", "2"],
 ], ids=lambda argv: argv[0])
-def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # --out is checked before any symbol is drawn or any LP is solved
+    monkeypatch.setattr(protocol, "run_session", None)
+    monkeypatch.setattr(decoy, "optimize_decoy", None)
     cfg = tmp_path / "session.cfg"
     _write_config(cfg)
     blocker = tmp_path / "file"
@@ -290,6 +317,7 @@ def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
     assert main([*argv, "--out", str(out)]) == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(errors) == 1 and str(out) in errors[0]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["file", "session.cfg"]
 
 
 def test_decoy_opt_writes_design(tmp_path, capsys):

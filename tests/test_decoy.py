@@ -1,6 +1,7 @@
 """Photon-number laws, POVM scale probabilities, and decoy-mixture design."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -297,6 +298,18 @@ def test_design_validation():
 
 def test_design_load_rejects_malformed_file(tmp_path):
     path = tmp_path / "broken.txt"
-    path.write_text("d 2\nalpha 0.5\n0.3,1.0\n")
-    with pytest.raises(ValueError):
-        DecoyDesign.load(path)
+    good = "d 2\nalpha 0.5\np 0.5\nepsilon 0.0\nn_max 8\n0.3,1.0\n"
+    cases = [
+        ("d 2\nalpha 0.5\n0.3,1.0\n", "missing"),
+        (good.replace("0.3,1.0\n", ""), "missing ['radius,weight']"),
+        (good.replace("alpha 0.5", "alpha nan"), "alpha must be finite"),
+        (good.replace("epsilon 0.0", "epsilon nan"), "epsilon must be finite"),
+        (good.replace("0.3,1.0", "0.3,nan"), "weights must be finite"),
+        (good + "d 4\n", "broken.txt:7: duplicate key 'd'"),
+        (good + "mystery 1\n", "broken.txt:7: unknown key 'mystery'"),
+        (good.replace("n_max 8", "n_max"), "broken.txt:5: expected 'key value'"),
+    ]
+    for text, message in cases:
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            DecoyDesign.load(path)

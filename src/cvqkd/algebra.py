@@ -144,7 +144,7 @@ class OrthogonalTransform:
         _scalar_ops += out.size
         for u in rows:
             proj = out @ u
-            out = out - 2.0 * np.expand_dims(proj, -1) * u
+            out -= 2.0 * np.expand_dims(proj, -1) * u
             _scalar_ops += 2 * self.n * n_vectors
         return out
 
@@ -160,7 +160,7 @@ class OrthogonalTransform:
 
     def to_bytes(self) -> bytes:
         head = struct.pack("<II", self.n_reflections, self.n)
-        return head + self.reflectors.astype("<f8").tobytes(order="C")
+        return head + np.ascontiguousarray(self.reflectors, dtype="<f8").tobytes(order="C")
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "OrthogonalTransform":
@@ -175,16 +175,19 @@ class OrthogonalTransform:
 
 
 def _bisector_reflector(x):
-    """Unit u such that reflecting e1 about u gives x/|x|; None when x is along +e1."""
+    """Unit u such that reflecting e1 about u gives x/|x|; None when x is along +e1.
+
+    u is built in place in x, which the caller must own.
+    """
     r = np.linalg.norm(x)
     if r == 0.0:
         raise ValueError("degenerate zero draw for reflector target")
-    u = x.copy()
-    u[0] -= r
-    s = np.linalg.norm(u)
+    x[0] -= r
+    s = np.linalg.norm(x)
     if s <= 1e-12 * r:
         return None
-    return u / s
+    x /= s
+    return x
 
 
 def sample_orthogonal(n, k, rng) -> OrthogonalTransform:
@@ -199,16 +202,14 @@ def sample_orthogonal(n, k, rng) -> OrthogonalTransform:
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rows = []
+    rows = np.zeros((k, n))
+    kept = 0
     for j in range(k):
         m = n - k + 1 + j
         u = _bisector_reflector(rng.standard_normal(m))
-        if u is None:
-            continue
-        row = np.zeros(n)
-        row[n - m:] = u
-        rows.append(row)
-    if not rows:
-        return OrthogonalTransform(np.zeros((0, n)))
-    rows = np.array(rows)
-    return OrthogonalTransform(rows / np.linalg.norm(rows, axis=1)[:, None])
+        if u is not None:
+            rows[kept, n - m:] = u
+            kept += 1
+    rows = rows[:kept]
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    return OrthogonalTransform(rows)

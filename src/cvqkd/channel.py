@@ -81,8 +81,9 @@ def transmit_measure(symbols, params, rng):
     """Send quadrature symbols through the channel and detect them.
 
     Returns (outcomes, basis).  Homodyne outcomes have shape (n_modes,) with
-    the uniformly drawn measured quadrature recorded in basis (0 = x, 1 = p);
-    heterodyne outcomes have shape (n_modes, 2) and basis None.  The additive
+    the uniformly drawn measured quadrature recorded in the int8 basis
+    (0 = x, 1 = p); heterodyne outcomes have shape (n_modes, 2) and basis
+    None.  The additive
     noise is Gaussian with variance noise_floor + T_eff*xi.
     """
     symbols = np.asarray(symbols, dtype=float)
@@ -93,10 +94,14 @@ def transmit_measure(symbols, params, rng):
         signal, basis = gain * symbols, None
     else:
         n = symbols.shape[0]
-        basis = rng.integers(0, 2, size=n)
+        # drawn as int64 (another dtype draws another stream), kept as int8
+        basis = rng.integers(0, 2, size=n).astype(np.int8)
         signal = gain * symbols[np.arange(n), basis]
     sigma = math.sqrt(params.noise_floor + params.t_eff * params.xi)
-    return signal + sigma * rng.standard_normal(signal.shape), basis
+    outcomes = rng.standard_normal(signal.shape)
+    outcomes *= sigma
+    outcomes += signal
+    return outcomes, basis
 
 
 def snr(params, v_a):

@@ -225,6 +225,8 @@ class SessionTranscript:
 
     alice_blocks hold amplitude-unit coordinates; bob_blocks hold the aligned
     quadrature-unit outcomes (already un-mixed where the flow requires it).
+    labels (one per block) and basis (one per homodyne mode) are int8;
+    key_indices and est_indices are int64 block indices.
     """
 
     config: ProtocolConfig
@@ -334,7 +336,7 @@ def run_decoy_flow(config, rng):
     transcript = SessionTranscript(config=config)
 
     p_key, p_est, p_dec = mix_probabilities(config.p, config.p_est)
-    labels = rng.choice(3, size=n_blocks, p=[p_key, p_est, p_dec])
+    labels = rng.choice(3, size=n_blocks, p=[p_key, p_est, p_dec]).astype(np.int8)
     transcript.labels = labels
     transcript.record("labels_committed")
 
@@ -359,8 +361,8 @@ def run_decoy_flow(config, rng):
     transcript.transform = transform
     transcript.record("symmetrized")
 
-    quads = modulation.blocks_to_quadratures(sent, d)
-    outcomes, basis = transmit_measure(quads, params, rng)
+    outcomes, basis = transmit_measure(modulation.blocks_to_quadratures(sent, d), params, rng)
+    del sent
     transcript.outcomes, transcript.basis = outcomes, basis
     transcript.record("transmitted")
     transcript.record("measured")
@@ -390,28 +392,28 @@ def run_gaussian_postselected(config, rng):
     x = modulation.sample_gaussian_blocks(scheme, 2 * n // d, rng)
     transcript.record("modulated")
 
-    quads = modulation.blocks_to_quadratures(x, d)
-    x = x.reshape(-1)
-    outcomes, basis = transmit_measure(quads, params, rng)
+    outcomes, basis = transmit_measure(modulation.blocks_to_quadratures(x, d), params, rng)
     transcript.outcomes, transcript.basis = outcomes, basis
     transcript.record("transmitted")
     transcript.record("measured")
 
     if params.detection == "homodyne":
         # Bob announces bases; Alice keeps only the measured coordinate
-        a = x[2 * np.arange(n) + basis]
-        y = np.asarray(outcomes, dtype=float)
+        a = x.reshape(n, 2)[np.arange(n), basis]
+        y = outcomes
     else:
-        a = x
+        a = x.reshape(-1)
         y = outcomes.reshape(-1)
+    del x
 
     transform = algebra.sample_orthogonal(a.size, config.symmetrization_k, rng)
     x_sym = transform.apply(a)
+    del a
     y_sym = transform.apply(y)
     transcript.transform = transform
     transcript.record("symmetrized")
 
-    n_blocks = a.size // d
+    n_blocks = x_sym.size // d
     alice_blocks = x_sym.reshape(n_blocks, d)
     bob_blocks = y_sym.reshape(n_blocks, d)
     transcript.alice_blocks = alice_blocks
@@ -421,6 +423,7 @@ def run_gaussian_postselected(config, rng):
     order = rng.permutation(n_blocks)
     est_idx = np.sort(order[:n_est])
     rest = np.sort(order[n_est:])
+    del order
     transcript.est_indices = est_idx
     transcript.record("estimation_coordinates_chosen")
 
@@ -428,7 +431,7 @@ def run_gaussian_postselected(config, rng):
     key_idx = rest[keep]
     transcript.key_indices = key_idx
     transcript.band_kept_fraction = float(np.mean(keep)) if rest.size else 0.0
-    labels = np.full(n_blocks, -1)
+    labels = np.full(n_blocks, -1, dtype=np.int8)
     labels[key_idx] = 0
     labels[est_idx] = 1
     transcript.labels = labels

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+import orthogonal_oracle
 from conftest import PROPERTY
 from cvqkd import algebra
 
@@ -309,6 +310,29 @@ def test_serialization_roundtrip():
         assert np.array_equal(back.reflectors, t.reflectors), (n, k, seed)
         v = rng.standard_normal(n)
         assert np.array_equal(back.apply(v), t.apply(v))
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (5, 1), (9, 4), (16, 16), (64, 7), (64, 64),
+                                  (1000, 3)])
+def test_sampler_and_apply_match_list_of_rows_oracle_bit_for_bit(n, k):
+    # the preallocated buffer and the in-place reflections keep every bit of
+    # the list-of-rows form; k = n has a one-coordinate first stage, skipped
+    # whenever its draw is positive
+    skipped = 0
+    for seed in range(6):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        t = algebra.sample_orthogonal(n, k, rng)
+        want = orthogonal_oracle.sample_reflectors(n, k, oracle_rng)
+        assert t.reflectors.shape == want.shape and np.array_equal(t.reflectors, want)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        skipped += k - want.shape[0]
+        v = rng.standard_normal((3, n))
+        assert np.array_equal(t.apply(v), orthogonal_oracle.apply_reflectors(want, v))
+        assert np.array_equal(t.apply_inverse(v[0]),
+                              orthogonal_oracle.apply_reflectors(want[::-1], v[0]))
+        assert t.to_bytes()[8:] == want.astype("<f8").tobytes()
+    if k == n:
+        assert skipped > 0
 
 
 def test_serialization_rejects_corrupt_data():

@@ -132,7 +132,7 @@ def test_gaussian_spec_matches_transmit_measure():
         rng = np.random.default_rng(5)
         if detection == "homodyne":
             want_basis = rng.integers(0, 2, size=1000)
-            assert np.array_equal(basis, want_basis)
+            assert basis.dtype == np.int8 and np.array_equal(basis, want_basis)
             signal = math.sqrt(p.t_eff) * q[np.arange(1000), want_basis]
         else:
             assert basis is None

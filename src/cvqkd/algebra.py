@@ -122,7 +122,8 @@ class OrthogonalTransform:
         if reflectors.ndim != 2:
             raise ValueError("reflectors must be a (k, n) array")
         # stored as given, so a transform loads back bit for bit
-        if np.any(np.abs(np.linalg.norm(reflectors, axis=1) - 1.0) > 1e-9):
+        norms = np.sqrt(np.einsum("ij,ij->i", reflectors, reflectors))  # no k x n temporary
+        if not np.all(np.abs(norms - 1.0) <= 1e-9):  # a NaN row fails too
             raise ValueError("reflectors must be unit vectors")
         self.reflectors = reflectors
 
@@ -171,7 +172,7 @@ class OrthogonalTransform:
         if len(data) != expected:
             raise ValueError(f"transform record has {len(data)} bytes, expected {expected}")
         rows = np.frombuffer(data, dtype="<f8", offset=8).reshape(k, n)
-        return cls(rows.copy())
+        return cls(rows)
 
 
 def _bisector_reflector(x):

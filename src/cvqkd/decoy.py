@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import _ufuncs, gammaln, pdtrc, xlogy
 
 log = logging.getLogger(__name__)
 
@@ -61,16 +62,16 @@ def _auto_n_max(tail_of):
 def _poisson_table(means, n_max=None):
     """Poisson(mu) weights at k = 0..n_max, one column per mean in means.
 
-    n_max defaults to the _auto_n_max truncation of the widest law.
+    n_max defaults to the _auto_n_max truncation of the widest law.  The
+    formulas are scipy.stats.poisson's pmf and sf, bit for bit.
     """
-    from scipy import stats
-
     means = np.asarray(means, dtype=float)
     if n_max is None:
         n_max = _auto_n_max(
-            lambda n: float(np.max(stats.poisson.sf(n, np.maximum(means, 1e-300))))
+            lambda n: float(np.max(pdtrc(n, np.maximum(means, 1e-300))))
         )
-    return stats.poisson.pmf(np.arange(n_max + 1)[:, None], means)
+    k = np.arange(n_max + 1)[:, None]
+    return np.exp(xlogy(k, means) - gammaln(k + 1) - means)
 
 
 def f_dist(d, alpha, n_max=None):
@@ -82,16 +83,15 @@ def f_dist(d, alpha, n_max=None):
 def g_dist(d, alpha, n_max=None):
     """Gaussian-modulation law: negative binomial, same mean as f_dist.
 
-    g(k) = C(m+k-1, k) alpha^{2k} / (1+alpha^2)^{m+k} with m = d/2 modes.
+    g(k) = C(m+k-1, k) alpha^{2k} / (1+alpha^2)^{m+k} with m = d/2 modes, computed
+    by the private ufuncs behind scipy.stats.nbinom: no public formula gives their bits.
     """
-    from scipy import stats
-
     _check_decoy_args(d, alpha)
     m = d // 2
     p_nb = 1.0 / (1.0 + alpha * alpha)
     if n_max is None:
-        n_max = _auto_n_max(lambda n: stats.nbinom.sf(n, m, p_nb))
-    return PhotonNumberDistribution(stats.nbinom.pmf(np.arange(n_max + 1), m, p_nb))
+        n_max = _auto_n_max(lambda n: _ufuncs._nbinom_sf(n, m, p_nb))
+    return PhotonNumberDistribution(_ufuncs._nbinom_pmf(np.arange(n_max + 1), m, p_nb))
 
 
 def _check_alpha(alpha):

@@ -7,6 +7,8 @@ Oracles used here and written before the implementation:
   (t + 1)/2 ~ Beta((n-1)/2, (n-1)/2).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -200,6 +202,8 @@ def test_householder_rejects_bad_input():
         algebra.OrthogonalTransform(np.zeros((1, 4)))
     with pytest.raises(ValueError):
         algebra.OrthogonalTransform(np.array([[1.0, 1.0]]))
+    with pytest.raises(ValueError):
+        algebra.OrthogonalTransform(np.array([[1.0, 0.0], [np.nan, 0.0]]))
 
 
 def test_identity_transform_is_empty_product():
@@ -333,6 +337,28 @@ def test_sampler_and_apply_match_list_of_rows_oracle_bit_for_bit(n, k):
         assert t.to_bytes()[8:] == want.astype("<f8").tobytes()
     if k == n:
         assert skipped > 0
+
+
+def _traced_peak(make):
+    tracemalloc.start()
+    try:
+        make()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transform_build_and_load_peak_memory():
+    # a (2, 2e6) transform holds 30.5 MiB; loading it should cost one copy of
+    # the reflectors and sampling it one more for the normalisation temporary
+    n, k = 2_000_000, 2
+    t = algebra.sample_orthogonal(n, k, np.random.default_rng(7))
+    data = t.to_bytes()
+    size = t.reflectors.nbytes
+    sample_peak = _traced_peak(lambda: algebra.sample_orthogonal(n, k, np.random.default_rng(7)))
+    load_peak = _traced_peak(lambda: algebra.OrthogonalTransform.from_bytes(data))
+    assert sample_peak <= 3.0 * size, f"sample_orthogonal peaks at {sample_peak / size:.2f}x"
+    assert load_peak <= 1.5 * size, f"from_bytes peaks at {load_peak / size:.2f}x"
 
 
 def test_serialization_rejects_corrupt_data():

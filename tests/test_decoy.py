@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from cvqkd import decoy
 from cvqkd.decoy import (
     DecoyDesign,
     InfeasibleDecoyError,
@@ -58,6 +59,53 @@ def test_auto_truncation_meets_tail_bound():
         for alpha in (0.3, 1.0):
             assert f_dist(d, alpha).tail <= 1e-12
             assert g_dist(d, alpha).tail <= 1e-12
+
+
+def _stats_n_max(sf):
+    """The doubling truncation of decoy._auto_n_max, driven by a scipy.stats tail."""
+    n = 16
+    while sf(n) > decoy.TAIL_BOUND:
+        n *= 2
+    return n
+
+
+# a log grid plus the benchmark designs' alpha (0.5, 1, 2) jittered by 1%
+LAW_ALPHAS = [*np.geomspace(0.05, 5.0, 25),
+              *(a * j for a in (0.5, 1.0, 2.0) for j in (0.99, 1.01))]
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_laws_equal_scipy_stats_bit_for_bit(d):
+    # decoy computes the laws without importing scipy.stats; designs, sessions
+    # and criterion 7 rely on every bit staying what scipy.stats gives
+    m = d // 2
+    for alpha in LAW_ALPHAS:
+        mu, p_nb = (d / 2.0) * alpha * alpha, 1.0 / (1.0 + alpha * alpha)
+        k_f = np.arange(_stats_n_max(lambda n: stats.poisson.sf(n, mu)) + 1)
+        k_g = np.arange(_stats_n_max(lambda n: stats.nbinom.sf(n, m, p_nb)) + 1)
+        # the auto truncations, then each law at the other's (povm_scale's case)
+        assert np.array_equal(f_dist(d, alpha).probs, stats.poisson.pmf(k_f, mu)), alpha
+        assert np.array_equal(g_dist(d, alpha).probs, stats.nbinom.pmf(k_g, m, p_nb)), alpha
+        assert np.array_equal(f_dist(d, alpha, k_g[-1]).probs, stats.poisson.pmf(k_g, mu))
+        assert np.array_equal(g_dist(d, alpha, k_f[-1]).probs, stats.nbinom.pmf(k_f, m, p_nb))
+        tail_at = 16 * 2 ** np.arange(6)
+        assert np.array_equal(decoy.pdtrc(tail_at, mu), stats.poisson.sf(tail_at, mu)), alpha
+        assert np.array_equal(decoy._ufuncs._nbinom_sf(tail_at, m, p_nb),
+                              stats.nbinom.sf(tail_at, m, p_nb)), alpha
+
+
+def test_mixture_law_equals_scipy_stats_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for size in (1, 3, 9):
+        radii = np.append(0.0, rng.uniform(0.05, 4.0, size))
+        weights = rng.dirichlet(np.ones(size + 1))
+        means = radii * radii
+        n_max = _stats_n_max(
+            lambda n: float(np.max(stats.poisson.sf(n, np.maximum(means, 1e-300)))))
+        columns = stats.poisson.pmf(np.arange(n_max + 1)[:, None], means).T
+        want = sum(w * column for w, column in zip(weights, columns))
+        mix = mixture_photon_dist(radii, weights)
+        assert mix.n_max == n_max and np.array_equal(mix.probs, want), size
 
 
 def test_explicit_n_max_is_honored():

@@ -1,8 +1,9 @@
 """Import budget: the analytic and session paths load no optional scipy part.
 
-scipy.stats alone costs most of a second to import, and only decoy design and
-the reconcile-bench p-value use it.  Each check runs in a fresh interpreter,
-because this test process has long since imported scipy.stats itself.
+scipy.stats alone costs most of a second to import, and only the
+reconcile-bench p-value uses it; decoy design loads scipy.optimize but not
+scipy.stats.  Each check runs in a fresh interpreter, because this test
+process has long since imported scipy.stats itself.
 """
 
 import json
@@ -41,6 +42,20 @@ print(json.dumps({{"rc": rc, "blocks": int(transcript.alice_blocks.shape[0]),
     result = _run(code, tmp_path)
     assert result["rc"] == 0 and result["blocks"] > 0
     assert result["loaded"] == []
+
+
+def test_decoy_design_loads_no_scipy_stats(tmp_path):
+    code = f"""
+import json, sys
+from cvqkd import cli, decoy
+rc = cli.main(["decoy-opt", "--d", "2", "--alpha", "0.5", "--p", "0.5", "--out", "design.txt"])
+decoy.povm_scale(8, 1.0)
+decoy.g_dist(4, 0.7)
+decoy.mixture_photon_dist([0.0, 0.5, 1.5], [0.2, 0.3, 0.5])
+print(json.dumps({{"rc": rc, "loaded": [m for m in {DEFERRED!r} if m in sys.modules]}}))
+"""
+    result = _run(code, tmp_path)
+    assert result == {"rc": 0, "loaded": ["scipy.optimize"]}
 
 
 def test_deferred_scipy_paths_still_run(tmp_path):

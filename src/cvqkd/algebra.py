@@ -60,17 +60,13 @@ def _mul(a, b):
     h = d // 2
     a1, a2 = a[..., :h], a[..., h:]
     b1, b2 = b[..., :h], b[..., h:]
-    lo = _mul(a1, b1) - _mul(_conj(b2), a2)
-    hi = _mul(b2, a1) + _mul(a2, _conj(b1))
+    lo = _mul(a1, b1) - _mul(conj(b2), a2)
+    hi = _mul(b2, a1) + _mul(a2, conj(b1))
     return np.concatenate([lo, hi], axis=-1)
 
 
 def conj(a):
-    """Algebra conjugate: negate every coordinate except the real part."""
-    return _conj(_as_elements(a))
-
-
-def _conj(a):
+    """Algebra conjugate of an element array: negate every coordinate except the real part."""
     out = -a
     out[..., 0] = a[..., 0]
     return out
@@ -87,7 +83,7 @@ def inv(a):
     n2 = np.sum(a * a, axis=-1, keepdims=True)
     if np.any(n2 == 0.0):
         raise ZeroDivisionError("cannot invert a zero algebra element")
-    return _conj(a) / n2
+    return conj(a) / n2
 
 
 def identity(d):
@@ -97,15 +93,14 @@ def identity(d):
     return e
 
 
-def sample_unit(d, rng, size=None):
-    """Draw sign vectors with coordinates +-1/sqrt(d), uniform and independent.
+def sample_unit(d, rng, size):
+    """Draw size sign vectors, shape (size, d), with coordinates +-1/sqrt(d).
 
-    Returns shape (d,) when size is None, else (size, d).  These are the unit
-    alphabet elements used by the reverse-reconciliation reduction.
+    Coordinates are uniform and independent.  These are the unit alphabet
+    elements used by the reverse-reconciliation reduction.
     """
     _check_dim(d)
-    shape = (d,) if size is None else (size, d)
-    signs = rng.integers(0, 2, size=shape) * 2 - 1
+    signs = rng.integers(0, 2, size=(size, d)) * 2 - 1
     return signs / np.sqrt(d)
 
 

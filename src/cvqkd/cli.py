@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import decoy, modulation, protocol, reconciliation, security
+from . import algebra, decoy, modulation, protocol, reconciliation, security
 from .channel import ChannelParams, distance_to_T
 
 SWEEP_VARIABLES = ("distance_km", "va", "xi", "alpha")
@@ -58,7 +58,7 @@ def _parse_d_list(args, allow_inf):
             d = int(part)
         except ValueError:
             args.parser.error(f"bad block dimension {part!r}")
-        if d not in (1, 2, 4, 8):
+        if d not in algebra.DIVISION_DIMS:
             args.parser.error(f"d must be in {{1, 2, 4, 8}}, got {d}")
         values.append(d)
     if not values:

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import _ufuncs, gammaln, pdtrc, xlogy
 
+from .modulation import SPHERE_DIMS, ModulationScheme
+
 log = logging.getLogger(__name__)
 
 TAIL_BOUND = 1e-12
-DECOY_DIMS = (2, 4, 8)
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,6 @@ class PhotonNumberDistribution:
     @property
     def tail(self):
         return max(0.0, 1.0 - float(np.sum(self.probs)))
-
-    def mean(self):
-        return float(np.arange(self.probs.size) @ self.probs)
 
 
 def _auto_n_max(tail_of):
@@ -94,15 +92,10 @@ def g_dist(d, alpha, n_max=None):
     return PhotonNumberDistribution(_ufuncs._nbinom_pmf(np.arange(n_max + 1), m, p_nb))
 
 
-def _check_alpha(alpha):
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"alpha must be finite and positive, got {alpha}")
-
-
 def _check_decoy_args(d, alpha):
-    if d not in DECOY_DIMS:
-        raise ValueError(f"d must be one of {DECOY_DIMS}, got {d}")
-    _check_alpha(alpha)
+    if d not in SPHERE_DIMS:
+        raise ValueError(f"d must be one of {SPHERE_DIMS}, got {d}")
+    ModulationScheme(d, alpha)
 
 
 def povm_scale(d, alpha, n_max=None):
@@ -135,8 +128,8 @@ def povm_scale(d, alpha, n_max=None):
 
 def p_succ(d, alpha):
     """Success probability of the key-state extraction measurement."""
-    _check_alpha(alpha)
     if d == 1:
+        ModulationScheme(d, alpha)
         a2 = alpha * alpha
         return math.factorial(math.floor(1.0 + a2)) / (1.0 + a2) ** math.floor(2.0 + a2)
     return povm_scale(d, alpha)[0]
@@ -343,7 +336,7 @@ def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):
     weights /= weights.sum()
     # the labeled ensemble: decoy spheres at weight 1-p plus the key sphere at p
     labeled = mixture_photon_dist(
-        np.append(np.sqrt(mus), math.sqrt(d / 2.0) * alpha),
+        np.append(np.sqrt(mus), ModulationScheme(d, alpha).sphere_radius),
         np.append((1.0 - p) * weights, p),
         n_max=n_max,
     )

@@ -20,6 +20,8 @@ from .algebra import DIVISION_DIMS
 
 # Quadrature mean per unit coherent amplitude under x = a + a*.
 QUADRATURE_SCALE = 2.0
+# block dimensions of m = d/2 >= 1 whole modes: the sphere Z_d and decoy laws hold
+SPHERE_DIMS = (2, 4, 8)
 
 # first token of every CSV table's first line; the table kind follows it.  The
 # v1 tables write decimal floats; the v2 tables are the transcript tables, whose
@@ -55,11 +57,6 @@ class ModulationScheme:
             raise ValueError(f"d must be one of {DIVISION_DIMS}, got {self.d}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
-
-    @property
-    def v_a(self) -> float:
-        """Modulation variance of the quadrature symbols, V_A = 2 alpha^2."""
-        return 2.0 * self.alpha**2
 
     @property
     def sphere_radius(self) -> float:

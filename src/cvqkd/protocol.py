@@ -58,10 +58,10 @@ class ProtocolConfig:
     min_est_samples: int = MIN_EST_SAMPLES
 
     def __post_init__(self):
-        if self.d not in algebra.DIVISION_DIMS:
-            raise ConfigError(f"d must be one of {algebra.DIVISION_DIMS}, got {self.d}")
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ConfigError(f"alpha must be finite and positive, got {self.alpha}")
+        try:
+            ModulationScheme(self.d, self.alpha)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not sys.float_info.min <= self.v_a <= sys.float_info.max:
             raise ConfigError(
                 f"alpha {self.alpha} gives V_A = 2 alpha^2 = {self.v_a}, outside "
@@ -444,7 +444,7 @@ def distill(transcript, rng):
 
     Privacy amplification is modeled as plain truncation of the agreed bit
     string to floor(K * n_key_modes) bits; no hashing is performed.  A bound
-    K <= 0 refuses to emit any key material.
+    K <= 0 refuses to emit any key material: the key is the empty prefix.
     """
     config = transcript.config
     if transcript.t_hat is None:
@@ -492,22 +492,18 @@ def distill(transcript, rng):
     transcript.n_key_modes = key_idx.size * d // COORDS_PER_MODE[config.channel.detection]
     transcript.record("reconciled")
 
-    if report.k <= 0.0:
-        log.warning("key-rate bound %.3g is not positive; emitting no key", report.k)
-        transcript.alice_bits = np.zeros(0, dtype=np.uint8)
-        transcript.bob_bits = np.zeros(0, dtype=np.uint8)
-        transcript.record("key_refused")
-        return
-
     # failed frames are detected (hash in a real system) and discarded, so the
     # distillable pool is the corrected bits of the successful frames only
     kept = np.repeat(result.frame_success, code.n_bits)
     alice_pool = result.alice_bits[kept]
     bob_pool = result.bob_bits[kept]
-    n_emit = min(int(report.k * transcript.n_key_modes), alice_pool.size)
+    refused = report.k <= 0.0
+    if refused:
+        log.warning("key-rate bound %.3g is not positive; emitting no key", report.k)
+    n_emit = 0 if refused else min(int(report.k * transcript.n_key_modes), alice_pool.size)
     transcript.alice_bits = alice_pool[:n_emit].copy()
     transcript.bob_bits = bob_pool[:n_emit].copy()
-    transcript.record("key_emitted")
+    transcript.record("key_refused" if refused else "key_emitted")
 
 
 def run_session(config):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
+from .modulation import QUADRATURE_SCALE, ModulationScheme
 
 
 def bob_reduce(y_blocks, rng):
@@ -52,8 +53,7 @@ def normalize_bob_blocks(blocks, t_eff_hat, alpha):
     blocks = np.atleast_2d(np.asarray(blocks, dtype=float))
     if t_eff_hat <= 0:
         raise ValueError("estimated transmittance must be positive")
-    d = blocks.shape[1]
-    radius = 2.0 * alpha * math.sqrt(d / 2.0)
+    radius = QUADRATURE_SCALE * ModulationScheme(blocks.shape[1], alpha).sphere_radius
     return blocks / (math.sqrt(t_eff_hat) * radius)
 
 
@@ -143,8 +143,6 @@ class ConcatenatedCode:
 
 def concatenated_code(rep_len, inner=None):
     """Repetition-only code when inner is absent; rep_len = 1 means identity."""
-    if rep_len < 1:
-        raise ValueError("repetition length must be >= 1")
     if inner is None:
         return IdentityCode(1) if rep_len == 1 else ConcatenatedCode(rep_len, IdentityCode(1))
     return ConcatenatedCode(rep_len, inner)

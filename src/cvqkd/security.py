@@ -18,8 +18,7 @@ import numpy as np
 from scipy import special
 
 from . import channel as _channel
-
-SPHERE_DIMS = (2, 4, 8)
+from .modulation import SPHERE_DIMS
 
 
 def _value(x):
@@ -305,7 +304,7 @@ def mutual_information(params, v_a):
     return _value(bits)
 
 
-_ALLOWED_PAIRINGS = {"homodyne": (1,), "heterodyne": (2, 4, 8)}
+_ALLOWED_PAIRINGS = {"homodyne": (1,), "heterodyne": SPHERE_DIMS}
 
 
 def default_detection(d):

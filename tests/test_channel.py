@@ -95,9 +95,10 @@ def test_signal_cross_covariance_for_sphere_modulation():
     p = ch.ChannelParams(t=0.25, xi=0.02, detection="heterodyne")
     y, _ = ch.transmit_measure(q, p, rng)
     cov = np.mean(q * y)
-    want = math.sqrt(p.t_eff) * scheme.v_a
-    assert abs(cov - want) < 5 * math.sqrt(scheme.v_a * 2.5 / q.size)
-    assert abs(np.var(y) - (p.t_eff * scheme.v_a + 2 + p.t_eff * p.xi)) < 0.01
+    v_a = 2.0 * scheme.alpha**2
+    want = math.sqrt(p.t_eff) * v_a
+    assert abs(cov - want) < 5 * math.sqrt(v_a * 2.5 / q.size)
+    assert abs(np.var(y) - (p.t_eff * v_a + 2 + p.t_eff * p.xi)) < 0.01
 
 
 def test_snr_values():

@@ -15,6 +15,7 @@ import pytest
 from scipy import special, stats
 
 from cvqkd import modulation as mod
+from cvqkd.protocol import ProtocolConfig
 from radius_oracle import band_acceptance_probability, chi_pdf
 
 
@@ -37,7 +38,7 @@ def test_scheme_rejects_non_finite_alpha(alpha):
 
 def test_scheme_derived_quantities():
     s = mod.ModulationScheme(8, 0.5)
-    assert s.v_a == 0.5
+    assert ProtocolConfig(d=8, alpha=0.5, n_symbols=4).v_a == 0.5
     assert abs(s.sphere_radius - 1.0) < 1e-15
     assert abs(mod.ModulationScheme(2, 0.7).sphere_radius - 0.7) < 1e-15
 
@@ -215,7 +216,7 @@ def test_quadrature_scale():
     blocks = mod.sample_gaussian_blocks(s, 500_000, rng)
     quads = mod.blocks_to_quadratures(blocks, 2)
     assert quads.shape == (500_000, 2)
-    assert abs(np.var(quads) / s.v_a - 1.0) < 0.01
+    assert abs(np.var(quads) / (2.0 * s.alpha**2) - 1.0) < 0.01
 
 
 def test_blocks_csv_roundtrip(tmp_path):

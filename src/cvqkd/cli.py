@@ -61,8 +61,6 @@ def _parse_d_list(args, allow_inf):
         if d not in algebra.DIVISION_DIMS:
             args.parser.error(f"d must be in {{1, 2, 4, 8}}, got {d}")
         values.append(d)
-    if not values:
-        args.parser.error("empty d list")
     return values
 
 

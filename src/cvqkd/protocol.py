@@ -72,8 +72,11 @@ class ProtocolConfig:
         if self.flow not in FLOWS:
             raise ConfigError(f"flow must be one of {FLOWS}, got {self.flow!r}")
         mix_probabilities(self.p, self.p_est)
-        if self.symmetrization_k < 1:
-            raise ConfigError("symmetrization_k must be at least 1")
+        if not 1 <= self.symmetrization_k <= self.n_coordinates:
+            raise ConfigError(
+                f"symmetrization_k must lie in [1, {self.n_coordinates}], the retained "
+                f"coordinate count, got {self.symmetrization_k}"
+            )
         if not 0.0 < self.beta_target <= 1.0:
             raise ConfigError("beta_target must lie in (0, 1]")
         if not 0.0 <= self.max_frame_failure <= 1.0:

@@ -195,33 +195,40 @@ class ParityCheckCode:
 
     @classmethod
     def from_file(cls, path, decoder=None):
-        """Load 'n_bits k_bits' header plus sparse 'check bit [1]' lines."""
-        header = None
-        triples = []
+        """Load 'n_bits k_bits' header plus sparse 'check bit [1]' lines.
+
+        Each error in a line names path:line.  A bit listed twice in a check cancels.
+        """
+        rows = None  # until the header gives the check count
         with open(path) as fh:
             for line_no, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if not line:
                     continue
                 parts = line.split()
-                if header is None:
-                    if len(parts) != 2:
-                        raise ValueError(f"{path}:{line_no}: header must be 'n_bits k_bits'")
-                    header = (int(parts[0]), int(parts[1]))
-                    continue
-                if len(parts) not in (2, 3):
-                    raise ValueError(f"{path}:{line_no}: expected 'check bit [value]'")
-                if len(parts) == 3 and parts[2] != "1":
-                    raise ValueError(f"{path}:{line_no}: only binary entries allowed")
-                triples.append((int(parts[0]), int(parts[1])))
-        if header is None:
+                try:
+                    if rows is None:
+                        if len(parts) != 2:
+                            raise ValueError("header must be 'n_bits k_bits'")
+                        n_bits, k_bits = int(parts[0]), int(parts[1])
+                        if not 1 <= k_bits <= n_bits:
+                            raise ValueError(f"need 1 <= k_bits <= n_bits, got {line!r}")
+                        rows = [[] for _ in range(n_bits - k_bits)]
+                        continue
+                    if len(parts) not in (2, 3):
+                        raise ValueError("expected 'check bit [value]'")
+                    if len(parts) == 3 and parts[2] != "1":
+                        raise ValueError("only binary entries allowed")
+                    check, bit = int(parts[0]), int(parts[1])
+                    if not 0 <= check < len(rows):
+                        raise ValueError(f"check index {check} outside [0, {len(rows)})")
+                    if not 0 <= bit < n_bits:
+                        raise ValueError(f"bit index {bit} outside [0, {n_bits})")
+                    rows[check].append(bit)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{line_no}: {exc}") from None
+        if rows is None:
             raise ValueError(f"{path}: missing header line")
-        n_bits, k_bits = header
-        rows = [[] for _ in range(n_bits - k_bits)]
-        for check, bit in triples:
-            if not 0 <= check < n_bits - k_bits:
-                raise ValueError(f"{path}: check index {check} out of range")
-            rows[check].append(bit)
         return cls(n_bits, k_bits, rows, decoder=decoder)
 
 

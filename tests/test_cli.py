@@ -407,3 +407,106 @@ def test_reconcile_bench_bad_code_exit_code(tmp_path, capsys):
     assert main(["reconcile-bench", "--code", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "decoder" in err
+
+
+def test_keyrate_alpha_sweep_sets_v_a(tmp_path):
+    out = tmp_path / "alpha.csv"
+    rc = main(["keyrate", "--sweep", "alpha", "--start", "0.2", "--stop", "1.3",
+               "--steps", "4", "--d", "1,8", "--out", str(out)])
+    assert rc == 0
+    header, rows, _ = _read_csv(out)
+    assert len(rows) == 8
+    for row in rows:
+        record = dict(zip(header, row))
+        value = float(record["value"])
+        assert record["sweep"] == "alpha"
+        assert float(record["v_a"]) == 2.0 * value * value
+
+
+def test_keyrate_log_scale(tmp_path):
+    out = tmp_path / "log.csv"
+    rc = main(["keyrate", "--sweep", "va", "--start", "0.01", "--stop", "100",
+               "--steps", "5", "--scale", "log", "--d", "8", "--out", str(out)])
+    assert rc == 0
+    header, rows, _ = _read_csv(out)
+    values = [float(dict(zip(header, row))["value"]) for row in rows]
+    assert np.allclose(values, [0.01, 0.1, 1.0, 10.0, 100.0], rtol=1e-12)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["keyrate", "--sweep", "va", "--start", "0", "--stop", "1", "--steps", "3",
+      "--scale", "log"], "log scale needs positive --start/--stop"),
+    (["keyrate", "--sweep", "va", "--start", "0.1", "--stop", "-1", "--steps", "3",
+      "--scale", "log"], "log scale needs positive --start/--stop"),
+    (["keyrate", "--sweep", "va", "--start", "0.1", "--stop", "1", "--steps", "3",
+      "--d", "1,x"], "bad block dimension 'x'"),
+    (["keyrate", "--sweep", "va", "--start", "0.1", "--stop", "1", "--steps", "3",
+      "--d", ""], "bad block dimension ''"),
+    (["reconcile-bench", "--d", "8,inf"], "d=inf is not supported by this command"),
+    (["keyrate", "--sweep", "xi", "--start", "0", "--stop", "0.01", "--steps", "3",
+      "--transmittance", "0.5", "--distance-km", "10"],
+     "give either --transmittance or --distance-km, not both"),
+    (["reconcile-bench", "--frames", "0"], "--frames must be at least 1"),
+])
+def test_usage_errors_name_the_flag(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc_info:
+        main([*argv, "--out", str(out)])
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == [f"cvqkd {argv[0]}: error: {message}"]
+    assert not out.exists()
+
+
+def test_simulate_n_symbols_overrides_config(tmp_path, capsys):
+    cfg = tmp_path / "session.cfg"
+    _write_config(cfg)
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--n-symbols", "4000",
+                 "--out", str(out)]) == 0
+    manifest = (out / "manifest.txt").read_text().splitlines()
+    assert "n_symbols 4000" in manifest
+    assert "key_bits=" in capsys.readouterr().out
+
+
+def test_simulate_refuses_symmetrization_k_above_coordinates(tmp_path, capsys, monkeypatch):
+    # 1000 heterodyne symbols give 2000 coordinates; the bound is checked at load
+    monkeypatch.setattr(protocol, "run_session", None)
+    cfg = tmp_path / "session.cfg"
+    _write_config(cfg, n_symbols=1000, symmetrization_k=5000)
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: {cfg}: symmetrization_k")
+    assert "2000" in err
+    # an override that shrinks the coordinate count below k is refused the same way
+    _write_config(cfg, n_symbols=1000, symmetrization_k=2000)
+    assert main(["simulate", "--config", str(cfg), "--n-symbols", "800"]) == 2
+    assert "symmetrization_k must lie in [1, 1600]" in capsys.readouterr().err
+
+
+def test_decoy_opt_max_radii_prunes_support(tmp_path, capsys):
+    out = tmp_path / "design.txt"
+    rc = main(["decoy-opt", "--d", "8", "--alpha", "1", "--p", "0.5", "--max-radii", "2",
+               "--out", str(out)])
+    assert rc == 0
+    assert "n_radii=" in capsys.readouterr().out
+    design = DecoyDesign.load(out)
+    assert 1 <= len(design.radii) <= 2
+    # the unpruned fit of the same target keeps more radii than the cap
+    assert len(decoy.optimize_decoy(8, 1.0, 0.5).radii) > 2
+    g = decoy.g_dist(8, 1.0, design.n_max)
+    labeled = decoy.mixture_photon_dist(
+        np.append(design.radii, 2.0),  # the key sphere, radius alpha sqrt(d/2)
+        np.append((1.0 - design.p) * np.asarray(design.weights), design.p),
+        n_max=design.n_max,
+    )
+    assert decoy.trace_distance(g, labeled) <= design.epsilon
+
+
+def test_reconcile_bench_code_file_error_names_line(tmp_path, capsys):
+    code = tmp_path / "code.txt"
+    code.write_text("4 3\nx 0\n")
+    assert main(["reconcile-bench", "--code", str(code)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{code}:2: invalid literal for int()" in err

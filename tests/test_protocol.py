@@ -1,6 +1,7 @@
 """Session flows, channel estimation, and key distillation."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from radius_oracle import band_acceptance_probability
 from cvqkd.channel import ChannelParams
-from cvqkd.decoy import optimize_decoy
+from cvqkd.decoy import DecoyDesign, optimize_decoy
 from cvqkd.modulation import RadiusBand, read_csv_table
 from cvqkd.protocol import (
     ConfigError,
@@ -531,3 +532,66 @@ def test_save_transcript_roundtrip(tmp_path, request, name):
         assert np.array_equal(values, transcript.outcomes)
     for text in ("manifest.txt", "symbols.csv", "outcomes.csv", "alice_key.txt", "bob_key.txt"):
         assert b"\r" not in (out / text).read_bytes()
+
+
+@pytest.mark.parametrize("value, want", [
+    ("true", True), ("True", True), ("yes", True), ("1", True),
+    ("false", False), ("FALSE", False), ("no", False), ("0", False),
+])
+def test_config_eta_trusted_values(tmp_path, value, want):
+    path = tmp_path / "session.cfg"
+    path.write_text(f"d 8\nalpha 1.0\nn_symbols 4000\neta 0.6\neta_trusted {value}\n")
+    config = ProtocolConfig.from_file(path)
+    assert config.channel.eta_trusted is want and config.channel.eta == 0.6
+
+
+def test_config_bad_eta_trusted_names_line(tmp_path):
+    path = tmp_path / "session.cfg"
+    path.write_text("d 8\nalpha 1.0\n# trust the detector?\neta_trusted maybe\nn_symbols 4000\n")
+    with pytest.raises(ConfigError) as exc_info:
+        ProtocolConfig.from_file(path)
+    assert str(exc_info.value) == (
+        f"{path}:4: bad value for 'eta_trusted': expected true/false, got 'maybe'"
+    )
+
+
+def test_config_line_without_value_names_line(tmp_path):
+    path = tmp_path / "session.cfg"
+    path.write_text("d 8\nalpha 1.0\nn_symbols\n")
+    with pytest.raises(ConfigError) as exc_info:
+        ProtocolConfig.from_file(path)
+    assert str(exc_info.value) == f"{path}:3: expected 'key value', got 'n_symbols'"
+
+
+@pytest.mark.parametrize("config_args", [
+    dict(d=4, alpha=1.0, p=0.5),
+    dict(d=8, alpha=1.1, p=0.5),
+    dict(d=8, alpha=1.0, p=0.4),
+], ids=["d", "alpha", "p"])
+def test_config_refuses_mismatched_design(config_args):
+    design = DecoyDesign(d=8, alpha=1.0, p=0.5, radii=(0.5,), weights=(1.0,),
+                         epsilon=0.1, n_max=16)
+    with pytest.raises(ConfigError, match=r"decoy design was optimized for "
+                       r"\(d=8, alpha=1\.0, p=0\.5\), config has"):
+        ProtocolConfig(n_symbols=4000, flow="decoy", decoy=design, **config_args)
+
+
+def test_config_symmetrization_k_bound():
+    # heterodyne keeps 2 coordinates per symbol, homodyne 1
+    homodyne = dict(d=1, flow="gaussian", channel=ChannelParams(t=1.0, detection="homodyne"))
+    assert ProtocolConfig(d=8, alpha=1.0, n_symbols=1000, symmetrization_k=2000)
+    assert ProtocolConfig(alpha=1.0, n_symbols=1000, symmetrization_k=1000, **homodyne)
+    with pytest.raises(ConfigError, match=r"symmetrization_k must lie in \[1, 2000\], the "
+                       "retained coordinate count, got 5000"):
+        ProtocolConfig(d=8, alpha=1.0, n_symbols=1000, symmetrization_k=5000)
+    with pytest.raises(ConfigError, match=r"\[1, 1000\], the retained coordinate count, got 1001"):
+        ProtocolConfig(alpha=1.0, n_symbols=1000, symmetrization_k=1001, **homodyne)
+    with pytest.raises(ConfigError, match=r"symmetrization_k must lie in \[1, 2000\]"):
+        ProtocolConfig(d=8, alpha=1.0, n_symbols=1000, symmetrization_k=0)
+
+
+def test_config_file_symmetrization_k_bound_names_file(tmp_path):
+    path = tmp_path / "session.cfg"
+    path.write_text("d 8\nalpha 1.0\nn_symbols 1000\nsymmetrization_k 5000\n")
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: symmetrization_k "):
+        ProtocolConfig.from_file(path)

@@ -369,3 +369,29 @@ def test_noiseless_batch_decodes_to_itself(code, n_frames, seed, magnitude):
     syndrome = code.syndrome(words)
     assert syndrome.shape == (n_frames, code.n_bits - code.k_bits)
     assert np.array_equal(code.decode(llr, syndrome), words)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("four 3\n", 1, "invalid literal for int()"),
+    ("3 4\n", 1, "need 1 <= k_bits <= n_bits"),
+    ("# toy code\n\n4 3\nx 0\n", 4, "invalid literal for int()"),
+    ("4 3\n0 y\n", 2, "invalid literal for int()"),
+    ("4 3\n0\n", 2, "expected 'check bit [value]'"),
+    ("4 3\n0 0\n1 0\n", 3, "check index 1 outside [0, 1)"),
+    ("4 3\n0 4\n", 2, "bit index 4 outside [0, 4)"),
+    ("4 3\n0 -1\n", 2, "bit index -1 outside [0, 4)"),
+])
+def test_parity_check_file_errors_name_path_and_line(tmp_path, text, line, message):
+    path = tmp_path / "code.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc_info:
+        rec.ParityCheckCode.from_file(path)
+    assert str(exc_info.value).startswith(f"{path}:{line}: {message}")
+
+
+def test_parity_check_file_bit_listed_twice_cancels(tmp_path):
+    path = tmp_path / "code.txt"
+    path.write_text("4 3\n0 0\n0 1\n0 1 1\n")
+    code = rec.ParityCheckCode.from_file(path)
+    assert np.array_equal(code.syndrome(np.array([1, 1, 0, 0], dtype=np.uint8)), [1])
+    assert np.array_equal(code.syndrome(np.array([0, 1, 0, 0], dtype=np.uint8)), [0])

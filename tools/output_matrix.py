@@ -61,12 +61,12 @@ CONFIGS = {"decoy_d8.cfg": DECOY_D8, "gaussian_d1.cfg": GAUSSIAN_D1,
 
 # (name, argv); a command's --out names its output file or directory
 MATRIX = [
+    # decoy_8_1_0.5 writes the design the decoy_d8 config reads
     *[(f"decoy_{d}_{alpha}_{p}",
        ["decoy-opt", "--d", d, "--alpha", alpha, "--p", p,
         "--out", f"design_{d}_{alpha}_{p}.txt"])
       for d, alpha, p in (("2", "0.5", "0.5"), ("8", "1", "0.5"), ("8", "2", "0.3"),
                           ("4", "0.7", "0.2"))],
-    # decoy_8_1_0.5 writes the design the decoy_d8 config reads
     ("decoy_8_1_0.5_radii2",
      ["decoy-opt", "--d", "8", "--alpha", "1", "--p", "0.5", "--max-radii", "2",
       "--out", "design_radii2.txt"]),

@@ -114,7 +114,11 @@ def cmd_keyrate(args):
     if args.sweep == "va":
         v_a = values
     elif args.sweep == "alpha":
-        v_a = 2.0 * values * values
+        try:
+            v_a = modulation.modulation_variance(values)
+        except ValueError as exc:
+            print(f"error: --sweep alpha: {exc}", file=sys.stderr)
+            return 2
     else:
         v_a = np.full_like(values, args.va)
 

@@ -12,6 +12,7 @@ stored coordinates have second moment alpha^2 / 2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +65,24 @@ class ModulationScheme:
         return self.alpha * math.sqrt(self.d / 2.0)
 
 
+def modulation_variance(alpha):
+    """V_A = 2 alpha^2 of each alpha; a V_A that is not a finite normal float is an error.
+
+    A zero or subnormal V_A has lost the digits of alpha and an infinite one
+    breaks every later formula, so the error names the first such alpha.
+    """
+    alpha = np.asarray(alpha, dtype=float)
+    with np.errstate(over="ignore", under="ignore"):
+        v_a = np.asarray(2.0 * alpha * alpha)
+    bad = np.flatnonzero(~((v_a >= sys.float_info.min) & (v_a <= sys.float_info.max)))
+    if bad.size:
+        raise ValueError(
+            f"alpha {alpha.flat[bad[0]]} gives V_A = 2 alpha^2 = {v_a.flat[bad[0]]}, outside "
+            f"[{sys.float_info.min}, {sys.float_info.max}]"
+        )
+    return v_a
+
+
 @dataclass(frozen=True)
 class RadiusBand:
     """Dimensionless radius window [gamma_min, gamma_max] around the key sphere."""
@@ -85,7 +104,9 @@ def sample_sphere_blocks(d, radius, n_blocks, rng):
         return radius * signs.astype(float)
     x = rng.standard_normal((n_blocks, d))
     r = np.linalg.norm(x, axis=1, keepdims=True)
-    return radius * x / r
+    x *= radius  # in place, in the order of radius * x / r
+    x /= r
+    return x
 
 
 def sample_key_blocks(scheme, n_blocks, rng):

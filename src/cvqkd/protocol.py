@@ -13,7 +13,6 @@ import logging
 import math
 import os
 import re
-import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -60,13 +59,9 @@ class ProtocolConfig:
     def __post_init__(self):
         try:
             ModulationScheme(self.d, self.alpha)
+            modulation.modulation_variance(self.alpha)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not sys.float_info.min <= self.v_a <= sys.float_info.max:
-            raise ConfigError(
-                f"alpha {self.alpha} gives V_A = 2 alpha^2 = {self.v_a}, outside "
-                f"[{sys.float_info.min}, {sys.float_info.max}]"
-            )
         if self.n_symbols < 1:
             raise ConfigError("n_symbols must be at least 1")
         if self.flow not in FLOWS:
@@ -119,7 +114,7 @@ class ProtocolConfig:
 
     @property
     def v_a(self):
-        return 2.0 * self.alpha * self.alpha
+        return float(modulation.modulation_variance(self.alpha))
 
     @classmethod
     def from_file(cls, path):

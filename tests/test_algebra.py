@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import stats
 
+import algebra_oracle
 import orthogonal_oracle
 from conftest import PROPERTY
 from cvqkd import algebra
@@ -337,6 +338,61 @@ def test_sampler_and_apply_match_list_of_rows_oracle_bit_for_bit(n, k):
         assert t.to_bytes()[8:] == want.astype("<f8").tobytes()
     if k == n:
         assert skipped > 0
+
+
+def _assert_bits_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _special_elements(rng, n, d):
+    """Gaussian rows sprinkled with +-0.0, subnormals and +-inf."""
+    x = rng.standard_normal((n, d))
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, np.inf, -np.inf])
+    mask = rng.random((n, d)) < 0.2
+    x[mask] = rng.choice(specials, size=int(mask.sum()))
+    return x
+
+
+CHUNK = algebra._CHUNK_ROWS
+
+
+@pytest.mark.parametrize("d", algebra.DIVISION_DIMS)
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_mul_matches_row_major_oracle_bit_for_bit(d, n):
+    # the coordinate-major chunks keep every bit of the row-major recursion,
+    # including the last partial chunk
+    rng = np.random.default_rng(1000 * d + n)
+    a, b = rng.standard_normal((2, n, d))
+    _assert_bits_equal(algebra.mul(a, b), algebra_oracle.mul(a, b))
+
+
+@pytest.mark.parametrize("d", algebra.DIVISION_DIMS)
+def test_mul_matches_oracle_on_signed_zeros_subnormals_and_infinities(d):
+    # inf * 0 and inf - inf make NaNs, whose payload bits must agree as well
+    rng = np.random.default_rng(40 + d)
+    a, b = _special_elements(rng, 2 * CHUNK + 3, d), _special_elements(rng, 2 * CHUNK + 3, d)
+    with np.errstate(invalid="ignore"):
+        _assert_bits_equal(algebra.mul(a, b), algebra_oracle.mul(a, b))
+        _assert_bits_equal(algebra.mul(b, a), algebra_oracle.mul(b, a))
+
+
+@pytest.mark.parametrize("d", algebra.DIVISION_DIMS)
+def test_mul_matches_oracle_on_elements_broadcasts_and_stacks(d):
+    rng = np.random.default_rng(70 + d)
+    one, other = rng.standard_normal((2, d))
+    batch = rng.standard_normal((CHUNK + 9, d))
+    stack_a, stack_b = rng.standard_normal((2, 5, 7, d))
+    cases = [
+        (one, other),  # two 1-D elements
+        (one, batch),  # one element against a batch, in both orders
+        (batch, one),
+        (stack_a, stack_b),  # a (5, 7, d) stack
+        (one, stack_b),
+        (stack_a[:, :1], stack_b),  # broadcast along a middle axis
+    ]
+    for a, b in cases:
+        _assert_bits_equal(algebra.mul(a, b), algebra_oracle.mul(a, b))
 
 
 def _traced_peak(make):

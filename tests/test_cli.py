@@ -1,6 +1,7 @@
 """CLI subcommands: CSV schemas, exit codes, determinism."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -421,6 +422,23 @@ def test_keyrate_alpha_sweep_sets_v_a(tmp_path):
         value = float(record["value"])
         assert record["sweep"] == "alpha"
         assert float(record["v_a"]) == 2.0 * value * value
+
+
+@pytest.mark.parametrize("start, stop, v_a", [("1e-170", "1e-160", "0.0"),
+                                               ("1e155", "1e160", "inf")])
+def test_keyrate_alpha_sweep_refuses_v_a_outside_normal_range(capsys, start, stop, v_a):
+    # V_A = 2 alpha^2 underflows to 0 or overflows to inf; the error names
+    # alpha and the first offending value, before any CSV is written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["keyrate", "--sweep", "alpha", "--start", start, "--stop", stop,
+                   "--steps", "2", "--d", "8"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: --sweep alpha: alpha {float(start)} gives V_A = 2 alpha^2 = "
+                          f"{v_a}, outside")
 
 
 def test_keyrate_log_scale(tmp_path):

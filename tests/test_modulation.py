@@ -72,6 +72,15 @@ def test_key_blocks_lie_on_sphere():
     assert np.max(np.abs(np.linalg.norm(blocks, axis=1) - 1.0)) < 1e-9
 
 
+@pytest.mark.parametrize("d, radius", [(2, 1.0), (8, 1.3 * math.sqrt(2.0)), (8, 1e-150)])
+def test_sphere_blocks_scale_in_place_bit_for_bit(d, radius):
+    # the in-place scaling keeps every bit of radius * x / r
+    blocks = mod.sample_sphere_blocks(d, radius, 5000, np.random.default_rng(d))
+    x = np.random.default_rng(d).standard_normal((5000, d))
+    want = radius * x / np.linalg.norm(x, axis=1, keepdims=True)
+    assert np.array_equal(blocks.view(np.uint64), want.view(np.uint64))
+
+
 def test_key_blocks_second_moment():
     rng = np.random.default_rng(2)
     s = mod.ModulationScheme(8, 0.5)

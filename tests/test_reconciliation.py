@@ -5,6 +5,7 @@ and the matched-filter error rate Q(sqrt(r * snr)) for a length-r repetition
 code, both independent of the implementation under test.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -16,8 +17,9 @@ from scipy import stats
 from conftest import PROPERTY
 from cvqkd import algebra
 from cvqkd import reconciliation as rec
+from cvqkd.channel import ChannelParams
 from cvqkd.modulation import sample_sphere_blocks
-from cvqkd.protocol import resolve_code
+from cvqkd.protocol import ProtocolConfig, resolve_code, run_session
 
 
 def unit_sphere_blocks(d, n, rng):
@@ -395,3 +397,21 @@ def test_parity_check_file_bit_listed_twice_cancels(tmp_path):
     code = rec.ParityCheckCode.from_file(path)
     assert np.array_equal(code.syndrome(np.array([1, 1, 0, 0], dtype=np.uint8)), [1])
     assert np.array_equal(code.syndrome(np.array([0, 1, 0, 0], dtype=np.uint8)), [0])
+
+
+def test_decoy_session_reduction_reproduces_recorded_bits():
+    # No saved transcript file holds the public t blocks, so these digests,
+    # recorded from the row-major product, pin the reduction of a whole
+    # session: 24,971 key blocks, three full mul chunks and a partial one.
+    config = ProtocolConfig(
+        d=8, alpha=1.0, n_symbols=200_000, flow="decoy",
+        channel=ChannelParams(t=0.5, xi=0.005, detection="heterodyne"), seed=2026,
+    )
+    result = run_session(config).reconcile_result
+    assert result.message.t_blocks.shape == (24_971, 8)
+    assert hashlib.sha256(result.message.t_blocks.astype("<f8").tobytes()).hexdigest() == (
+        "6d1d98d9fa3a861d12abd6603ba127f081698aa88b099baa6db227fbbd793dec"
+    )
+    assert hashlib.sha256(result.alice_bits.tobytes()).hexdigest() == (
+        "19a5286db14c98d559c8779adb311107865f2f6f10755a01c6c9c3da7c2c5350"
+    )

@@ -23,19 +23,6 @@ import numpy as np
 DIVISION_DIMS = (1, 2, 4, 8)
 _CHUNK_ROWS = 2**13  # rows per transposed chunk in mul; the fastest in a sweep at d = 8
 
-# Running tally of scalars touched by OrthogonalTransform.apply/apply_inverse.
-# The complexity tests read this to assert the O(k*n) application contract.
-_scalar_ops = 0
-
-
-def reset_operation_count():
-    global _scalar_ops
-    _scalar_ops = 0
-
-
-def operation_count() -> int:
-    return _scalar_ops
-
 
 def _check_dim(d):
     if d not in DIVISION_DIMS:
@@ -99,11 +86,6 @@ def conj(a):
     return out
 
 
-def norm(a):
-    """Euclidean norm of the element(s); multiplicative over mul."""
-    return np.linalg.norm(_as_elements(a), axis=-1)
-
-
 def inv(a):
     """Multiplicative inverse conj(a)/|a|^2; zero elements are an error."""
     a = _as_elements(a)
@@ -111,13 +93,6 @@ def inv(a):
     if np.any(n2 == 0.0):
         raise ZeroDivisionError("cannot invert a zero algebra element")
     return conj(a) / n2
-
-
-def identity(d):
-    _check_dim(d)
-    e = np.zeros(d)
-    e[0] = 1.0
-    return e
 
 
 def sample_unit(d, rng, size):
@@ -158,17 +133,13 @@ class OrthogonalTransform:
         return self.reflectors.shape[0]
 
     def _apply(self, v, rows):
-        global _scalar_ops
         v = np.asarray(v, dtype=float)
         if v.shape[-1] != self.n:
             raise ValueError(f"vector length {v.shape[-1]} != transform size {self.n}")
         out = v.copy()
-        n_vectors = max(1, int(np.prod(out.shape[:-1])))
-        _scalar_ops += out.size
         for u in rows:
             proj = out @ u
             out -= 2.0 * np.expand_dims(proj, -1) * u
-            _scalar_ops += 2 * self.n * n_vectors
         return out
 
     def apply(self, v):
@@ -176,10 +147,6 @@ class OrthogonalTransform:
 
     def apply_inverse(self, v):
         return self._apply(v, self.reflectors[::-1])
-
-    def as_matrix(self):
-        """Materialize the dense matrix M with M @ x == apply(x); tests only."""
-        return self.apply(np.eye(self.n)).T
 
     def to_bytes(self) -> bytes:
         head = struct.pack("<II", self.n_reflections, self.n)

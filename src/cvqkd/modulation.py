@@ -29,7 +29,7 @@ SPHERE_DIMS = (2, 4, 8)
 # float cells are the 16 hex digits of their big-endian IEEE-754 bits
 CSV_SCHEMA = "# cvqkd-csv-v1"
 CSV_SCHEMA_V2 = "# cvqkd-csv-v2"
-V2_KINDS = ("blocks", "symbols", "outcomes")
+V2_KINDS = ("symbols", "outcomes")
 # the integer columns of v2 tables, written in decimal; every other v2 column is hex
 V2_INT_COLUMNS = ("block_index", "label", "mode_index", "basis")
 # rows encoded at a time, so no table's text is held whole: converting whole
@@ -66,15 +66,17 @@ class ModulationScheme:
 
 
 def modulation_variance(alpha):
-    """V_A = 2 alpha^2 of each alpha; a V_A that is not a finite normal float is an error.
+    """V_A = 2 alpha^2 of each alpha > 0; a V_A that is not a finite normal float is an error.
 
     A zero or subnormal V_A has lost the digits of alpha and an infinite one
-    breaks every later formula, so the error names the first such alpha.
+    breaks every later formula; the error names the first alpha refused.
     """
     alpha = np.asarray(alpha, dtype=float)
     with np.errstate(over="ignore", under="ignore"):
         v_a = np.asarray(2.0 * alpha * alpha)
-    bad = np.flatnonzero(~((v_a >= sys.float_info.min) & (v_a <= sys.float_info.max)))
+    bad = np.flatnonzero(~((alpha > 0) & (v_a >= sys.float_info.min) & (v_a <= sys.float_info.max)))
+    if bad.size and alpha.flat[bad[0]] <= 0:
+        raise ValueError(f"alpha must be positive, got {alpha.flat[bad[0]]}")
     if bad.size:
         raise ValueError(
             f"alpha {alpha.flat[bad[0]]} gives V_A = 2 alpha^2 = {v_a.flat[bad[0]]}, outside "
@@ -235,18 +237,17 @@ def _encode_v2_rows(columns):
     return out.reshape(-1) if keep is None else out[keep]
 
 
-def write_blocks_csv(path, blocks, labels, kind="blocks"):
-    """Dump blocks as a v2 table: block_index, coord_0..coord_{d-1}, label."""
-    if kind not in V2_KINDS:
-        raise ValueError(f"kind must be one of {V2_KINDS}, got {kind!r}")
+def write_blocks_csv(path, blocks, labels):
+    """Dump blocks as a v2 symbols table: block_index, coord_0..coord_{d-1}, label."""
     blocks = np.atleast_2d(np.asarray(blocks, dtype=float))
     n, d = blocks.shape
     labels = np.asarray(labels)
     if labels.shape != (n,):
         raise ValueError("one label per block required")
+    names = ["block_index"] + [f"coord_{i}" for i in range(d)] + ["label"]
     with open(path, "wb") as fh:
-        write_csv_header(fh, kind, ["block_index"] + [f"coord_{i}" for i in range(d)] + ["label"])
-        write_csv_rows(fh, kind, [np.arange(n), *blocks.T, labels])
+        write_csv_header(fh, "symbols", names)
+        write_csv_rows(fh, "symbols", [np.arange(n), *blocks.T, labels])
 
 
 def read_csv_table(path):

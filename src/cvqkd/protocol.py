@@ -54,7 +54,6 @@ class ProtocolConfig:
     code: str = "rep16"
     seed: int = 0
     max_frame_failure: float = 0.05
-    min_est_samples: int = MIN_EST_SAMPLES
 
     def __post_init__(self):
         try:
@@ -76,8 +75,6 @@ class ProtocolConfig:
             raise ConfigError("beta_target must lie in (0, 1]")
         if not 0.0 <= self.max_frame_failure <= 1.0:
             raise ConfigError("max_frame_failure must lie in [0, 1]")
-        if self.min_est_samples < 1:
-            raise ConfigError("min_est_samples must be at least 1")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         try:
@@ -166,7 +163,6 @@ _CONFIG_CASTS = {
     "seed": int,
     "decoy_file": str,
     "max_frame_failure": float,
-    "min_est_samples": int,
 }
 
 
@@ -251,7 +247,7 @@ class SessionTranscript:
         self.events.append(event)
 
 
-def estimate_channel(alice_blocks, bob_blocks, v_a, detection, min_samples=MIN_EST_SAMPLES):
+def estimate_channel(alice_blocks, bob_blocks, v_a, detection):
     """(T_hat, xi_hat) from aligned Gaussian-modulated coordinates.
 
     T_hat = (C_hat / V_A)^2 with C_hat the Alice-quadrature/Bob covariance,
@@ -265,9 +261,9 @@ def estimate_channel(alice_blocks, bob_blocks, v_a, detection, min_samples=MIN_E
         raise ValueError(f"alice ({a.size}) and bob ({y.size}) sample counts differ")
     if detection not in DETECTIONS:
         raise ValueError(f"detection must be one of {DETECTIONS}")
-    if a.size < min_samples:
+    if a.size < MIN_EST_SAMPLES:
         raise ProtocolError(
-            f"only {a.size} estimation samples, need at least {min_samples}"
+            f"only {a.size} estimation samples, need at least {MIN_EST_SAMPLES}"
         )
     floor = NOISE_FLOORS[detection]
     a_q = modulation.QUADRATURE_SCALE * a
@@ -519,8 +515,7 @@ def run_session(config):
     est = transcript.est_indices
     transcript.t_hat, transcript.xi_hat = estimate_channel(
         transcript.alice_blocks[est], transcript.bob_blocks[est], config.v_a,
-        config.channel.detection, config.min_est_samples,
-    )
+        config.channel.detection)
     transcript.n_est_samples = est.size * config.d
     transcript.record("estimated")
     distill(transcript, rng_distill)
@@ -558,11 +553,7 @@ def save_transcript(transcript, dir_path):
         fh.write("events " + ",".join(transcript.events) + "\n")
 
     modulation.write_blocks_csv(
-        os.path.join(dir_path, "symbols.csv"),
-        transcript.alice_blocks,
-        labels=transcript.labels,
-        kind="symbols",
-    )
+        os.path.join(dir_path, "symbols.csv"), transcript.alice_blocks, transcript.labels)
     outcomes = transcript.outcomes
     if config.channel.detection == "homodyne":
         names, columns = ["basis", "y"], [transcript.basis, outcomes]

@@ -141,11 +141,9 @@ class ConcatenatedCode:
         return out.reshape(lead + (self.n_bits,))
 
 
-def concatenated_code(rep_len, inner=None):
-    """Repetition-only code when inner is absent; rep_len = 1 means identity."""
-    if inner is None:
-        return IdentityCode(1) if rep_len == 1 else ConcatenatedCode(rep_len, IdentityCode(1))
-    return ConcatenatedCode(rep_len, inner)
+def concatenated_code(rep_len):
+    """The repetition code of length rep_len; rep_len = 1 means identity."""
+    return IdentityCode(1) if rep_len == 1 else ConcatenatedCode(rep_len, IdentityCode(1))
 
 
 class ParityCheckCode:

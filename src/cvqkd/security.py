@@ -166,11 +166,6 @@ def z_sphere(d, v_a):
     return _value((2.0 * np.sqrt(mu) / m * mean).reshape(v.shape))
 
 
-def z8(v_a):
-    """Z_8, the d = 8 case of z_sphere."""
-    return z_sphere(8, v_a)
-
-
 def z_correlation(d, v_a):
     """Dispatch Z_d for d in {1, 2, 4, 8, inf}; v_a may be an array."""
     if d == 1:
@@ -180,6 +175,10 @@ def z_correlation(d, v_a):
     if math.isinf(d):
         return z_epr(v_a)
     raise ValueError(f"d must be 1, 2, 4, 8 or inf, got {d}")
+
+
+# a matrix is physical while its smaller symplectic eigenvalue is >= 1 - PHYSICAL_TOL
+PHYSICAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -212,8 +211,8 @@ class CovarianceMatrix2Mode:
         nu1 = np.sqrt(np.maximum((delta + root) / 2.0, 0.0))
         return _value(nu1), _value(det / np.maximum(nu1, 1.0))
 
-    def is_physical(self, tol=1e-9):
-        return self.symplectic_eigenvalues()[1] >= 1.0 - tol
+    def is_physical(self):
+        return self.symplectic_eigenvalues()[1] >= 1.0 - PHYSICAL_TOL
 
 
 def gamma_key0(d, v_a, z_d=None):
@@ -395,7 +394,11 @@ def secret_key_rate(d, v_a, params, beta):
     return KeyRateReport(d=float(d), beta=float(beta), detection=params.detection, **fields)
 
 
-def optimize_va(d, params, beta, va_range, tol=1e-3):
+# optimize_va stops once its golden-section bracket on V_A is this narrow
+VA_TOL = 1e-3
+
+
+def optimize_va(d, params, beta, va_range):
     """Golden-section maximization of K over V_A after a 33-point grid scan.
 
     A scalar params gives one float; a batch (array t, xi, eta) gives an
@@ -420,7 +423,7 @@ def optimize_va(d, params, beta, va_range, tol=1e-3):
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
     f1, f2 = secret_key_rate(d, np.stack([x1, x2]), every, beta).k
-    while (open_ := b - a > tol).any():
+    while (open_ := b - a > VA_TOL).any():
         # keep [a, x2] where f1 >= f2, else [x1, b]; one new point each
         left = open_ & (f1 >= f2)
         right = open_ & ~left

@@ -48,3 +48,8 @@ def apply_reflectors(reflectors, v):
         proj = out @ u
         out = out - 2.0 * np.expand_dims(proj, -1) * u
     return out
+
+
+def dense_matrix(transform):
+    """The dense n x n matrix M with M @ x == transform.apply(x)."""
+    return transform.apply(np.eye(transform.n)).T

@@ -15,6 +15,7 @@ from cvqkd.protocol import ProtocolConfig, estimation_std, run_session, save_tra
 from cvqkd.algebra import sample_orthogonal
 
 from fock_oracle import four_state_density, purified_correlation, sphere_schmidt_correlation
+from orthogonal_oracle import dense_matrix
 
 
 def test_criterion_01_z_correlation_oracles():
@@ -24,10 +25,10 @@ def test_criterion_01_z_correlation_oracles():
         dense_z1 = purified_correlation(four_state_density(alpha, 40))
         assert abs(security.z1(v_a) - dense_z1) <= 1e-8
         dense_z8 = sphere_schmidt_correlation(8, v_a, 40)
-        assert abs(security.z8(v_a) - dense_z8) <= 1e-8
+        assert abs(security.z_sphere(8, v_a) - dense_z8) <= 1e-8
     for v_a in np.linspace(0.03, 3.0, 100):
         low = security.z1(v_a)
-        mid = security.z8(v_a)
+        mid = security.z_sphere(8, v_a)
         high = security.z_epr(v_a)
         assert low < mid < high
     assert time.perf_counter() - start < 10.0
@@ -179,7 +180,7 @@ def test_criterion_09_end_to_end_session(tmp_path):
 def test_criterion_10_symmetrization():
     rng = np.random.default_rng(7)
     transform = sample_orthogonal(16, 16, rng)
-    r = transform.as_matrix()
+    r = dense_matrix(transform)
     assert np.max(np.abs(r.T @ r - np.eye(16))) <= 1e-10
 
     x = rng.normal(0.0, 1.0, size=4096)

@@ -67,14 +67,14 @@ def test_ij_equals_k():
 def test_octonion_identity_element():
     rng = np.random.default_rng(2)
     x = rng.standard_normal(8)
-    assert np.allclose(algebra.mul(algebra.identity(8), x), x, atol=1e-12)
-    assert np.allclose(algebra.mul(x, algebra.identity(8)), x, atol=1e-12)
+    assert np.allclose(algebra.mul(np.eye(8)[0], x), x, atol=1e-12)
+    assert np.allclose(algebra.mul(x, np.eye(8)[0]), x, atol=1e-12)
 
 
 def test_octonion_imaginary_units_square_to_minus_one():
     for i in range(1, 8):
         got = algebra.mul(basis(8, i), basis(8, i))
-        assert np.allclose(got, -algebra.identity(8), atol=1e-12)
+        assert np.allclose(got, -np.eye(8)[0], atol=1e-12)
 
 
 def test_octonions_are_not_associative():
@@ -104,8 +104,8 @@ def test_norm_multiplicativity(d):
     rng = np.random.default_rng(10 + d)
     a = rng.standard_normal((10_000, d))
     b = rng.standard_normal((10_000, d))
-    lhs = algebra.norm(algebra.mul(a, b))
-    rhs = algebra.norm(a) * algebra.norm(b)
+    lhs = np.linalg.norm(algebra.mul(a, b), axis=-1)
+    rhs = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
     assert np.max(np.abs(lhs - rhs) / rhs) < 1e-12
 
 
@@ -114,7 +114,7 @@ def test_inverse_roundtrip(d):
     rng = np.random.default_rng(20 + d)
     x = rng.standard_normal((500, d))
     prod = algebra.mul(x, algebra.inv(x))
-    assert np.allclose(prod, algebra.identity(d), atol=1e-12)
+    assert np.allclose(prod, np.eye(d)[0], atol=1e-12)
 
 
 def test_simple_inverses():
@@ -161,7 +161,7 @@ def test_sample_unit_alphabet(d):
     u = algebra.sample_unit(d, rng, size=2000)
     assert u.shape == (2000, d)
     assert np.allclose(np.abs(u), 1.0 / np.sqrt(d), atol=1e-15)
-    assert np.allclose(algebra.norm(u), 1.0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(u, axis=-1), 1.0, atol=1e-12)
 
 
 def test_sample_unit_coordinates_are_centered():
@@ -218,7 +218,7 @@ def test_identity_transform_is_empty_product():
 def test_sampled_transform_is_orthogonal(k):
     rng = np.random.default_rng(40 + k)
     t = algebra.sample_orthogonal(16, k, rng)
-    m = t.as_matrix()
+    m = orthogonal_oracle.dense_matrix(t)
     assert np.max(np.abs(m.T @ m - np.eye(16))) < 1e-10
 
 
@@ -226,7 +226,7 @@ def test_apply_matches_matrix():
     rng = np.random.default_rng(11)
     t = algebra.sample_orthogonal(9, 4, rng)
     v = rng.standard_normal(9)
-    assert np.allclose(t.apply(v), t.as_matrix() @ v, atol=1e-12)
+    assert np.allclose(t.apply(v), orthogonal_oracle.dense_matrix(t) @ v, atol=1e-12)
 
 
 def test_apply_inverse_roundtrip():
@@ -279,7 +279,7 @@ def test_two_dimensional_full_product_gives_uniform_rotations():
     angles = []
     dets = []
     for _ in range(4000):
-        m = algebra.sample_orthogonal(2, 2, rng).as_matrix()
+        m = orthogonal_oracle.dense_matrix(algebra.sample_orthogonal(2, 2, rng))
         det = np.linalg.det(m)
         dets.append(det)
         if det > 0:
@@ -291,18 +291,15 @@ def test_two_dimensional_full_product_gives_uniform_rotations():
 
 
 def test_application_cost_is_linear_in_k_and_n():
+    # O(k*n) application holds the result and one product-sized temporary;
+    # forming the dense n x n matrix would peak at 3 * n / 4 = 3,072 batches
     rng = np.random.default_rng(18)
-    n, k = 1000, 3
+    n, k = 4096, 3
     t = algebra.sample_orthogonal(n, k, rng)
-    v = rng.standard_normal(n)
-    algebra.reset_operation_count()
-    t.apply(v)
-    ops = algebra.operation_count()
-    assert 0 < ops <= 10 * k * n
-    batch = rng.standard_normal((50, n))
-    algebra.reset_operation_count()
-    t.apply(batch)
-    assert algebra.operation_count() <= 10 * k * n * 50
+    batch = rng.standard_normal((4, n))
+    for apply in (t.apply, t.apply_inverse):
+        peak = _traced_peak(lambda: apply(batch))
+        assert peak <= 3 * batch.nbytes, f"{apply.__name__} peaks at {peak / batch.nbytes:.2f}x"
 
 
 def test_serialization_roundtrip():
@@ -442,8 +439,8 @@ def _elements(count):
 @given(_elements(2))
 def test_norm_multiplicativity_property(case):
     _, (a, b) = case
-    lhs = algebra.norm(algebra.mul(a, b))
-    rhs = algebra.norm(a) * algebra.norm(b)
+    lhs = np.linalg.norm(algebra.mul(a, b), axis=-1)
+    rhs = np.linalg.norm(a, axis=-1) * np.linalg.norm(b, axis=-1)
     assert abs(lhs - rhs) <= 1e-13 * rhs
 
 
@@ -456,8 +453,8 @@ def test_inverse_property(case):
             algebra.inv(a)
         return
     a_inv = algebra.inv(a)
-    assert np.allclose(algebra.mul(a, a_inv), algebra.identity(d), rtol=0.0, atol=1e-13)
-    assert np.allclose(algebra.mul(a_inv, a), algebra.identity(d), rtol=0.0, atol=1e-13)
+    assert np.allclose(algebra.mul(a, a_inv), np.eye(d)[0], rtol=0.0, atol=1e-13)
+    assert np.allclose(algebra.mul(a_inv, a), np.eye(d)[0], rtol=0.0, atol=1e-13)
 
 
 @PROPERTY
@@ -465,7 +462,7 @@ def test_inverse_property(case):
 def test_alternativity_property(case):
     # (a a) b = a (a b) and (b a) a = b (a a) hold in every division algebra
     _, (a, b) = case
-    scale = 1e-13 * float(algebra.norm(a)) ** 2 * float(algebra.norm(b))
+    scale = 1e-13 * float(np.linalg.norm(a, axis=-1)) ** 2 * float(np.linalg.norm(b, axis=-1))
     aa = algebra.mul(a, a)
     assert np.max(np.abs(algebra.mul(aa, b) - algebra.mul(a, algebra.mul(a, b)))) <= scale
     assert np.max(np.abs(algebra.mul(algebra.mul(b, a), a) - algebra.mul(b, aa))) <= scale

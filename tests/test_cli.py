@@ -441,6 +441,19 @@ def test_keyrate_alpha_sweep_refuses_v_a_outside_normal_range(capsys, start, sto
                           f"{v_a}, outside")
 
 
+def test_keyrate_alpha_sweep_refuses_negative_alpha(tmp_path, capsys):
+    # V_A = 2 alpha^2 is positive for alpha = -1 too; the sweep must refuse it
+    # as every other path does, before any CSV is written
+    out = tmp_path / "alpha.csv"
+    rc = main(["keyrate", "--sweep", "alpha", "--start", "-1", "--stop", "1",
+               "--steps", "2", "--d", "8", "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err == "error: --sweep alpha: alpha must be positive, got -1.0\n"
+
+
 def test_keyrate_log_scale(tmp_path):
     out = tmp_path / "log.csv"
     rc = main(["keyrate", "--sweep", "va", "--start", "0.01", "--stop", "100",

@@ -233,7 +233,7 @@ def test_blocks_csv_roundtrip(tmp_path):
     blocks = rng.standard_normal((5, 4))
     labels = np.array([0, 0, 2, 1, -1])
     path = tmp_path / "blocks.csv"
-    mod.write_blocks_csv(path, blocks, labels, kind="symbols")
+    mod.write_blocks_csv(path, blocks, labels)
     kind, table = mod.read_csv_table(path)
     got = np.column_stack([table[f"coord_{i}"] for i in range(4)])
     assert kind == "symbols"
@@ -253,8 +253,6 @@ def test_blocks_csv_rejects_unknown_file(tmp_path):
 def test_blocks_csv_rejects_bad_arguments(tmp_path):
     with pytest.raises(ValueError, match="one label per block"):
         mod.write_blocks_csv(tmp_path / "a.csv", np.ones((3, 2)), [0, 1])
-    with pytest.raises(ValueError, match="kind must be one of"):
-        mod.write_blocks_csv(tmp_path / "a.csv", np.ones((3, 2)), [0, 1, 2], kind="keyrate")
     with pytest.raises(TypeError, match="integers or floats"):
         mod.write_blocks_csv(tmp_path / "a.csv", np.ones((3, 2)), ["key", "est", "key"])
 
@@ -290,7 +288,7 @@ def _bits(values):
 def test_symbols_golden_bytes(tmp_path):
     blocks = np.array([[1.0, -0.0], [5e-324, math.inf], [math.nan, -2.5]])
     path = tmp_path / "symbols.csv"
-    mod.write_blocks_csv(path, blocks, np.array([0, -1, 2]), kind="symbols")
+    mod.write_blocks_csv(path, blocks, np.array([0, -1, 2]))
     assert path.read_bytes() == GOLDEN_SYMBOLS
     kind, table = mod.read_csv_table(path)
     assert kind == "symbols"
@@ -343,7 +341,7 @@ def test_v2_rows_span_several_blocks(tmp_path, monkeypatch):
         + b"\n"
         for i, (row, label) in enumerate(zip(blocks, labels))
     )
-    header = b"# cvqkd-csv-v2 blocks\nblock_index," + b",".join(
+    header = b"# cvqkd-csv-v2 symbols\nblock_index," + b",".join(
         b"coord_%d" % i for i in range(8)) + b",label\n"
     assert path.read_bytes() == header + rows
     _, table = mod.read_csv_table(path)
@@ -355,9 +353,9 @@ def test_v2_rows_span_several_blocks(tmp_path, monkeypatch):
 def test_empty_v2_table_roundtrip(tmp_path):
     path = tmp_path / "empty.csv"
     mod.write_blocks_csv(path, np.zeros((0, 2)), np.zeros(0, dtype=int))
-    assert path.read_bytes() == b"# cvqkd-csv-v2 blocks\nblock_index,coord_0,coord_1,label\n"
+    assert path.read_bytes() == b"# cvqkd-csv-v2 symbols\nblock_index,coord_0,coord_1,label\n"
     kind, table = mod.read_csv_table(path)
-    assert kind == "blocks"
+    assert kind == "symbols"
     assert all(column.size == 0 for column in table.values())
 
 

@@ -206,9 +206,9 @@ def test_estimate_channel_sample_floor():
     rng = np.random.default_rng(0)
     a, y = _synthetic_channel_data(1.0, 0.0, 2.0, 50, rng)
     with pytest.raises(ProtocolError):
-        estimate_channel(a, y, 2.0, "heterodyne", min_samples=100)
+        estimate_channel(a, y, 2.0, "heterodyne")
     with pytest.raises(ValueError):
-        estimate_channel(a, y[:10], 2.0, "heterodyne", min_samples=5)
+        estimate_channel(a, y[:10], 2.0, "heterodyne")
 
 
 def test_estimation_std_matches_monte_carlo():
@@ -553,6 +553,15 @@ def test_config_bad_eta_trusted_names_line(tmp_path):
     assert str(exc_info.value) == (
         f"{path}:4: bad value for 'eta_trusted': expected true/false, got 'maybe'"
     )
+
+
+def test_config_refuses_min_est_samples(tmp_path):
+    # the estimation floor is the fixed MIN_EST_SAMPLES coordinates, not a setting
+    path = tmp_path / "session.cfg"
+    path.write_text("d 8\nalpha 1.0\nn_symbols 4000\nmin_est_samples 100\n")
+    with pytest.raises(ConfigError) as exc_info:
+        ProtocolConfig.from_file(path)
+    assert str(exc_info.value) == f"{path}:4: unknown key 'min_est_samples'"
 
 
 def test_config_line_without_value_names_line(tmp_path):

@@ -39,7 +39,7 @@ def test_bob_reduce_is_algebra_product():
     u, t = rec.bob_reduce(y, rng)
     assert np.max(np.abs(t - algebra.mul(u, y))) < 1e-12
     assert np.allclose(np.abs(u), 1 / math.sqrt(8), atol=1e-15)
-    assert np.max(np.abs(algebra.norm(t) - algebra.norm(y))) < 1e-12
+    assert np.max(np.abs(np.linalg.norm(t, axis=-1) - np.linalg.norm(y, axis=-1))) < 1e-12
 
 
 def test_bob_reduce_d1_is_sign_flip():
@@ -155,7 +155,7 @@ def test_repetition_majority_example():
 
 def test_concatenated_code_rates():
     inner = rec.ParityCheckCode(2, 1, [[0, 1]])
-    code = rec.concatenated_code(4, inner)
+    code = rec.ConcatenatedCode(4, inner)
     assert (code.n_bits, code.k_bits) == (8, 1)
     assert code.rate == 1.0 / 8.0
     assert isinstance(rec.concatenated_code(1), rec.IdentityCode)

@@ -110,7 +110,6 @@ def test_z2_printed_series():
 def test_z8_matches_generic_sphere_form():
     for v_a in np.linspace(0.05, 4.0, 40):
         assert abs(oracle.z8_printed_series(v_a) - sec.z_sphere(8, v_a)) < 1e-12
-        assert sec.z8(v_a) == sec.z_sphere(8, v_a)
 
 
 def test_z_sphere_matches_recurrence_oracle():
@@ -201,12 +200,12 @@ def test_z_sphere_mixed_windows_equal_scalar_calls(monkeypatch):
 def test_z8_against_schmidt_oracle():
     for v_a in (0.1, 0.3, 0.5, 1.0):
         got = oracle.sphere_schmidt_correlation(8, v_a, 40)
-        assert abs(sec.z8(v_a) - got) < 1e-10
+        assert abs(sec.z_sphere(8, v_a) - got) < 1e-10
 
 
 def test_z8_small_alpha_limit():
     alpha = 0.01
-    assert abs(sec.z8(2 * alpha**2) / (2 * alpha) - 1.0) < 1e-3
+    assert abs(sec.z_sphere(8, 2 * alpha**2) / (2 * alpha) - 1.0) < 1e-3
 
 
 def test_correlation_ordering_in_dimension():
@@ -214,7 +213,7 @@ def test_correlation_ordering_in_dimension():
         z1 = sec.z1(v_a)
         z2 = sec.z_sphere(2, v_a)
         z4 = sec.z_sphere(4, v_a)
-        z8 = sec.z8(v_a)
+        z8 = sec.z_sphere(8, v_a)
         zinf = sec.z_epr(v_a)
         assert z1 < z2 < z4 < z8 < zinf
 
@@ -235,7 +234,7 @@ def test_zd_numeric_truncation_flagged():
 def test_gamma_key0():
     g = sec.gamma_key0(8, 0.5)
     assert g.a == g.b == 1.5
-    assert abs(g.c - sec.z8(0.5)) < 1e-15
+    assert abs(g.c - sec.z_sphere(8, 0.5)) < 1e-15
     vac = sec.gamma_key0(math.inf, 0.0)
     assert (vac.a, vac.b, vac.c) == (1.0, 1.0, 0.0)
 

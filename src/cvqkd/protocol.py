@@ -304,11 +304,9 @@ def resolve_code(code_id):
     until an LDPC decoder exists.
     """
     try:
-        if code_id == "identity":
-            return reconciliation.IdentityCode(1)
-        match = re.fullmatch(r"rep(\d+)", code_id)
+        match = re.fullmatch(r"identity|rep(\d+)", code_id)
         if match:
-            return reconciliation.concatenated_code(int(match.group(1)))
+            return reconciliation.RepetitionCode(int(match.group(1) or 1))
         if not os.path.exists(code_id):
             raise ValueError(
                 f"unknown code {code_id!r} (expected 'identity', 'repN', or a code file path)"

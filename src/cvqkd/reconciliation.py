@@ -74,76 +74,39 @@ def biawgn_capacity(snr):
     return max(0.0, 1.0 - float(expected) / math.log(2.0))
 
 
-class IdentityCode:
-    """Rate-1 code: no syndrome, decisions straight off the LLR signs.
+class RepetitionCode:
+    """One key bit sent n_bits times; n_bits = 1 is the identity code.
 
-    Like every code here it works on batches: bits and LLRs carry the frame
-    on the last axis and any leading axes broadcast, so syndrome maps
-    [..., n] to [..., n-k] and decode maps ([..., n], [..., n-k]) to [..., n].
+    The syndrome is each bit's parity against the frame's first bit.  Like
+    every code here it works on batches: bits and LLRs carry the frame on the
+    last axis and any leading axes broadcast, so syndrome maps [..., n] to
+    [..., n-1] and decode maps ([..., n], [..., n-1]) to [..., n].
     """
 
-    def __init__(self, k_bits):
-        if k_bits < 1:
-            raise ValueError("k_bits must be >= 1")
-        self.n_bits = k_bits
-        self.k_bits = k_bits
+    k_bits = 1
 
-    @property
-    def rate(self):
-        return 1.0
-
-    def syndrome(self, bits):
-        return np.zeros(np.shape(bits)[:-1] + (0,), dtype=np.uint8)
-
-    def decode(self, llr, syndrome):
-        return (np.asarray(llr) < 0).astype(np.uint8)
-
-
-class ConcatenatedCode:
-    """Inner code with every code bit repeated rep_len times consecutively."""
-
-    def __init__(self, rep_len, inner):
-        if rep_len < 1:
+    def __init__(self, n_bits):
+        if n_bits < 1:
             raise ValueError("repetition length must be >= 1")
-        self.rep_len = rep_len
-        self.inner = inner
-        self.n_bits = inner.n_bits * rep_len
-        self.k_bits = inner.k_bits
+        self.n_bits = n_bits
 
     @property
     def rate(self):
-        return self.k_bits / self.n_bits
-
-    def _groups(self, values, dtype):
-        values = np.asarray(values, dtype=dtype)
-        return values.reshape(values.shape[:-1] + (self.inner.n_bits, self.rep_len))
+        return 1 / self.n_bits
 
     def syndrome(self, bits):
-        groups = self._groups(bits, np.uint8)
-        parities = groups[..., 1:] ^ groups[..., :1]
-        flat = parities.reshape(parities.shape[:-2] + (-1,))
-        return np.concatenate([flat, self.inner.syndrome(groups[..., 0])], axis=-1)
+        bits = np.asarray(bits, dtype=np.uint8)
+        return bits[..., 1:] ^ bits[..., :1]
 
     def decode(self, llr, syndrome):
-        syndrome = np.asarray(syndrome, dtype=np.uint8)
-        lead = syndrome.shape[:-1]
-        n_par = self.inner.n_bits * (self.rep_len - 1)
-        parities = syndrome[..., :n_par].reshape(lead + (self.inner.n_bits, self.rep_len - 1))
-        groups = self._groups(llr, float)
+        """Fold the LLRs onto the first bit, decide it (a tie gives 0), apply the parities."""
+        parities = np.asarray(syndrome, dtype=np.uint8)
         signs = np.concatenate(
-            [np.ones(lead + (self.inner.n_bits, 1)), 1.0 - 2.0 * parities], axis=-1
+            [np.ones(parities.shape[:-1] + (1,)), 1.0 - 2.0 * parities], axis=-1
         )
-        folded = np.sum(groups * signs, axis=-1)
-        leaders = self.inner.decode(folded, syndrome[..., n_par:])
-        out = np.empty(lead + (self.inner.n_bits, self.rep_len), dtype=np.uint8)
-        out[..., 0] = leaders
-        out[..., 1:] = leaders[..., None] ^ parities
-        return out.reshape(lead + (self.n_bits,))
-
-
-def concatenated_code(rep_len):
-    """The repetition code of length rep_len; rep_len = 1 means identity."""
-    return IdentityCode(1) if rep_len == 1 else ConcatenatedCode(rep_len, IdentityCode(1))
+        folded = np.sum(np.asarray(llr, dtype=float) * signs, axis=-1, keepdims=True)
+        leader = (folded < 0).astype(np.uint8)
+        return np.concatenate([leader, leader ^ parities], axis=-1)
 
 
 class ParityCheckCode:
@@ -257,8 +220,9 @@ def reconcile(x_blocks, y_blocks, code, rng):
     Both inputs must already be normalized (x on the unit sphere, y = x + z).
     Trailing bits that do not fill a whole frame are dropped.  The returned
     strings are the per-coordinate sign bits (Bob's true ones and Alice's
-    coset decode); syndrome leakage is charged through beta_achieved, not by
-    shortening the strings.
+    coset decode).  beta_achieved is reported, and save_transcript writes it
+    to manifest.txt, but the syndrome leakage is not charged yet: distill
+    sizes the key with the configured beta_target, not with beta_achieved.
     """
     x = np.atleast_2d(np.asarray(x_blocks, dtype=float))
     y = np.atleast_2d(np.asarray(y_blocks, dtype=float))

@@ -227,11 +227,16 @@ def test_estimation_std_matches_monte_carlo():
 
 
 def test_resolve_code():
-    assert resolve_code("identity").n_bits == 1
+    assert resolve_code("identity").n_bits == resolve_code("rep1").n_bits == 1
     code = resolve_code("rep16")
     assert (code.n_bits, code.k_bits) == (16, 1)
     with pytest.raises(ConfigError, match="'turbo9000'"):
         resolve_code("turbo9000")
+    with pytest.raises(ConfigError, match=r"^code 'rep0': repetition length must be >= 1$"):
+        resolve_code("rep0")
+    for code_id in ("rep", "identity1", "rep16x", "rep-1"):
+        with pytest.raises(ConfigError, match=f"^code '{code_id}': unknown code"):
+            resolve_code(code_id)
 
 
 def test_resolve_code_file(tmp_path):

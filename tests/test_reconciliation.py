@@ -128,16 +128,17 @@ def test_biawgn_capacity_against_monte_carlo():
 
 
 def test_identity_code():
-    code = rec.IdentityCode(4)
-    assert (code.n_bits, code.k_bits, code.rate) == (4, 4, 1.0)
-    assert code.syndrome(np.array([1, 0, 1, 1], dtype=np.uint8)).size == 0
-    got = code.decode(np.array([-1.0, 2.0, -3.0, 0.5]), np.zeros(0, dtype=np.uint8))
-    assert np.array_equal(got, [1, 0, 1, 0])
+    code = rec.RepetitionCode(1)
+    assert (code.n_bits, code.k_bits, code.rate) == (1, 1, 1.0)
+    bits = np.array([[1], [0], [1], [1]], dtype=np.uint8)
+    assert code.syndrome(bits).shape == (4, 0)
+    got = code.decode(np.array([[-1.0], [2.0], [-3.0], [0.5]]), np.zeros((4, 0), dtype=np.uint8))
+    assert np.array_equal(got, [[1], [0], [1], [0]])
 
 
 def test_repetition_code_cosets():
     rng = np.random.default_rng(6)
-    code = rec.concatenated_code(5)
+    code = rec.RepetitionCode(5)
     assert code.rate == 0.2
     for _ in range(20):
         word = rng.integers(0, 2, size=5).astype(np.uint8)
@@ -148,33 +149,16 @@ def test_repetition_code_cosets():
 
 
 def test_repetition_majority_example():
-    code = rec.concatenated_code(3)
+    code = rec.RepetitionCode(3)
     got = code.decode(np.array([2.0, 2.0, -2.0]), np.zeros(2, dtype=np.uint8))
     assert np.array_equal(got, [0, 0, 0])
 
 
-def test_concatenated_code_rates():
-    inner = rec.ParityCheckCode(2, 1, [[0, 1]])
-    code = rec.ConcatenatedCode(4, inner)
-    assert (code.n_bits, code.k_bits) == (8, 1)
-    assert code.rate == 1.0 / 8.0
-    assert isinstance(rec.concatenated_code(1), rec.IdentityCode)
-    rep = rec.concatenated_code(16)
-    assert isinstance(rep, rec.ConcatenatedCode) and isinstance(rep.inner, rec.IdentityCode)
-    assert (rep.n_bits, rep.k_bits) == (16, 1)
-    with pytest.raises(ValueError):
-        rec.concatenated_code(0)
-
-
-def test_concatenated_code_decodes_exact_words():
-    rng = np.random.default_rng(7)
-    code = rec.ConcatenatedCode(3, rec.IdentityCode(4))
-    for _ in range(20):
-        word = rng.integers(0, 2, size=code.n_bits).astype(np.uint8)
-        synd = code.syndrome(word)
-        assert synd.size == code.n_bits - code.k_bits
-        llr = 8.0 * (1.0 - 2.0 * word)
-        assert np.array_equal(code.decode(llr, synd), word)
+def test_repetition_code_rates():
+    rep = rec.RepetitionCode(16)
+    assert (rep.n_bits, rep.k_bits, rep.rate) == (16, 1, 1.0 / 16.0)
+    with pytest.raises(ValueError, match="repetition length must be >= 1"):
+        rec.RepetitionCode(0)
 
 
 def _xor_parity_decoder(llr, syndrome, code):
@@ -187,11 +171,11 @@ def _xor_parity_decoder(llr, syndrome, code):
 @pytest.mark.parametrize(
     "code",
     [
-        rec.concatenated_code(16),
-        rec.ConcatenatedCode(3, rec.IdentityCode(4)),
+        rec.RepetitionCode(1),
+        rec.RepetitionCode(16),
         rec.ParityCheckCode(5, 4, [[0, 1, 2, 3, 4]], decoder=_xor_parity_decoder),
     ],
-    ids=["rep16", "concat3-identity4", "parity-check"],
+    ids=["rep1", "rep16", "parity-check"],
 )
 def test_batch_decode_equals_per_frame_decode(code):
     rng = np.random.default_rng(8)
@@ -207,6 +191,37 @@ def test_batch_decode_equals_per_frame_decode(code):
     # leading axes broadcast as well
     stacked = code.decode(llr.reshape(5, 10, -1), synd.reshape(5, 10, -1))
     assert np.array_equal(stacked.reshape(50, -1), decoded)
+
+
+# sha256 of the syndromes and decisions of 600 seeded frames per code id
+DECODE_DIGESTS = {
+    "identity": "9a35c3b73f287956c6018705d85a45b571fed85477edbb63c0b43f3c15e7af0f",
+    "rep3": "5a979357f03ee4962929bb536e587b6a4635edfd6c5e428131578db6694cbbbe",
+    "rep16": "d65150a364edd9b0d03fedea27cdc142882ceeba187ceb0852690b06f3958bb2",
+}
+
+
+@pytest.mark.parametrize("code_id", sorted(DECODE_DIGESTS))
+def test_repetition_decode_reproduces_recorded_bits(code_id):
+    code = resolve_code(code_id)
+    rng = np.random.default_rng(17)
+    words = rng.integers(0, 2, (600, code.n_bits)).astype(np.uint8)
+    signs = 1.0 - 2.0 * (words ^ words[:, :1])  # the sign each LLR is folded with
+    llr = 3.0 * rng.standard_normal(words.shape)
+    # frames 200-599 fold to exactly zero: signed zeros, and integers that cancel
+    cancel = rng.integers(-4, 5, (200, code.n_bits)).astype(float)
+    cancel[:, -1] -= cancel.sum(axis=1)
+    llr[200:300] = 0.0 * signs[200:300]
+    llr[300:400] = -0.0 * signs[300:400]
+    llr[400:] = cancel * signs[400:]
+    syndrome = code.syndrome(words)
+    decoded = code.decode(llr, syndrome)
+    assert syndrome.dtype == decoded.dtype == np.uint8
+    assert syndrome.shape == (600, code.n_bits - 1) and decoded.shape == words.shape
+    # a tie decides 0 for the first bit; the syndrome gives the rest
+    assert np.array_equal(decoded[200:], words[200:] ^ words[200:, :1])
+    digest = hashlib.sha256(syndrome.tobytes() + decoded.tobytes()).hexdigest()
+    assert digest == DECODE_DIGESTS[code_id]
 
 
 def syndrome_per_check(checks, bits):
@@ -295,7 +310,7 @@ def test_parity_check_file_errors(tmp_path):
 def test_reconcile_noiseless():
     rng = np.random.default_rng(9)
     x = unit_sphere_blocks(8, 64, rng)
-    res = rec.reconcile(x, x.copy(), rec.concatenated_code(16), rng)
+    res = rec.reconcile(x, x.copy(), rec.RepetitionCode(16), rng)
     assert res.n_frames == 32
     assert res.frame_success.all()
     assert res.bob_bits.size == 32 * 16
@@ -309,16 +324,16 @@ def test_reconcile_input_validation():
     rng = np.random.default_rng(10)
     x = unit_sphere_blocks(4, 10, rng)
     with pytest.raises(ValueError):
-        rec.reconcile(x, x[:5], rec.concatenated_code(4), rng)
+        rec.reconcile(x, x[:5], rec.RepetitionCode(4), rng)
     with pytest.raises(ValueError):
-        rec.reconcile(x[:1], x[:1], rec.concatenated_code(16), rng)
+        rec.reconcile(x[:1], x[:1], rec.RepetitionCode(16), rng)
 
 
 def test_reconcile_reliable_operating_point():
     # rep-16 at per-use snr 0.7: predicted bit error Q(sqrt(11.2)) ~ 4e-4
     rng = np.random.default_rng(11)
     x, y = noisy_pair(8, 0.7, 1000, rng)
-    res = rec.reconcile(x, y, rec.concatenated_code(16), rng)
+    res = rec.reconcile(x, y, rec.RepetitionCode(16), rng)
     assert res.n_frames == 500
     assert np.mean(res.frame_success) >= 0.99
     assert abs(res.snr_hat - 0.7) < 0.05
@@ -329,47 +344,21 @@ def test_reconcile_error_rate_matches_matched_filter_oracle():
     rng = np.random.default_rng(12)
     snr = 0.15
     x, y = noisy_pair(8, snr, 6000, rng)
-    res = rec.reconcile(x, y, rec.concatenated_code(16), rng)
+    res = rec.reconcile(x, y, rec.RepetitionCode(16), rng)
     p_pred = stats.norm.sf(math.sqrt(16 * snr))
     p_obs = 1.0 - np.mean(res.frame_success)
     assert res.n_frames == 3000
     assert abs(p_obs - p_pred) < 5 * math.sqrt(p_pred * (1 - p_pred) / res.n_frames)
 
 
-def test_reconcile_concatenated_matches_plain_repetition():
-    rng1 = np.random.default_rng(13)
-    rng2 = np.random.default_rng(13)
-    x, y = noisy_pair(8, 0.5, 400, np.random.default_rng(14))
-    # rep4 of rep4 is rep16 with its parities laid out differently
-    nested = rec.ConcatenatedCode(4, rec.concatenated_code(4))
-    res1 = rec.reconcile(x, y, rec.concatenated_code(16), rng1)
-    res2 = rec.reconcile(x, y, nested, rng2)
-    assert np.array_equal(res1.alice_bits, res2.alice_bits)
-    assert np.array_equal(res1.frame_success, res2.frame_success)
-
-
-# every code the package builds: the session ids and concatenations over them
-SESSION_CODES = st.one_of(
-    st.just("identity"), st.integers(1, 64).map(lambda n: f"rep{n}")
-).map(resolve_code)
-BUILT_IN_CODES = st.one_of(
-    SESSION_CODES,
-    st.builds(rec.IdentityCode, st.integers(1, 16)),
-    st.builds(rec.ConcatenatedCode, st.integers(1, 8), SESSION_CODES),
-    st.builds(rec.ConcatenatedCode, st.integers(1, 4),
-              st.builds(rec.ConcatenatedCode, st.integers(1, 4),
-                        st.builds(rec.IdentityCode, st.integers(1, 8)))),
-)
-
-
 @PROPERTY
-@given(code=BUILT_IN_CODES, n_frames=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
-       magnitude=st.floats(1e-3, 1e3))
+@given(code=st.integers(1, 64).map(rec.RepetitionCode), n_frames=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1), magnitude=st.floats(1e-3, 1e3))
 def test_noiseless_batch_decodes_to_itself(code, n_frames, seed, magnitude):
     words = np.random.default_rng(seed).integers(0, 2, (n_frames, code.n_bits)).astype(np.uint8)
     llr = magnitude * (1.0 - 2.0 * words)
     syndrome = code.syndrome(words)
-    assert syndrome.shape == (n_frames, code.n_bits - code.k_bits)
+    assert syndrome.shape == (n_frames, code.n_bits - 1)
     assert np.array_equal(code.decode(llr, syndrome), words)
 
 

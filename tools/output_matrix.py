@@ -83,6 +83,14 @@ MATRIX = [
     ("reconcile_inf_identity",
      ["reconcile-bench", "--d", "1,2,4,8", "--snr", "inf", "--code", "identity",
       "--out", "reconcile_inf_identity.csv"]),
+    *[(f"reconcile_{name}",
+       ["reconcile-bench", *args, "--out", f"reconcile_{name}.csv"])
+      for name, args in (("rep1_snr0.5", ["--code", "rep1", "--snr", "0.5"]),
+                         ("rep3_snr2", ["--code", "rep3", "--snr", "2"]),
+                         ("d1_rep16_snr0.5", ["--d", "1", "--code", "rep16", "--snr", "0.5"]),
+                         # refused code ids: exit 2 with one error line, no file
+                         ("rep0", ["--code", "rep0"]),
+                         ("turbo9000", ["--code", "turbo9000"]))],
     *[(f"session_decoy_d8_seed{seed}",
        ["simulate", "--config", "decoy_d8.cfg", "--seed", str(seed),
         "--out", f"session_decoy_d8_seed{seed}"])

@@ -117,8 +117,7 @@ def cmd_keyrate(args):
         try:
             v_a = modulation.modulation_variance(values)
         except ValueError as exc:
-            print(f"error: --sweep alpha: {exc}", file=sys.stderr)
-            return 2
+            raise ValueError(f"--sweep alpha: {exc}") from None
     else:
         v_a = np.full_like(values, args.va)
 
@@ -127,17 +126,12 @@ def cmd_keyrate(args):
         modulation.write_csv_header(out, "keyrate", ["sweep", "value", "d"] + fields)
         try:
             reports = _keyrate_reports(args, ds, base_t, values, v_a)
-        except ValueError as exc:
+        except ValueError:
             # the batch fails at its first bad d; replay the rows one at a
-            # time so the error reported is the first in row order
+            # time so the error raised is the first in row order
             for i in range(len(values)):
-                try:
-                    _keyrate_reports(args, ds, base_t, values[i:i + 1], v_a[i:i + 1])
-                except ValueError as row_exc:
-                    exc = row_exc
-                    break
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+                _keyrate_reports(args, ds, base_t, values[i:i + 1], v_a[i:i + 1])
+            raise
         n = len(values)
         d_texts = ["inf" if math.isinf(d) else str(int(d)) for d in ds]
         columns = [[args.sweep] * (n * len(ds)), np.repeat(values, len(ds)), d_texts * n]
@@ -172,8 +166,7 @@ def cmd_simulate(args):
         f"key_bits={transcript.alice_bits.size}"
     )
     if transcript.report.k <= 0.0:
-        print("error: key-rate bound is not positive; no key emitted", file=sys.stderr)
-        return 1
+        raise protocol.ProtocolError("key-rate bound is not positive; no key emitted")
     return 0
 
 

@@ -170,8 +170,9 @@ def trace_distance(pd1, pd2):
 
 def mix_probabilities(p, p_est):
     """Per-symbol label probabilities (key, estimation, decoy)."""
-    if not 0.0 <= p <= 1.0 or not 0.0 <= p_est <= 1.0:
-        raise ValueError("p and p_est must lie in [0, 1]")
+    for name, value in (("p", p), ("p_est", p_est)):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
     return p * (1.0 - p_est), p_est, (1.0 - p) * (1.0 - p_est)
 
 
@@ -311,8 +312,6 @@ def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):
     support = np.flatnonzero(weights > 1e-10)
     if support.size > n_radii_max:
         support = support[np.argsort(weights[support])[-n_radii_max:]]
-    if support.size == 0:
-        support = np.array([np.argmax(weights)])
     mus = np.sort(means[support])
     weights, best = _fit_weights(mus, target, 1.0 - p, n_max)
 

@@ -65,7 +65,10 @@ class ProtocolConfig:
             raise ConfigError("n_symbols must be at least 1")
         if self.flow not in FLOWS:
             raise ConfigError(f"flow must be one of {FLOWS}, got {self.flow!r}")
-        mix_probabilities(self.p, self.p_est)
+        try:
+            mix_probabilities(self.p, self.p_est)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not 1 <= self.symmetrization_k <= self.n_coordinates:
             raise ConfigError(
                 f"symmetrization_k must lie in [1, {self.n_coordinates}], the retained "

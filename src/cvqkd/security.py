@@ -99,16 +99,38 @@ def z1(v_a):
     return _value(2.0 * alpha * alpha * total)
 
 
-# z_sphere sums WINDOW_SIGMAS standard deviations either side of the Poisson
-# mean plus WINDOW_EXTRA terms above it (truncated mass below 1e-25), about
-# 24 sqrt(mu) terms per point: 10.8k at V_A = 1e5 for d = 8.  CHUNK_NODES caps
-# the terms held at once: points are summed a chunk at a time, and a chunk's
-# windows in slices of at most CHUNK_NODES terms, so 1,000 points from 1e4 to
-# 1e5 peak at 48 MB instead of 430 MB, and a point whose window alone is
-# longer (V_A above about 9.5e8 for d = 8) is summed one slice at a time.
+# Below SERIES_MU, z_sphere sums WINDOW_SIGMAS standard deviations either side
+# of the Poisson mean plus WINDOW_EXTRA terms above it (truncated mass below
+# 1e-25), about 24 sqrt(mu) terms per point.  CHUNK_NODES caps the terms held
+# at once: points are summed a chunk at a time, so 1,000 points with mu from
+# SERIES_MU / 2 to just below it (up to 2,441 terms each) peak at 48 MB
+# instead of 80 MB, and 3,000 at 50 MB.
 WINDOW_SIGMAS = 12.0
 WINDOW_EXTRA = 40.0
+SERIES_MU = 1e4
 CHUNK_NODES = 2**20
+
+
+def _window_mean(mu, m):
+    """E[sqrt(N + m)] for N ~ Poisson(mu), summed over each point's window."""
+    sd = np.sqrt(mu)
+    first = np.maximum(np.floor(mu - WINDOW_SIGMAS * sd), 0.0)
+    count = np.floor(mu + WINDOW_SIGMAS * sd + WINDOW_EXTRA - first) + 1.0
+    mean = np.empty_like(mu)
+    # a chunk holds at least one point
+    rows = max(CHUNK_NODES // int(count.max(initial=1.0)), 1)
+    for lo in range(0, mu.size, rows):
+        part = slice(lo, lo + rows)
+        stop = count[part, None]
+        node = np.arange(int(stop.max()), dtype=float)
+        k = first[part, None] + node
+        log_w = np.where(node < stop, k * np.log(mu[part, None]) - special.gammaln(k + 1.0), -np.inf)
+        # the log weights are used once, so exp may overwrite them
+        w = np.exp(log_w - log_w.max(axis=1, keepdims=True), out=log_w)
+        terms = w * np.sqrt(k + m)
+        # cumulative sums add strictly left to right, unlike np.sum
+        mean[part] = np.cumsum(terms, axis=1, out=terms)[:, -1] / np.cumsum(w, axis=1, out=w)[:, -1]
+    return mean
 
 
 def z_sphere(d, v_a):
@@ -116,53 +138,31 @@ def z_sphere(d, v_a):
 
     With m = d/2 signal modes and total-photon weights f_k = Poisson(mu),
     mu = m V_A / 2, Z_d = 2 sum_k sqrt(f_k f_{k-1}) sqrt(k (k + m - 1)) / m,
-    which is (2 sqrt(mu) / m) E[sqrt(N + m)] for N ~ Poisson(mu).  The mean
-    is taken over log-space weights (gammaln) normalized by their largest
-    value on the window, so nothing underflows at large V_A.  Each point sums
-    its own terms strictly left to right, carrying the running sums from
-    slice to slice, so its value depends neither on the rest of the batch nor
-    on CHUNK_NODES.
+    which is (2 sqrt(mu) / m) E[sqrt(N + m)] for N ~ Poisson(mu).  Below
+    SERIES_MU the mean is taken over log-space weights (gammaln) normalized
+    by their largest value on the window, so nothing underflows, and each
+    point sums its own terms strictly left to right, so its value depends
+    neither on the rest of the batch nor on CHUNK_NODES.  From SERIES_MU up,
+    where those log weights (about mu ln mu) lose digits, it is the Taylor
+    expansion of sqrt about x = mu + m with the Poisson central moments,
+    through order mu^-3, written in r = mu / x and u = 1 / x so that no term
+    overflows.
     """
     if d not in SPHERE_DIMS:
         raise ValueError(f"d must be one of {SPHERE_DIMS}, got {d}")
     v = _positive_variance(v_a)
     m = d // 2
     mu = (m * v / 2.0).reshape(-1)
-    sd = np.sqrt(mu)
-    first = np.maximum(np.floor(mu - WINDOW_SIGMAS * sd), 0.0)
-    count = np.floor(mu + WINDOW_SIGMAS * sd + WINDOW_EXTRA - first) + 1.0
-    mean = np.empty_like(mu)
-    rows = CHUNK_NODES // int(min(count.max(initial=1.0), CHUNK_NODES))
-    for lo in range(0, mu.size, rows):
-        part = slice(lo, lo + rows)
-        log_mu, start, stop = np.log(mu[part, None]), first[part, None], count[part, None]
-        width = int(stop.max())
-
-        def log_weights(col):
-            node = np.arange(col, min(col + CHUNK_NODES, width), dtype=float)
-            k = start + node
-            return k, np.where(node < stop, k * log_mu - special.gammaln(k + 1.0), -np.inf)
-
-        # the max pass takes the first slice last and keeps its log weights
-        cols = range(0, width, CHUNK_NODES)
-        top = -np.inf
-        for col in cols[1:]:
-            top = np.maximum(top, log_weights(col)[1].max(axis=1, keepdims=True))
-        k, log_w = log_weights(0)
-        top = np.maximum(top, log_w.max(axis=1, keepdims=True))
-        num = den = 0.0
-        for col in cols:
-            if col:
-                k, log_w = log_weights(col)
-            # each slice's log weights are used once, so exp may overwrite them
-            w = np.exp(log_w - top, out=log_w)
-            terms = w * np.sqrt(k + m)
-            terms[:, 0] += num
-            w[:, 0] += den
-            # cumulative sums add strictly left to right, unlike np.sum
-            num = np.cumsum(terms, axis=1, out=terms)[:, -1]
-            den = np.cumsum(w, axis=1, out=w)[:, -1]
-        mean[part] = num / den
+    window = mu < SERIES_MU
+    if window.all():
+        mean = _window_mean(mu, m)
+    else:
+        x = mu + m
+        r, u = mu / x, 1.0 / x
+        mean = np.sqrt(x) * (1.0 - r * u / 8.0 + r * u * u / 16.0 - 15.0 * r * r * u * u / 128.0
+                             - 5.0 * r * u**3 / 128.0 + 35.0 * r * r * u**3 / 128.0
+                             - 315.0 * r**3 * u**3 / 1024.0)
+        mean[window] = _window_mean(mu[window], m)
     return _value((2.0 * np.sqrt(mu) / m * mean).reshape(v.shape))
 
 

@@ -8,6 +8,7 @@ zd_numeric sums the same matrix elements in closed binomial form.
 Everything here is deliberately slow and direct.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -169,6 +170,36 @@ def z_sphere_series(d, v_a):
         if k > mu + 10 and f_k < 1e-20:
             break
     return 2.0 * total
+
+
+def z_sphere_decimal(d, v_a, digits=50):
+    """Z_d for d in {2, 4, 8} as a Decimal, in `digits`-digit arithmetic.
+
+    With mu = (d/2) V_A / 2 exact, the Poisson weights start at 1 on the mode
+    floor(mu) and follow f_{k+1} = f_k mu / (k + 1) upward and f_{k-1} =
+    f_k k / mu downward until they drop below 10^-digits, so nothing
+    underflows at any mean.  Returns (2 sqrt(mu) / m) E[sqrt(N + m)].
+    """
+    m = d // 2
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        mu = decimal.Decimal(m) * decimal.Decimal(float(v_a)) / 2
+        mode = int(mu)
+        cut = decimal.Decimal(10) ** -digits
+        num = den = decimal.Decimal(0)
+        k, w = mode, decimal.Decimal(1)
+        while w > cut:
+            num += w * decimal.Decimal(k + m).sqrt()
+            den += w
+            w = w * mu / (k + 1)
+            k += 1
+        k, w = mode - 1, mode / mu
+        while k >= 0 and w > cut:
+            num += w * decimal.Decimal(k + m).sqrt()
+            den += w
+            w = w * k / mu
+            k -= 1
+        return 2 * mu.sqrt() / m * num / den
 
 
 def z8_printed_series(v_a):

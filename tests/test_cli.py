@@ -177,6 +177,18 @@ def test_keyrate_large_va(tmp_path, d, va):
         assert 0.0 < float(record["z_d"]) < float(record["z_epr"])
 
 
+def test_keyrate_huge_va_excess_noise_floor(tmp_path):
+    # Z_8 - V_A once read -2.04 here against its limit 1 - 1/(4m) = 0.9375,
+    # which puts delta_xi at 2 (1 - 0.9375) = 0.125
+    out = tmp_path / "huge.csv"
+    rc = main(["keyrate", "--sweep", "va", "--start", "1e12", "--stop", "1e12", "--steps", "2",
+               "--d", "8", "--transmittance", "0.5", "--xi", "0.01", "--out", str(out)])
+    assert rc == 0
+    header, rows, _ = _read_csv(out)
+    for row in rows:
+        assert abs(float(dict(zip(header, row))["delta_xi"]) - 0.125) <= 0.01
+
+
 @pytest.mark.parametrize(
     "flag, value, field", [("--xi", "nan", "xi"), ("--xi", "inf", "xi"), ("--va", "inf", "v_a")]
 )

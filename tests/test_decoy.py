@@ -259,9 +259,9 @@ def test_mix_probabilities():
     key, est, dec = mix_probabilities(0.9, 0.1)
     assert abs(key + est + dec - 1.0) < 1e-15
     assert abs(key - 0.81) < 1e-15
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\], got 1.2$"):
         mix_probabilities(1.2, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^p_est must lie in \[0, 1\], got -0.1$"):
         mix_probabilities(0.5, -0.1)
 
 

@@ -98,6 +98,17 @@ def test_config_rejects_non_finite_alpha(alpha):
         ProtocolConfig(d=8, alpha=alpha, n_symbols=100)
 
 
+@pytest.mark.parametrize("field, value", [("p", 2.0), ("p_est", -0.5), ("p", math.nan)])
+def test_config_rejects_probability_outside_unit_interval(tmp_path, field, value):
+    message = rf"{field} must lie in \[0, 1\], got {value}$"
+    with pytest.raises(ConfigError, match="^" + message):
+        ProtocolConfig(d=8, alpha=1.0, n_symbols=1000, **{field: value})
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"flow gaussian\nd 8\nalpha 1.0\nn_symbols 1000\n{field} {value}\n")
+    with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: ") + message):
+        ProtocolConfig.from_file(path)
+
+
 def test_config_rejects_mismatched_design(design8):
     with pytest.raises(ConfigError):
         ProtocolConfig(

@@ -6,7 +6,9 @@ where the answer sqrt(V_A^2 + 2 V_A) is known independently.
 """
 
 import decimal
+import hashlib
 import math
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -139,6 +141,11 @@ def test_z_finite_and_below_epr_at_any_va(d):
     # the four-state mixture underflows there
     for v in (1e-120, 1e-200, 1e-300):
         assert 0.0 < sec.z_correlation(d, v) <= sec.z_epr(v) * (1.0 + 1e-15)
+    # up to where V_A (V_A + 2) in Z_EPR would overflow
+    wide = np.geomspace(1e-300, 1e150, 901)
+    z = sec.z_correlation(d, wide)
+    assert np.all(np.isfinite(z)) and np.all(z > 0)
+    assert np.all(z <= sec.z_epr(wide) * (1.0 + 1e-15))
     det = "homodyne" if d == 1 else "heterodyne"
     report = sec.secret_key_rate(d, 1000.0, ChannelParams(t=0.5, xi=0.005, detection=det), 0.9)
     assert all(math.isfinite(getattr(report, f.name)) for f in fields(report) if f.name != "detection")
@@ -180,8 +187,9 @@ def test_z_sphere_chunks_do_not_change_values(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [2, 4, 8])
-def test_z_sphere_slices_long_windows_exactly(monkeypatch, d):
-    # integer Poisson means put two equal log weights at the mode
+def test_z_sphere_chunks_keep_tied_mode_weights(monkeypatch, d):
+    # integer Poisson means put two equal log weights at the mode; chunks of
+    # one point still sum each window whole, and series points need none
     v_a = np.concatenate([np.geomspace(1e-3, 1e6, 30), 2.0 * np.arange(1, 6) / (d // 2)])
     whole = sec.z_sphere(d, v_a)
     for chunk in (7, 64):
@@ -195,6 +203,54 @@ def test_z_sphere_mixed_windows_equal_scalar_calls(monkeypatch):
     want = [sec.z_sphere(8, float(v)) for v in v_a]
     monkeypatch.setattr(sec, "CHUNK_NODES", 100)
     assert np.array_equal(sec.z_sphere(8, v_a), want)
+
+
+# sha256 of z_sphere(d, v_a).tobytes() in the test below, recorded before
+# z_sphere took the large-mean series from SERIES_MU up
+WINDOW_BITS = {
+    2: "2ecdb2c55ba2f75cdd3885f3aec758195dc59ec76cc7ae6f316dba996756786b",
+    4: "30284c0a910dc5b4ffa8059a033a83717f7a0dcf415d5315d00048bb453e6d8e",
+    8: "5fd5f51577da21a72217bca9f82259c0ba7159c92546a5ef41f896e0f0bdabe3",
+}
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_z_sphere_window_reproduces_recorded_bits(d):
+    # Poisson means up to 0.99 SERIES_MU, plus the keyrate and output-matrix range
+    v_a = np.concatenate([np.geomspace(1e-6, 0.99 * 2e4 / (d // 2), 400), np.linspace(0.05, 18.0, 200)])
+    assert hashlib.sha256(sec.z_sphere(d, v_a).tobytes()).hexdigest() == WINDOW_BITS[d]
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_z_sphere_matches_decimal_oracle(d):
+    m = d // 2
+    for mu in (1e4, 1e5, 1e6):
+        want = oracle.z_sphere_decimal(d, 2.0 * mu / m)
+        assert abs(decimal.Decimal(sec.z_sphere(d, 2.0 * mu / m)) - want) <= decimal.Decimal("4e-16") * want
+    # just below SERIES_MU the window's log weights are about mu ln mu = 9.2e4,
+    # whose rounding costs it up to 4.7e-15 (21 ulp) at d = 8
+    for mu in (sec.SERIES_MU - 0.5, np.nextafter(sec.SERIES_MU, 0.0)):
+        want = oracle.z_sphere_decimal(d, 2.0 * mu / m)
+        assert abs(decimal.Decimal(sec.z_sphere(d, 2.0 * mu / m)) - want) <= decimal.Decimal("1e-14") * want
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_z_sphere_large_va_expansion(d):
+    # Z_d - V_A = 1 - 1/(4m) + (3/8 - 7/(64m) - m/4) / mu + O(mu^-2), mu = m V_A / 2;
+    # the mu^-1 term is 2,800 spacings of Z_8 at V_A = 1e6 and under one from 1e8
+    m = d // 2
+    v_a = np.geomspace(1e6, 1e300, 1001)
+    z = sec.z_sphere(d, v_a)
+    limit = 1.0 - 1.0 / (4 * m) + (3.0 / 8.0 - 7.0 / (64 * m) - m / 4.0) / (m * v_a / 2.0)
+    assert np.all(np.abs((z - v_a) - limit) <= 4.0 * np.spacing(z))
+
+
+def test_z_sphere_huge_va_is_fast():
+    # the window once took about 26 s at V_A = 1e14, growing as sqrt(V_A)
+    for v_a in (1e14, 1e30, 1e300):
+        start = time.perf_counter()
+        sec.z_sphere(8, v_a)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_z8_against_schmidt_oracle():

@@ -6,8 +6,9 @@ Runs each command of MATRIX with ``python3 -m cvqkd.cli`` against ROOT/src
 (ROOT defaults to the checkout holding this script), in a temporary
 directory with relative --out paths.  For every file a command writes, and
 for each command's exit code with its stdout and stderr, it prints one
-``sha256  name`` line, then deletes the directory.  Two checkouts produce
-the same outputs exactly when their listings are equal, so
+``sha256  name`` line, then deletes the directory; a command without --out
+writes no file, so only its exit code, stdout and stderr are hashed.  Two
+checkouts produce the same outputs exactly when their listings are equal, so
 
     diff <(python3 tools/output_matrix.py OLD) <(python3 tools/output_matrix.py)
 
@@ -59,7 +60,7 @@ seed 5
 CONFIGS = {"decoy_d8.cfg": DECOY_D8, "gaussian_d1.cfg": GAUSSIAN_D1,
            "gaussian_transcript.cfg": GAUSSIAN_TRANSCRIPT}
 
-# (name, argv); a command's --out names its output file or directory
+# (name, argv); a command's --out, if any, names its output file or directory
 MATRIX = [
     # decoy_8_1_0.5 writes the design the decoy_d8 config reads
     *[(f"decoy_{d}_{alpha}_{p}",
@@ -78,6 +79,19 @@ MATRIX = [
      ["keyrate", "--sweep", "alpha", "--start", "0.1", "--stop", "3", "--steps", "13",
       "--scale", "log", "--eta-trusted", "--eta", "0.6", "--transmittance", "0.5",
       "--xi", "0.005", "--d", "1,2,4,8,inf", "--out", "keyrate_alpha_log.csv"]),
+    ("keyrate_va_stdout",
+     ["keyrate", "--sweep", "va", "--start", "0.05", "--stop", "18", "--steps", "9",
+      "--d", "1,2,4,8,inf", "--transmittance", "0.5", "--xi", "0.005"]),
+    ("keyrate_xi_25km",
+     ["keyrate", "--sweep", "xi", "--start", "0", "--stop", "0.05", "--steps", "6",
+      "--d", "1,2,4,8,inf", "--distance-km", "25", "--va", "2"]),
+    # refused sweeps exit 2 with one error line; the replayed one, after the
+    # CSV header, names row 0's v_a, not row 1's xi
+    ("keyrate_alpha_refused",
+     ["keyrate", "--sweep", "alpha", "--start", "-1", "--stop", "1", "--steps", "2", "--d", "8"]),
+    ("keyrate_xi_replayed_error",
+     ["keyrate", "--sweep", "xi", "--start", "0", "--stop", "-0.01", "--steps", "2",
+      "--va", "inf", "--d", "8"]),
     ("reconcile_snr0.5",
      ["reconcile-bench", "--d", "1,2,4,8", "--snr", "0.5", "--out", "reconcile_snr0.5.csv"]),
     ("reconcile_inf_identity",
@@ -98,6 +112,10 @@ MATRIX = [
     ("session_gaussian_d1_seed5",
      ["simulate", "--config", "gaussian_d1.cfg", "--seed", "5",
       "--out", "session_gaussian_d1_seed5"]),
+    # the heterodyne Gaussian flow at d = 8, on the decoy session's config
+    ("session_gaussian_d8_seed5",
+     ["simulate", "--config", "decoy_d8.cfg", "--flow", "gaussian-postselected",
+      "--n-symbols", "200000", "--seed", "5", "--out", "session_gaussian_d8_seed5"]),
     ("gaussian_transcript",
      ["simulate", "--config", "gaussian_transcript.cfg", "--out", "gaussian_transcript"]),
 ]
@@ -122,6 +140,8 @@ def main(argv):
             status = f"{run.returncode}\n".encode() + run.stdout
             print(f"{_sha256(status)}  {name}.exit+stdout")
             print(f"{_sha256(run.stderr)}  {name}.stderr")
+            if "--out" not in args:
+                continue
             out = os.path.join(work, args[args.index("--out") + 1])
             paths = ([os.path.join(out, f) for f in sorted(os.listdir(out))]
                      if os.path.isdir(out) else [out] if os.path.exists(out) else [])

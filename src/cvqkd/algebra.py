@@ -67,16 +67,9 @@ def _mul(a, b):
     h = d // 2
     a1, a2 = a[:h], a[h:]
     b1, b2 = b[:h], b[h:]
-    lo = _mul(a1, b1) - _mul(_conj_rows(b2), a2)
-    hi = _mul(b2, a1) + _mul(a2, _conj_rows(b1))
+    lo = _mul(a1, b1) - _mul(conj(b2.T).T, a2)
+    hi = _mul(b2, a1) + _mul(a2, conj(b1.T).T)
     return np.concatenate([lo, hi])
-
-
-def _conj_rows(a):
-    """conj of a coordinate-major (d, rows) array."""
-    out = -a
-    out[0] = a[0]
-    return out
 
 
 def conj(a):

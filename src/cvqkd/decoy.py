@@ -98,20 +98,14 @@ def _check_decoy_args(d, alpha):
     ModulationScheme(d, alpha)
 
 
-def povm_scale(d, alpha, n_max=None):
+def povm_scale(d, alpha):
     """(pi_d, k_star): the minimum of g(k)/f(k) and where it is attained.
 
     The ratio of consecutive ratios is (m + k) / (m (1 + alpha^2)), which
-    exceeds 1 for all k > m alpha^2, so any truncation beyond that point
-    brackets the global minimum; smaller truncations are an error.
+    exceeds 1 for all k > m alpha^2; f's truncation leaves a Poisson tail
+    below TAIL_BOUND, far beyond that point, so it brackets the global minimum.
     """
-    _check_decoy_args(d, alpha)
-    m = d // 2
-    if n_max is not None and n_max <= m * alpha * alpha + 1:
-        raise ValueError(
-            f"n_max={n_max} cannot bracket the ratio minimum near {m * alpha * alpha:.3f}"
-        )
-    f = f_dist(d, alpha, n_max)
+    f = f_dist(d, alpha)
     g = g_dist(d, alpha, f.n_max)
     ratio = g.probs / f.probs
     k_star = int(np.argmin(ratio))

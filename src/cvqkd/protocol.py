@@ -44,7 +44,7 @@ class ProtocolConfig:
     alpha: float
     n_symbols: int
     flow: str = "decoy"
-    channel: ChannelParams = ChannelParams(t=1.0)
+    channel: ChannelParams = None
     p_est: float = 0.5
     p: float = 1.0
     band: RadiusBand = DEFAULT_BAND
@@ -59,53 +59,49 @@ class ProtocolConfig:
         try:
             ModulationScheme(self.d, self.alpha)
             modulation.modulation_variance(self.alpha)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if self.n_symbols < 1:
-            raise ConfigError("n_symbols must be at least 1")
-        if self.flow not in FLOWS:
-            raise ConfigError(f"flow must be one of {FLOWS}, got {self.flow!r}")
-        try:
+            if self.channel is None:
+                object.__setattr__(self, "channel", _default_channel(self.d))
+            if self.n_symbols < 1:
+                raise ConfigError("n_symbols must be at least 1")
+            if self.flow not in FLOWS:
+                raise ConfigError(f"flow must be one of {FLOWS}, got {self.flow!r}")
             mix_probabilities(self.p, self.p_est)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-        if not 1 <= self.symmetrization_k <= self.n_coordinates:
-            raise ConfigError(
-                f"symmetrization_k must lie in [1, {self.n_coordinates}], the retained "
-                f"coordinate count, got {self.symmetrization_k}"
-            )
-        if not 0.0 < self.beta_target <= 1.0:
-            raise ConfigError("beta_target must lie in (0, 1]")
-        if not 0.0 <= self.max_frame_failure <= 1.0:
-            raise ConfigError("max_frame_failure must lie in [0, 1]")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
-        try:
+            if not 1 <= self.symmetrization_k <= self.n_coordinates:
+                raise ConfigError(
+                    f"symmetrization_k must lie in [1, {self.n_coordinates}], the retained "
+                    f"coordinate count, got {self.symmetrization_k}"
+                )
+            if not 0.0 < self.beta_target <= 1.0:
+                raise ConfigError("beta_target must lie in (0, 1]")
+            if not 0.0 <= self.max_frame_failure <= 1.0:
+                raise ConfigError("max_frame_failure must lie in [0, 1]")
+            if self.seed < 0:
+                raise ConfigError(f"seed must be nonnegative, got {self.seed}")
             security.check_pairing(self.d, self.channel.detection)
+            if self.flow == "decoy":
+                if self.d < 2:
+                    raise ConfigError("the decoy flow needs block dimension d >= 2")
+                if self.p < 1.0:
+                    if self.decoy is None:
+                        raise ConfigError("decoy flow with p < 1 needs a decoy design")
+                    if (
+                        self.decoy.d != self.d
+                        or abs(self.decoy.alpha - self.alpha) > 1e-9
+                        or abs(self.decoy.p - self.p) > 1e-9
+                    ):
+                        raise ConfigError(
+                            "decoy design was optimized for "
+                            f"(d={self.decoy.d}, alpha={self.decoy.alpha}, p={self.decoy.p}), "
+                            f"config has (d={self.d}, alpha={self.alpha}, p={self.p})"
+                        )
+            if self.n_coordinates % self.d != 0:
+                raise ConfigError(
+                    f"{self.n_coordinates} retained coordinates do not split into "
+                    f"blocks of {self.d}"
+                )
+            resolve_code(self.code)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.flow == "decoy":
-            if self.d < 2:
-                raise ConfigError("the decoy flow needs block dimension d >= 2")
-            if self.p < 1.0:
-                if self.decoy is None:
-                    raise ConfigError("decoy flow with p < 1 needs a decoy design")
-                if (
-                    self.decoy.d != self.d
-                    or abs(self.decoy.alpha - self.alpha) > 1e-9
-                    or abs(self.decoy.p - self.p) > 1e-9
-                ):
-                    raise ConfigError(
-                        "decoy design was optimized for "
-                        f"(d={self.decoy.d}, alpha={self.decoy.alpha}, p={self.decoy.p}), "
-                        f"config has (d={self.d}, alpha={self.alpha}, p={self.p})"
-                    )
-        if self.n_coordinates % self.d != 0:
-            raise ConfigError(
-                f"{self.n_coordinates} retained coordinates do not split into "
-                f"blocks of {self.d}"
-            )
-        resolve_code(self.code)
 
     @property
     def n_coordinates(self):
@@ -134,6 +130,11 @@ class ProtocolConfig:
                     raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
                 raw[key] = (value.strip(), line_no)
         return _build_config(cls, raw, path)
+
+
+def _default_channel(d, **given):
+    """The channel a config leaves out: t = 1, no loss, and the detection d pairs with."""
+    return ChannelParams(**{"t": 1.0, "detection": security.default_detection(d), **given})
 
 
 def _parse_bool(value):
@@ -206,8 +207,7 @@ def _build_config(cls, raw, path):
             values["transmittance"] = distance_to_T(values.pop("distance_km"))
         channel = {field: values.pop(key) for key, field in _CHANNEL_KEYS.items()
                    if key in values}
-        channel.setdefault("detection", security.default_detection(values["d"]))
-        values["channel"] = replace(cls.channel, **channel)
+        values["channel"] = _default_channel(values["d"], **channel)
         band = {key: values.pop(key) for key in ("gamma_min", "gamma_max") if key in values}
         if band:
             values["band"] = replace(cls.band, **band)

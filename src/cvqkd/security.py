@@ -12,6 +12,7 @@ extremality on that covariance matrix.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,16 +29,16 @@ def _value(x):
 
 def _positive_variance(v_a):
     v = np.asarray(v_a, dtype=float)
-    if not np.all(v > 0):
-        raise ValueError("modulation variance must be positive")
+    valid = np.isfinite(v) & (v > 0)
+    if not valid.all():
+        raise ValueError(f"modulation variance v_a must be finite and positive, got {float(v[~valid][0])}")
     return v
 
 
 def z_epr(v_a):
-    """Gaussian-modulation correlation sqrt(V_A^2 + 2 V_A)."""
+    """Gaussian-modulation correlation sqrt(V_A^2 + 2 V_A); V_A = 0 gives 0."""
     v = np.asarray(v_a, dtype=float)
-    if np.any(v < 0):
-        raise ValueError("modulation variance must be nonnegative")
+    _positive_variance(v[v != 0])
     return _value(np.sqrt(v * (v + 2.0)))
 
 
@@ -152,7 +153,11 @@ def z_sphere(d, v_a):
         raise ValueError(f"d must be one of {SPHERE_DIMS}, got {d}")
     v = _positive_variance(v_a)
     m = d // 2
-    mu = (m * v / 2.0).reshape(-1)
+    huge = v > sys.float_info.max / (m / 2.0)
+    if huge.any():
+        raise ValueError(f"modulation variance v_a={float(v[huge][0])} puts the Poisson mean "
+                         f"of d={d} past the largest float")
+    mu = (v * (m / 2.0)).reshape(-1)
     window = mu < SERIES_MU
     if window.all():
         mean = _window_mean(mu, m)
@@ -358,12 +363,7 @@ def secret_key_rate(d, v_a, params, beta):
     """
     if not 0.0 < beta <= 1.0:
         raise ValueError(f"reconciliation efficiency must lie in (0, 1], got {beta}")
-    v = np.asarray(v_a, dtype=float)
-    valid = np.isfinite(v) & (v > 0)
-    if not valid.all():
-        raise ValueError(
-            f"modulation variance v_a must be finite and positive, got {float(v[~valid][0])}"
-        )
+    v = _positive_variance(v_a)
     check_pairing(d, params.detection)
     z_d = z_correlation(d, v)
     g0 = gamma_key0(d, v, z_d=z_d)

@@ -154,12 +154,6 @@ def test_povm_ratio_at_zero_photons():
         assert povm_scale(d, alpha)[0] <= at_zero
 
 
-def test_povm_scale_unbracketed_truncation_raises():
-    # mean photon number is 4, so n_max=4 cannot prove the minimum is global
-    with pytest.raises(ValueError):
-        povm_scale(8, 1.0, n_max=4)
-
-
 def test_p_succ_closed_forms():
     assert p_succ(1, 1.0) == 0.25
     assert abs(p_succ(1, 0.5) - 0.64) < 1e-15

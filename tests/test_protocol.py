@@ -141,6 +141,11 @@ def test_config_from_file(tmp_path):
     # keys the file leaves out take the dataclass defaults
     path.write_text("d 8\nalpha 1.0\nn_symbols 4000\n")
     assert ProtocolConfig.from_file(path) == ProtocolConfig(d=8, alpha=1.0, n_symbols=4000)
+    # both take the detection d pairs with when the channel is left out
+    path.write_text("d 1\nalpha 1.0\nn_symbols 4096\nflow gaussian\n")
+    direct = ProtocolConfig(d=1, alpha=1.0, n_symbols=4096, flow="gaussian")
+    assert ProtocolConfig.from_file(path) == direct
+    assert direct.channel == ChannelParams(t=1.0, detection="homodyne")
 
 
 def test_config_from_file_errors(tmp_path):

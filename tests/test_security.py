@@ -8,6 +8,7 @@ where the answer sqrt(V_A^2 + 2 V_A) is known independently.
 import decimal
 import hashlib
 import math
+import re
 import time
 from dataclasses import fields, replace
 
@@ -23,10 +24,12 @@ from cvqkd.channel import ChannelParams, distance_to_T
 
 
 def test_z_epr_values():
+    # the vacuum V_A = 0 is the one value below positive that z_epr admits
     assert sec.z_epr(0.0) == 0.0
     assert abs(sec.z_epr(3.0) - math.sqrt(15.0)) < 1e-15
-    with pytest.raises(ValueError):
-        sec.z_epr(-0.1)
+    assert np.array_equal(sec.z_epr(np.array([0.0, 3.0])), [0.0, math.sqrt(15.0)])
+    with pytest.raises(ValueError, match=r"^modulation variance v_a must be finite and positive, got -0\.1$"):
+        sec.z_epr(np.array([0.0, -0.1]))
 
 
 def test_z_epr_small_alpha_expansion():
@@ -324,6 +327,36 @@ def test_secret_key_rate_rejects_bad_v_a(v_a):
     params = ChannelParams(t=0.5, xi=0.01)
     with pytest.raises(ValueError, match="v_a"):
         sec.secret_key_rate(8, v_a, params, 0.9)
+
+
+# every path that takes V_A, each with the one boundary of _positive_variance
+_VA_PATHS = {
+    "z1": sec.z1,
+    "z_epr": sec.z_epr,
+    **{f"z_sphere_{d}": (lambda v, d=d: sec.z_sphere(d, v)) for d in (2, 4, 8)},
+    **{f"z_correlation_{d}": (lambda v, d=d: sec.z_correlation(d, v))
+       for d in (1, 2, 4, 8, math.inf)},
+    "secret_key_rate": lambda v: sec.secret_key_rate(8, v, ChannelParams(t=0.5, xi=0.01), 0.9),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("v_a", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("path", sorted(_VA_PATHS))
+def test_non_finite_v_a_is_refused_naming_v_a(path, v_a):
+    want = f"modulation variance v_a must be finite and positive, got {v_a}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        _VA_PATHS[path](v_a)
+
+
+@pytest.mark.filterwarnings("error")
+def test_z_sphere_refuses_only_an_overflowing_poisson_mean():
+    # mu = 2 V_A at d = 8 fits a float up to V_A of about 8.99e307
+    assert abs(sec.z_sphere(8, 5e307) - 5e307) <= math.ulp(5e307)
+    assert all(math.isfinite(sec.z_sphere(d, 1.7e308)) for d in (2, 4))
+    with pytest.raises(ValueError, match=r"^modulation variance v_a=1e\+308 puts the Poisson "
+                       r"mean of d=8 past the largest float$"):
+        sec.z_sphere(8, 1e308)
 
 
 def test_covariance_validation():

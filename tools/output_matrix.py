@@ -57,8 +57,22 @@ gamma_min 0.0
 gamma_max inf
 seed 5
 """
+# no detection key: the file's default for d = 1, with a trusted detector; its key is refused
+GAUSSIAN_D1_TRUSTED = """flow gaussian
+d 1
+alpha 1.0
+n_symbols 200000
+p_est 0.5
+distance_km 5
+xi 0.005
+eta 0.6
+eta_trusted true
+code rep16
+seed 3
+"""
 CONFIGS = {"decoy_d8.cfg": DECOY_D8, "gaussian_d1.cfg": GAUSSIAN_D1,
-           "gaussian_transcript.cfg": GAUSSIAN_TRANSCRIPT}
+           "gaussian_transcript.cfg": GAUSSIAN_TRANSCRIPT,
+           "gaussian_d1_trusted.cfg": GAUSSIAN_D1_TRUSTED}
 
 # (name, argv); a command's --out, if any, names its output file or directory
 MATRIX = [
@@ -71,6 +85,8 @@ MATRIX = [
     ("decoy_8_1_0.5_radii2",
      ["decoy-opt", "--d", "8", "--alpha", "1", "--p", "0.5", "--max-radii", "2",
       "--out", "design_radii2.txt"]),
+    # no design reaches p = 0.9 at (8, 1): exit 1 with one error line
+    ("decoy_8_1_0.9_infeasible", ["decoy-opt", "--d", "8", "--alpha", "1.0", "--p", "0.9"]),
     ("keyrate_optimize_va",
      ["keyrate", "--sweep", "distance_km", "--start", "0", "--stop", "100", "--steps", "41",
       "--d", "1,2,4,8,inf", "--optimize-va", "--eta", "0.6", "--beta", "0.8",
@@ -92,6 +108,10 @@ MATRIX = [
     ("keyrate_xi_replayed_error",
      ["keyrate", "--sweep", "xi", "--start", "0", "--stop", "-0.01", "--steps", "2",
       "--va", "inf", "--d", "8"]),
+    # usage errors: exit 2
+    ("keyrate_va_one_step",
+     ["keyrate", "--sweep", "va", "--start", "1", "--stop", "2", "--steps", "1"]),
+    ("reconcile_frames0", ["reconcile-bench", "--frames", "0"]),
     ("reconcile_snr0.5",
      ["reconcile-bench", "--d", "1,2,4,8", "--snr", "0.5", "--out", "reconcile_snr0.5.csv"]),
     ("reconcile_inf_identity",
@@ -118,6 +138,8 @@ MATRIX = [
       "--n-symbols", "200000", "--seed", "5", "--out", "session_gaussian_d8_seed5"]),
     ("gaussian_transcript",
      ["simulate", "--config", "gaussian_transcript.cfg", "--out", "gaussian_transcript"]),
+    ("session_gaussian_d1_trusted",
+     ["simulate", "--config", "gaussian_d1_trusted.cfg", "--out", "session_gaussian_d1_trusted"]),
 ]
 
 

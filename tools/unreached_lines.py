@@ -57,7 +57,9 @@ def main(argv):
                 pathlib.Path(name).write_text(text)
             sink = io.StringIO()
             for _, args in MATRIX:
-                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                # a usage error leaves through argparse's sys.exit(2)
+                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), \
+                        contextlib.suppress(SystemExit):
                     cli.main(args)
         finally:
             sys.settrace(None)

@@ -19,6 +19,9 @@ from . import algebra, decoy, modulation, protocol, reconciliation, security
 from .channel import ChannelParams, distance_to_T
 
 SWEEP_VARIABLES = ("distance_km", "va", "xi", "alpha")
+# first token of the keyrate and reconcile-bench tables' first line, before the
+# table kind; their cells are str(), a float in its shortest round-trip form
+CSV_SCHEMA = "# cvqkd-csv-v1"
 
 
 @contextlib.contextmanager
@@ -28,6 +31,16 @@ def _out_stream(path):
     else:
         with open(path, "w") as fh:
             yield fh
+
+
+def _write_header(out, kind, names):
+    out.write(f"{CSV_SCHEMA} {kind}\n{','.join(names)}\n")
+
+
+def _write_rows(out, columns):
+    """Write equal-length columns as comma-separated rows of str() cells."""
+    columns = [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
+    out.write("".join(",".join(map(str, row)) + "\n" for row in zip(*columns, strict=True)))
 
 
 def _check_out(path, make_dirs):
@@ -121,24 +134,24 @@ def cmd_keyrate(args):
     else:
         v_a = np.full_like(values, args.va)
 
+    try:
+        reports = _keyrate_reports(args, ds, base_t, values, v_a)
+    except ValueError:
+        # the batch fails at its first bad d; replay the rows one at a time so
+        # the error raised is the first in row order
+        for i in range(len(values)):
+            _keyrate_reports(args, ds, base_t, values[i:i + 1], v_a[i:i + 1])
+        raise
     fields = [f.name for f in dataclasses.fields(security.KeyRateReport)][1:]
+    n = len(values)
+    d_texts = ["inf" if math.isinf(d) else str(int(d)) for d in ds]
+    columns = [[args.sweep] * (n * len(ds)), np.repeat(values, len(ds)), d_texts * n]
+    for name in fields:
+        per_d = [np.broadcast_to(getattr(report, name), (n,)) for report in reports]
+        columns.append(np.stack(per_d, axis=1).reshape(-1))
     with _out_stream(args.out) as out:
-        modulation.write_csv_header(out, "keyrate", ["sweep", "value", "d"] + fields)
-        try:
-            reports = _keyrate_reports(args, ds, base_t, values, v_a)
-        except ValueError:
-            # the batch fails at its first bad d; replay the rows one at a
-            # time so the error raised is the first in row order
-            for i in range(len(values)):
-                _keyrate_reports(args, ds, base_t, values[i:i + 1], v_a[i:i + 1])
-            raise
-        n = len(values)
-        d_texts = ["inf" if math.isinf(d) else str(int(d)) for d in ds]
-        columns = [[args.sweep] * (n * len(ds)), np.repeat(values, len(ds)), d_texts * n]
-        for name in fields:
-            per_d = [np.broadcast_to(getattr(report, name), (n,)) for report in reports]
-            columns.append(np.stack(per_d, axis=1).reshape(-1))
-        modulation.write_csv_rows(out, "keyrate", columns)
+        _write_header(out, "keyrate", ["sweep", "value", "d"] + fields)
+        _write_rows(out, columns)
     return 0
 
 
@@ -202,9 +215,8 @@ def cmd_reconcile_bench(args):
 
     master = np.random.SeedSequence(args.seed)
     with _out_stream(args.out) as out:
-        modulation.write_csv_header(
-            out, "reconcile-bench", ["d", "frame", "success", "pre_bit_errors", "post_bit_errors"]
-        )
+        _write_header(out, "reconcile-bench",
+                      ["d", "frame", "success", "pre_bit_errors", "post_bit_errors"])
         for d, child in zip(ds, master.spawn(len(ds))):
             rng = np.random.default_rng(child)
             n_blocks = math.ceil(args.frames * code.n_bits / d)
@@ -224,7 +236,7 @@ def cmd_reconcile_bench(args):
             w = v - (1.0 - 2.0 * result.bob_bits) / math.sqrt(d)
             pre = (v < 0) != result.bob_bits.astype(bool)
             post = result.alice_bits != result.bob_bits
-            modulation.write_csv_rows(out, "reconcile-bench", [
+            _write_rows(out, [
                 np.full(n_frames, d),
                 range(n_frames),
                 result.frame_success.astype(np.uint8),

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import _ufuncs, gammaln, pdtrc, xlogy
 
-from .modulation import SPHERE_DIMS, ModulationScheme
+from .modulation import SPHERE_DIMS, ModulationScheme, read_key, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -206,6 +206,11 @@ class DecoyDesign:
             raise ValueError(f"weights sum to {sum(self.weights)}, expected 1")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
+        _check_decoy_args(self.d, self.alpha)
+        if not 0.0 <= self.p < 1.0:
+            raise ValueError(f"key fraction p must lie in [0, 1), got {self.p}")
+        if self.n_max < 1:
+            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -223,26 +228,17 @@ class DecoyDesign:
         """Read a design written by save; each error names the field or path:line."""
         header = {}
         rows = []
-        with open(path) as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split(",") if "," in line else line.split()
-                try:
-                    if len(parts) != 2:
-                        raise ValueError(f"expected 'key value' or 'radius,weight', got {line!r}")
-                    if "," in line:
-                        rows.append((float(parts[0]), float(parts[1])))
-                        continue
-                    key, value = parts
-                    if key not in _DESIGN_KEYS:
-                        raise ValueError(f"unknown key {key!r}")
-                    if key in header:
-                        raise ValueError(f"duplicate key {key!r}")
-                    header[key] = _DESIGN_KEYS[key](value)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: {exc}") from None
+
+        def parse(line):
+            parts = line.split(",") if "," in line else line.split()
+            if len(parts) != 2:
+                raise ValueError(f"expected 'key value' or 'radius,weight', got {line!r}")
+            if "," in line:
+                rows.append((float(parts[0]), float(parts[1])))
+            else:
+                read_key(line, _DESIGN_KEYS, header)
+
+        read_lines(path, parse)
         missing = sorted(set(_DESIGN_KEYS) - set(header)) + ([] if rows else ["radius,weight"])
         if missing:
             raise ValueError(f"{path}: malformed decoy design (missing {missing})")

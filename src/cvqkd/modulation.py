@@ -24,10 +24,8 @@ QUADRATURE_SCALE = 2.0
 # block dimensions of m = d/2 >= 1 whole modes: the sphere Z_d and decoy laws hold
 SPHERE_DIMS = (2, 4, 8)
 
-# first token of every CSV table's first line; the table kind follows it.  The
-# v1 tables write decimal floats; the v2 tables are the transcript tables, whose
-# float cells are the 16 hex digits of their big-endian IEEE-754 bits
-CSV_SCHEMA = "# cvqkd-csv-v1"
+# first token of a transcript table's first line; the table kind follows it.
+# Float cells are the 16 hex digits of their big-endian IEEE-754 bits
 CSV_SCHEMA_V2 = "# cvqkd-csv-v2"
 V2_KINDS = ("symbols", "outcomes")
 # the integer columns of v2 tables, written in decimal; every other v2 column is hex
@@ -150,37 +148,19 @@ def blocks_to_quadratures(blocks, d):
     return QUADRATURE_SCALE * blocks.reshape(-1, 2)
 
 
-def write_csv_header(fh, kind, names):
-    """Write the schema line for a table of the given kind and its column names.
+def write_table(path, kind, names, columns):
+    """Write equal-length columns to path as a cvqkd-csv-v2 table of the given kind.
 
-    Tables of the V2_KINDS go to files opened in binary mode, the others to
-    text streams.
-    """
-    if kind in V2_KINDS:
-        fh.write(f"{CSV_SCHEMA_V2} {kind}\n{','.join(names)}\n".encode("ascii"))
-    else:
-        fh.write(f"{CSV_SCHEMA} {kind}\n{','.join(names)}\n")
-
-
-def write_csv_rows(fh, kind, columns):
-    """Write equal-length columns as comma-separated rows ending in \\n.
-
-    Tables of the V2_KINDS are encoded in numpy a block of rows at a time:
-    float columns as the 16 lowercase hex digits of their big-endian IEEE-754
-    bits, integer columns in decimal.  Other tables convert each block with
-    .tolist() and write every cell with str(), so a float comes out in its
-    shortest round-trip form.
+    Rows are encoded CSV_BLOCK_ROWS at a time: floats as the 16 lowercase hex
+    digits of their big-endian IEEE-754 bits, integers in decimal.
     """
     n = len(columns[0])
     if any(len(column) != n for column in columns):
         raise ValueError("columns must have equal length")
-    for start in range(0, n, CSV_BLOCK_ROWS):
-        block = [column[start : start + CSV_BLOCK_ROWS] for column in columns]
-        if kind in V2_KINDS:
-            fh.write(_encode_v2_rows(block))
-        else:
-            block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
-            fh.write("".join(",".join(map(str, row)) + "\n" for row in zip(*block)))
+    with open(path, "wb") as fh:
+        fh.write(f"{CSV_SCHEMA_V2} {kind}\n{','.join(names)}\n".encode("ascii"))
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            fh.write(_encode_v2_rows([c[start : start + CSV_BLOCK_ROWS] for c in columns]))
 
 
 def _hex_cells(values):
@@ -245,18 +225,16 @@ def write_blocks_csv(path, blocks, labels):
     if labels.shape != (n,):
         raise ValueError("one label per block required")
     names = ["block_index"] + [f"coord_{i}" for i in range(d)] + ["label"]
-    with open(path, "wb") as fh:
-        write_csv_header(fh, "symbols", names)
-        write_csv_rows(fh, "symbols", [np.arange(n), *blocks.T, labels])
+    write_table(path, "symbols", names, [np.arange(n), *blocks.T, labels])
 
 
 def read_csv_table(path):
     """Read a cvqkd-csv-v2 table back; returns (kind, {column name: array}).
 
-    The exact inverse of write_csv_header and write_csv_rows for the V2_KINDS:
-    hex cells decode bit for bit to float64 and the V2_INT_COLUMNS to int64.
-    Any other schema line, a row with the wrong number of cells and a cell
-    that does not decode raise ValueError naming the path and the line.
+    The exact inverse of write_table for the V2_KINDS: hex cells decode bit
+    for bit to float64 and the V2_INT_COLUMNS to int64.  Any other schema
+    line, a row with the wrong number of cells and a cell that does not
+    decode raise ValueError naming the path and the line.
     """
     with open(path, "rb") as fh:
         schema = fh.readline().decode("ascii", "replace").rstrip("\n")
@@ -308,3 +286,35 @@ def read_csv_table(path):
         value = (np.where(inside, digit, 0) * _POW10[w - 1 :: -1]).sum(axis=1)
         table[name] = np.where(neg, -value, value)
     return kind, table
+
+
+def read_lines(path, parse):
+    """Call parse on the text of each line of path left once its # comment is cut.
+
+    A ValueError from parse is raised again as 'path:line: message'.
+    """
+    with open(path) as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                parse(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from None
+
+
+def read_key(line, casts, seen):
+    """Store a 'key value' line in the dict seen, cast by casts[key]; a key must be known and new."""
+    parts = line.split(None, 1)
+    if len(parts) != 2:
+        raise ValueError(f"expected 'key value', got {line!r}")
+    key, value = parts
+    if key not in casts:
+        raise ValueError(f"unknown key {key!r}")
+    if key in seen:
+        raise ValueError(f"duplicate key {key!r}")
+    try:
+        seen[key] = casts[key](value)
+    except ValueError as exc:
+        raise ValueError(f"bad value for {key!r}: {exc}") from None

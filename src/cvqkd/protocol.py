@@ -114,22 +114,12 @@ class ProtocolConfig:
 
     @classmethod
     def from_file(cls, path):
-        raw = {}
-        with open(path) as fh:
-            for line_no, raw_line in enumerate(fh, start=1):
-                line = raw_line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split(None, 1)
-                if len(parts) != 2:
-                    raise ConfigError(f"{path}:{line_no}: expected 'key value', got {line!r}")
-                key, value = parts
-                if key not in _CONFIG_CASTS:
-                    raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
-                if key in raw:
-                    raise ConfigError(f"{path}:{line_no}: duplicate key {key!r}")
-                raw[key] = (value.strip(), line_no)
-        return _build_config(cls, raw, path)
+        values = {}
+        try:
+            modulation.read_lines(path, lambda line: modulation.read_key(line, _CONFIG_CASTS, values))
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        return _build_config(cls, values, path)
 
 
 def _default_channel(d, **given):
@@ -180,17 +170,11 @@ _CHANNEL_KEYS = {
 }
 
 
-def _build_config(cls, raw, path):
-    """Cast the keys the file gives; the dataclass defaults fill in the rest."""
+def _build_config(cls, values, path):
+    """Build from the cast values the file gives; the dataclass defaults fill in the rest."""
     for key in ("d", "alpha", "n_symbols"):
-        if key not in raw:
+        if key not in values:
             raise ConfigError(f"{path}: missing required key {key!r}")
-    values = {}
-    for key, (value, line_no) in raw.items():
-        try:
-            values[key] = _CONFIG_CASTS[key](value)
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{line_no}: bad value for {key!r}: {exc}") from None
     if "transmittance" in values and "distance_km" in values:
         raise ConfigError(f"{path}: give either transmittance or distance_km, not both")
 
@@ -560,9 +544,8 @@ def save_transcript(transcript, dir_path):
         names, columns = ["basis", "y"], [transcript.basis, outcomes]
     else:
         names, columns = ["y_x", "y_p"], list(outcomes.T)
-    with open(os.path.join(dir_path, "outcomes.csv"), "wb") as fh:
-        modulation.write_csv_header(fh, "outcomes", ["mode_index"] + names)
-        modulation.write_csv_rows(fh, "outcomes", [np.arange(len(outcomes))] + columns)
+    modulation.write_table(os.path.join(dir_path, "outcomes.csv"), "outcomes",
+                           ["mode_index"] + names, [np.arange(len(outcomes))] + columns)
     with open(os.path.join(dir_path, "transform.bin"), "wb") as fh:
         fh.write(transcript.transform.to_bytes())
     for name, bits in (("alice_key.txt", transcript.alice_bits),

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .modulation import QUADRATURE_SCALE, ModulationScheme
+from .modulation import QUADRATURE_SCALE, ModulationScheme, read_lines
 
 
 def bob_reduce(y_blocks, rng):
@@ -160,37 +160,34 @@ class ParityCheckCode:
 
         Each error in a line names path:line.  A bit listed twice in a check cancels.
         """
-        rows = None  # until the header gives the check count
-        with open(path) as fh:
-            for line_no, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                parts = line.split()
-                try:
-                    if rows is None:
-                        if len(parts) != 2:
-                            raise ValueError("header must be 'n_bits k_bits'")
-                        n_bits, k_bits = int(parts[0]), int(parts[1])
-                        if not 1 <= k_bits <= n_bits:
-                            raise ValueError(f"need 1 <= k_bits <= n_bits, got {line!r}")
-                        rows = [[] for _ in range(n_bits - k_bits)]
-                        continue
-                    if len(parts) not in (2, 3):
-                        raise ValueError("expected 'check bit [value]'")
-                    if len(parts) == 3 and parts[2] != "1":
-                        raise ValueError("only binary entries allowed")
-                    check, bit = int(parts[0]), int(parts[1])
-                    if not 0 <= check < len(rows):
-                        raise ValueError(f"check index {check} outside [0, {len(rows)})")
-                    if not 0 <= bit < n_bits:
-                        raise ValueError(f"bit index {bit} outside [0, {n_bits})")
-                    rows[check].append(bit)
-                except ValueError as exc:
-                    raise ValueError(f"{path}:{line_no}: {exc}") from None
-        if rows is None:
+        header, rows = [], []  # header: (n_bits, k_bits) once read
+
+        def parse(line):
+            parts = line.split()
+            if not header:
+                if len(parts) != 2:
+                    raise ValueError("header must be 'n_bits k_bits'")
+                n_bits, k_bits = int(parts[0]), int(parts[1])
+                if not 1 <= k_bits <= n_bits:
+                    raise ValueError(f"need 1 <= k_bits <= n_bits, got {line!r}")
+                header.extend((n_bits, k_bits))
+                rows.extend([] for _ in range(n_bits - k_bits))
+                return
+            if len(parts) not in (2, 3):
+                raise ValueError("expected 'check bit [value]'")
+            if len(parts) == 3 and parts[2] != "1":
+                raise ValueError("only binary entries allowed")
+            check, bit = int(parts[0]), int(parts[1])
+            if not 0 <= check < len(rows):
+                raise ValueError(f"check index {check} outside [0, {len(rows)})")
+            if not 0 <= bit < header[0]:
+                raise ValueError(f"bit index {bit} outside [0, {header[0]})")
+            rows[check].append(bit)
+
+        read_lines(path, parse)
+        if not header:
             raise ValueError(f"{path}: missing header line")
-        return cls(n_bits, k_bits, rows, decoder=decoder)
+        return cls(*header, rows, decoder=decoder)
 
 
 @dataclass(frozen=True)

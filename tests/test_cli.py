@@ -466,6 +466,24 @@ def test_keyrate_alpha_sweep_refuses_negative_alpha(tmp_path, capsys):
     assert err == "error: --sweep alpha: alpha must be positive, got -1.0\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--sweep", "va", "--start", "0", "--stop", "2", "--d", "8"],
+     "modulation variance v_a must be finite and positive, got 0.0"),
+    (["--sweep", "distance_km", "--start", "-5", "--stop", "10", "--d", "8"],
+     "distance must be nonnegative"),
+    (["--sweep", "xi", "--start", "0", "--stop", "0.01", "--d", "1", "--detection", "heterodyne"],
+     "d=1 does not pair with heterodyne detection; homodyne serves d=1, heterodyne d in "
+     "{2, 4, 8}, either serves d=inf"),
+], ids=["va_zero", "negative_distance", "d1_heterodyne"])
+def test_refused_keyrate_writes_nothing(tmp_path, capsys, argv, message):
+    # every report is computed before --out is opened or stdout is written
+    out = tmp_path / "refused.csv"
+    for extra in (["--out", str(out)], []):
+        assert main(["keyrate", *argv, "--steps", "2", *extra]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_keyrate_log_scale(tmp_path):
     out = tmp_path / "log.csv"
     rc = main(["keyrate", "--sweep", "va", "--start", "0.01", "--stop", "100",

@@ -343,6 +343,33 @@ def test_design_validation():
         DecoyDesign(2, 0.5, 0.5, radii=(1.0,), weights=(1.0,), epsilon=-1.0, n_max=8)
 
 
+@pytest.mark.parametrize("good_line, bad_line, message", [
+    ("d 2", "d 3", "d must be one of (2, 4, 8), got 3"),
+    ("alpha 0.5", "alpha -1.0", "alpha must be finite and positive, got -1.0"),
+    ("p 0.5", "p 1.5", "key fraction p must lie in [0, 1), got 1.5"),
+    ("n_max 8", "n_max -5", "n_max must be at least 1, got -5"),
+], ids=["d", "alpha", "p", "n_max"])
+def test_design_load_refuses_out_of_range_fields(tmp_path, good_line, bad_line, message):
+    # the same bounds and messages as optimize_decoy
+    path = tmp_path / "design.txt"
+    good = "d 2\nalpha 0.5\np 0.5\nepsilon 0.0\nn_max 8\n0.3,1.0\n"
+    path.write_text(good.replace(good_line, bad_line))
+    with pytest.raises(ValueError) as exc_info:
+        DecoyDesign.load(path)
+    assert str(exc_info.value) == f"{path}: {message}"
+
+
+def test_design_load_bad_value_names_key(tmp_path):
+    path = tmp_path / "design.txt"
+    path.write_text("# cvqkd decoy design v1\nd 2\nalpha half\np 0.5\nepsilon 0.0\n"
+                    "n_max 8\n0.3,1.0\n")
+    with pytest.raises(ValueError) as exc_info:
+        DecoyDesign.load(path)
+    assert str(exc_info.value) == (
+        f"{path}:3: bad value for 'alpha': could not convert string to float: 'half'"
+    )
+
+
 def test_design_load_rejects_malformed_file(tmp_path):
     path = tmp_path / "broken.txt"
     good = "d 2\nalpha 0.5\np 0.5\nepsilon 0.0\nn_max 8\n0.3,1.0\n"

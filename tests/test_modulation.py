@@ -312,9 +312,7 @@ def test_symbols_golden_bytes(tmp_path):
 )
 def test_outcomes_golden_bytes(tmp_path, names, columns, golden):
     path = tmp_path / "outcomes.csv"
-    with open(path, "wb") as fh:
-        mod.write_csv_header(fh, "outcomes", ["mode_index"] + names)
-        mod.write_csv_rows(fh, "outcomes", [np.arange(3)] + columns)
+    mod.write_table(path, "outcomes", ["mode_index"] + names, [np.arange(3)] + columns)
     assert path.read_bytes() == golden
     kind, table = mod.read_csv_table(path)
     assert kind == "outcomes"

@@ -585,6 +585,17 @@ def test_config_refuses_min_est_samples(tmp_path):
     assert str(exc_info.value) == f"{path}:4: unknown key 'min_est_samples'"
 
 
+def test_config_reports_first_bad_line(tmp_path):
+    # values are cast as they are read, so a bad value before an unknown key is the error
+    path = tmp_path / "session.cfg"
+    path.write_text("d 8\nalpha one\ncolour blue\nn_symbols 4000\n")
+    with pytest.raises(ConfigError) as exc_info:
+        ProtocolConfig.from_file(path)
+    assert str(exc_info.value) == (
+        f"{path}:2: bad value for 'alpha': could not convert string to float: 'one'"
+    )
+
+
 def test_config_line_without_value_names_line(tmp_path):
     path = tmp_path / "session.cfg"
     path.write_text("d 8\nalpha 1.0\nn_symbols\n")

@@ -5,9 +5,10 @@ Usage: python3 tools/output_matrix.py [ROOT]
 Runs each command of MATRIX with ``python3 -m cvqkd.cli`` against ROOT/src
 (ROOT defaults to the checkout holding this script), in a temporary
 directory with relative --out paths.  For every file a command writes, and
-for each command's exit code with its stdout and stderr, it prints one
-``sha256  name`` line, then deletes the directory; a command without --out
-writes no file, so only its exit code, stdout and stderr are hashed.  Two
+for each command's exit code with its stdout and stderr (the directory's
+path replaced by ``WORK``), it prints one ``sha256  name`` line, then
+deletes the directory; a command without --out writes no file, so only its
+exit code, stdout and stderr are hashed.  Two
 checkouts produce the same outputs exactly when their listings are equal, so
 
     diff <(python3 tools/output_matrix.py OLD) <(python3 tools/output_matrix.py)
@@ -70,9 +71,28 @@ eta_trusted true
 code rep16
 seed 3
 """
+# a bad value on line 2, then an unknown key on line 3
+BAD_VALUE_THEN_UNKNOWN_KEY = """d 8
+alpha one
+colour blue
+n_symbols 1000
+"""
+# decoy designs that do not load: a value that does not cast, and a d outside {2, 4, 8}
+DESIGN_HEADER = "# cvqkd decoy design v1\nd {d}\nalpha {alpha}\np 0.5\nepsilon 0.001\nn_max 40\n"
+DESIGN_BAD_VALUE = DESIGN_HEADER.format(d=8, alpha="one") + "1.0,1.0\n"
+DESIGN_D3 = DESIGN_HEADER.format(d=3, alpha="1.0") + "1.0,1.0\n"
+# parity-check code files: a valid one (refused, no decoder) and one with a bit out of range
+CODE_VALID = "# n_bits k_bits\n4 2\n0 0\n0 1\n\n1 2 1\n1 3\n"
+CODE_BIT_OUT_OF_RANGE = "4 2\n# check bit\n0 0\n0 7\n"
 CONFIGS = {"decoy_d8.cfg": DECOY_D8, "gaussian_d1.cfg": GAUSSIAN_D1,
            "gaussian_transcript.cfg": GAUSSIAN_TRANSCRIPT,
-           "gaussian_d1_trusted.cfg": GAUSSIAN_D1_TRUSTED}
+           "gaussian_d1_trusted.cfg": GAUSSIAN_D1_TRUSTED,
+           "bad_value_then_unknown_key.cfg": BAD_VALUE_THEN_UNKNOWN_KEY,
+           "design_bad_value.txt": DESIGN_BAD_VALUE, "design_d3.txt": DESIGN_D3,
+           "decoy_design_bad_value.cfg": DECOY_D8.replace("design_8_1_0.5.txt",
+                                                          "design_bad_value.txt"),
+           "decoy_design_d3.cfg": DECOY_D8.replace("design_8_1_0.5.txt", "design_d3.txt"),
+           "code_valid.txt": CODE_VALID, "code_bit_out_of_range.txt": CODE_BIT_OUT_OF_RANGE}
 
 # (name, argv); a command's --out, if any, names its output file or directory
 MATRIX = [
@@ -101,8 +121,11 @@ MATRIX = [
     ("keyrate_xi_25km",
      ["keyrate", "--sweep", "xi", "--start", "0", "--stop", "0.05", "--steps", "6",
       "--d", "1,2,4,8,inf", "--distance-km", "25", "--va", "2"]),
-    # refused sweeps exit 2 with one error line; the replayed one, after the
-    # CSV header, names row 0's v_a, not row 1's xi
+    # refused sweeps exit 2 with one error line and write no CSV, to --out or
+    # stdout; the replayed one names row 0's v_a, not row 1's xi
+    ("keyrate_va_refused_out",
+     ["keyrate", "--sweep", "va", "--start", "0", "--stop", "2", "--steps", "2", "--d", "8",
+      "--out", "keyrate_va_refused.csv"]),
     ("keyrate_alpha_refused",
      ["keyrate", "--sweep", "alpha", "--start", "-1", "--stop", "1", "--steps", "2", "--d", "8"]),
     ("keyrate_xi_replayed_error",
@@ -125,6 +148,10 @@ MATRIX = [
                          # refused code ids: exit 2 with one error line, no file
                          ("rep0", ["--code", "rep0"]),
                          ("turbo9000", ["--code", "turbo9000"]))],
+    # code files: a valid one has no decoder yet, a malformed one names path:line; exit 2
+    ("reconcile_code_valid", ["reconcile-bench", "--code", "code_valid.txt"]),
+    ("reconcile_code_bit_out_of_range",
+     ["reconcile-bench", "--code", "code_bit_out_of_range.txt"]),
     *[(f"session_decoy_d8_seed{seed}",
        ["simulate", "--config", "decoy_d8.cfg", "--seed", str(seed),
         "--out", f"session_decoy_d8_seed{seed}"])
@@ -140,6 +167,11 @@ MATRIX = [
      ["simulate", "--config", "gaussian_transcript.cfg", "--out", "gaussian_transcript"]),
     ("session_gaussian_d1_trusted",
      ["simulate", "--config", "gaussian_d1_trusted.cfg", "--out", "session_gaussian_d1_trusted"]),
+    # refused configs: exit 2 with one error line
+    ("config_bad_value_then_unknown_key",
+     ["simulate", "--config", "bad_value_then_unknown_key.cfg"]),
+    ("session_decoy_design_bad_value", ["simulate", "--config", "decoy_design_bad_value.cfg"]),
+    ("session_decoy_design_d3", ["simulate", "--config", "decoy_design_d3.cfg"]),
 ]
 
 
@@ -159,9 +191,10 @@ def main(argv):
         for name, args in MATRIX:
             run = subprocess.run([sys.executable, "-m", "cvqkd.cli", *args], cwd=work,
                                  env=env, capture_output=True)
+            # an error about a file a config names holds the directory's random path
             status = f"{run.returncode}\n".encode() + run.stdout
-            print(f"{_sha256(status)}  {name}.exit+stdout")
-            print(f"{_sha256(run.stderr)}  {name}.stderr")
+            print(f"{_sha256(status.replace(work.encode(), b'WORK'))}  {name}.exit+stdout")
+            print(f"{_sha256(run.stderr.replace(work.encode(), b'WORK'))}  {name}.stderr")
             if "--out" not in args:
                 continue
             out = os.path.join(work, args[args.index("--out") + 1])

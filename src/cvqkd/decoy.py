@@ -98,6 +98,15 @@ def _check_decoy_args(d, alpha):
     ModulationScheme(d, alpha)
 
 
+def _check_design_args(d, alpha, p, n_max):
+    """A design's (d, alpha) pass _check_decoy_args, p lies in [0, 1), n_max (if given) is >= 1."""
+    _check_decoy_args(d, alpha)
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"key fraction p must lie in [0, 1), got {p}")
+    if n_max is not None and n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
+
+
 def povm_scale(d, alpha):
     """(pi_d, k_star): the minimum of g(k)/f(k) and where it is attained.
 
@@ -206,11 +215,7 @@ class DecoyDesign:
             raise ValueError(f"weights sum to {sum(self.weights)}, expected 1")
         if self.epsilon < 0:
             raise ValueError("epsilon must be nonnegative")
-        _check_decoy_args(self.d, self.alpha)
-        if not 0.0 <= self.p < 1.0:
-            raise ValueError(f"key fraction p must lie in [0, 1), got {self.p}")
-        if self.n_max < 1:
-            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
+        _check_design_args(self.d, self.alpha, self.p, self.n_max)
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -276,13 +281,9 @@ def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):
     radius by coordinate descent.  The returned epsilon is a sound trace
     distance certificate including all truncation tails.
     """
-    _check_decoy_args(d, alpha)
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"key fraction p must lie in [0, 1), got {p}")
+    _check_design_args(d, alpha, p, n_max)
     if n_radii_max < 1:
         raise ValueError(f"n_radii_max must be at least 1, got {n_radii_max}")
-    if n_max is not None and n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
     pi_d, k_star = povm_scale(d, alpha)
     if p > pi_d + 1e-12:
         raise InfeasibleDecoyError(

@@ -291,15 +291,14 @@ def read_csv_table(path):
 def read_lines(path, parse):
     """Call parse on the text of each line of path left once its # comment is cut.
 
-    A ValueError from parse is raised again as 'path:line: message'.
+    A line that is not UTF-8, or a ValueError from parse, is raised as 'path:line: message'.
     """
-    with open(path) as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh.read().splitlines(), start=1):
             try:
-                parse(line)
+                line = raw.decode().split("#", 1)[0].strip()
+                if line:
+                    parse(line)
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
 

@@ -206,8 +206,8 @@ class SessionTranscript:
 
     alice_blocks hold amplitude-unit coordinates; bob_blocks hold the aligned
     quadrature-unit outcomes (already un-mixed where the flow requires it).
-    labels (one per block) and basis (one per homodyne mode) are int8;
-    key_indices and est_indices are int64 block indices.
+    labels (one per block, the one record of block roles) and basis (one per
+    homodyne mode) are int8; the block indices and counts are derived from labels.
     """
 
     config: ProtocolConfig
@@ -218,20 +218,41 @@ class SessionTranscript:
     transform: algebra.OrthogonalTransform = None
     outcomes: np.ndarray = None
     basis: np.ndarray = None
-    key_indices: np.ndarray = None
-    est_indices: np.ndarray = None
-    band_kept_fraction: float = None
     t_hat: float = None
     xi_hat: float = None
-    n_est_samples: int = 0
     reconcile_result: reconciliation.ReconcileResult = None
     report: security.KeyRateReport = None
     alice_bits: np.ndarray = None
     bob_bits: np.ndarray = None
-    n_key_modes: int = 0
 
     def record(self, event):
         self.events.append(event)
+
+    def _count(self, label):
+        return int(np.count_nonzero(self.labels == label))
+
+    @property
+    def key_indices(self):
+        return np.flatnonzero(self.labels == 0)
+
+    @property
+    def est_indices(self):
+        return np.flatnonzero(self.labels == 1)
+
+    @property
+    def n_est_samples(self):
+        return self._count(1) * self.config.d
+
+    @property
+    def n_key_modes(self):
+        return self._count(0) * self.config.d // COORDS_PER_MODE[self.config.channel.detection]
+
+    @property
+    def band_kept_fraction(self):
+        if self.config.flow != "gaussian":
+            return None
+        outside = self.labels.size - self._count(1)
+        return self._count(0) / outside if outside else 0.0
 
 
 def estimate_channel(alice_blocks, bob_blocks, v_a, detection):
@@ -327,9 +348,8 @@ def run_decoy_flow(config, rng):
     blocks[key_idx] = modulation.sample_key_blocks(scheme, key_idx.size, rng)
     blocks[est_idx] = modulation.sample_gaussian_blocks(scheme, est_idx.size, rng)
     if dec_idx.size:
-        design = config.decoy
-        pick = rng.choice(len(design.radii), size=dec_idx.size, p=design.weights)
-        radii = np.asarray(design.radii)[pick]
+        pick = rng.choice(len(config.decoy.radii), size=dec_idx.size, p=config.decoy.weights)
+        radii = np.asarray(config.decoy.radii)[pick]
         directions = modulation.sample_sphere_blocks(d, 1.0, dec_idx.size, rng)
         blocks[dec_idx] = radii[:, None] * directions
     transcript.alice_blocks = blocks
@@ -351,9 +371,6 @@ def run_decoy_flow(config, rng):
     transcript.bob_blocks = y_flat.reshape(n_blocks, d)
     transcript.record("unsymmetrized")
     transcript.record("labels_revealed")
-
-    transcript.key_indices = key_idx
-    transcript.est_indices = est_idx
     return transcript
 
 
@@ -376,13 +393,9 @@ def run_gaussian_postselected(config, rng):
     transcript.record("transmitted")
     transcript.record("measured")
 
-    if params.detection == "homodyne":
-        # Bob announces bases; Alice keeps only the measured coordinate
-        a = x.reshape(n, 2)[np.arange(n), basis]
-        y = outcomes
-    else:
-        a = x.reshape(-1)
-        y = outcomes.reshape(-1)
+    # with homodyne, Bob announces bases and Alice keeps only the measured coordinate
+    a = x.reshape(n, 2)[np.arange(n), basis] if params.detection == "homodyne" else x.reshape(-1)
+    y = outcomes.reshape(-1)
     del x
 
     transform = algebra.sample_orthogonal(a.size, config.symmetrization_k, rng)
@@ -393,27 +406,18 @@ def run_gaussian_postselected(config, rng):
     transcript.record("symmetrized")
 
     n_blocks = x_sym.size // d
-    alice_blocks = x_sym.reshape(n_blocks, d)
-    bob_blocks = y_sym.reshape(n_blocks, d)
-    transcript.alice_blocks = alice_blocks
-    transcript.bob_blocks = bob_blocks
+    transcript.alice_blocks = x_sym.reshape(n_blocks, d)
+    transcript.bob_blocks = y_sym.reshape(n_blocks, d)
 
     n_est = int(round(config.p_est * n_blocks))
-    order = rng.permutation(n_blocks)
-    est_idx = np.sort(order[:n_est])
-    rest = np.sort(order[n_est:])
-    del order
-    transcript.est_indices = est_idx
+    labels = np.zeros(n_blocks, dtype=np.int8)
+    labels[rng.permutation(n_blocks)[:n_est]] = 1
+    transcript.labels = labels
     transcript.record("estimation_coordinates_chosen")
 
-    keep = modulation.label_by_band(alice_blocks[rest], scheme, config.band)
-    key_idx = rest[keep]
-    transcript.key_indices = key_idx
-    transcript.band_kept_fraction = float(np.mean(keep)) if rest.size else 0.0
-    labels = np.full(n_blocks, -1, dtype=np.int8)
-    labels[key_idx] = 0
-    labels[est_idx] = 1
-    transcript.labels = labels
+    outside = labels != 1
+    keep = modulation.label_by_band(transcript.alice_blocks[outside], scheme, config.band)
+    labels[outside] = np.where(keep, 0, -1)
     transcript.record("band_filtered")
     return transcript
 
@@ -433,9 +437,8 @@ def distill(transcript, rng):
     key_idx = transcript.key_indices
     n_bits_avail = key_idx.size * d
     if n_bits_avail < code.n_bits:
-        detail = ""
-        if transcript.band_kept_fraction is not None:
-            detail = f" (band kept fraction {transcript.band_kept_fraction:.4f})"
+        kept = transcript.band_kept_fraction
+        detail = "" if kept is None else f" (band kept fraction {kept:.4f})"
         raise ProtocolError(
             f"{key_idx.size} key blocks give {n_bits_avail} bits, fewer than one "
             f"{code.n_bits}-bit frame{detail}"
@@ -468,7 +471,6 @@ def distill(transcript, rng):
     )
     report = security.secret_key_rate(d, config.v_a, params_hat, config.beta_target)
     transcript.report = report
-    transcript.n_key_modes = key_idx.size * d // COORDS_PER_MODE[config.channel.detection]
     transcript.record("reconciled")
 
     # failed frames are detected (hash in a real system) and discarded, so the
@@ -493,15 +495,12 @@ def run_session(config):
     """
     rng_flow, rng_distill = map(np.random.default_rng,
                                 np.random.SeedSequence(config.seed).spawn(2))
-    if config.flow == "decoy":
-        transcript = run_decoy_flow(config, rng_flow)
-    else:
-        transcript = run_gaussian_postselected(config, rng_flow)
+    flow = run_decoy_flow if config.flow == "decoy" else run_gaussian_postselected
+    transcript = flow(config, rng_flow)
     est = transcript.est_indices
     transcript.t_hat, transcript.xi_hat = estimate_channel(
         transcript.alice_blocks[est], transcript.bob_blocks[est], config.v_a,
         config.channel.detection)
-    transcript.n_est_samples = est.size * config.d
     transcript.record("estimated")
     distill(transcript, rng_distill)
     return transcript

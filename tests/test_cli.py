@@ -571,3 +571,22 @@ def test_reconcile_bench_code_file_error_names_line(tmp_path, capsys):
     assert main(["reconcile-bench", "--code", str(code)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{code}:2: invalid literal for int()" in err
+
+
+def test_reconcile_bench_code_file_non_utf8_names_line(tmp_path, capsys):
+    code = tmp_path / "code.txt"
+    code.write_bytes(b"4 2\n0 0\xff\n")
+    assert main(["reconcile-bench", "--code", str(code)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{code}:2: 'utf-8' codec can't decode byte 0xff in position 3" in err
+
+
+def test_simulate_config_non_utf8_names_line(tmp_path, capsys):
+    path = tmp_path / "session.cfg"
+    path.write_bytes(b"d 8\nalpha 1.0\xff\nn_symbols 1000\n")
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:2: 'utf-8' codec can't decode byte 0xff in position 9: "
+        "invalid start byte\n"
+    )

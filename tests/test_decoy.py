@@ -370,6 +370,17 @@ def test_design_load_bad_value_names_key(tmp_path):
     )
 
 
+def test_design_load_non_utf8_names_line(tmp_path):
+    path = tmp_path / "design.txt"
+    path.write_bytes(b"# cvqkd decoy design v1\nd 2\nalpha 0.5\xff\np 0.5\nepsilon 0.0\n"
+                     b"n_max 8\n0.3,1.0\n")
+    with pytest.raises(ValueError) as exc_info:
+        DecoyDesign.load(path)
+    assert str(exc_info.value) == (
+        f"{path}:3: 'utf-8' codec can't decode byte 0xff in position 9: invalid start byte"
+    )
+
+
 def test_design_load_rejects_malformed_file(tmp_path):
     path = tmp_path / "broken.txt"
     good = "d 2\nalpha 0.5\np 0.5\nepsilon 0.0\nn_max 8\n0.3,1.0\n"

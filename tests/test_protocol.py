@@ -1,5 +1,6 @@
 """Session flows, channel estimation, and key distillation."""
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -18,6 +19,7 @@ from cvqkd.protocol import (
     estimate_channel,
     estimation_std,
     resolve_code,
+    run_gaussian_postselected,
     run_session,
     save_transcript,
 )
@@ -403,6 +405,22 @@ def test_gaussian_flow_degenerate_band_gives_zero_key_blocks():
         run_session(config)
 
 
+def test_gaussian_flow_all_estimation_keeps_no_key_block():
+    config = ProtocolConfig(
+        d=1,
+        alpha=1.0,
+        n_symbols=2048,
+        flow="gaussian",
+        channel=ChannelParams(t=1.0, xi=0.0, detection="homodyne"),
+        p_est=1.0,
+        seed=1,
+    )
+    transcript = run_gaussian_postselected(config, np.random.default_rng(1))
+    assert np.all(transcript.labels == 1)
+    assert transcript.band_kept_fraction == 0.0
+    assert transcript.key_indices.size == 0
+
+
 def test_distill_refuses_on_entanglement_breaking_noise(design8):
     config = ProtocolConfig(
         d=8,
@@ -468,6 +486,42 @@ def test_transcript_dtypes(request, name):
     else:
         assert tr.basis is None
     assert tr.key_indices.dtype == tr.est_indices.dtype == np.int64
+
+
+# sha256 over one seed-5 session's arrays, both keys and the repr of
+# (t_hat, xi_hat, K, band_kept_fraction, n_est_samples, n_key_modes); a flow
+# or distillation change that moves any bit or count changes its digest
+SESSION_PINS = {
+    "decoy_d8": (
+        "b46c9e7e4bad734f1140150baa7524ec1cfff6b3aa55e16728d449a494d41e94",
+        dict(d=8, alpha=1.0, n_symbols=8000, flow="decoy", p=0.5,
+             channel=ChannelParams(t=0.8, xi=0.002, detection="heterodyne"))),
+    "gaussian_d1_homodyne": (
+        "6085461d4f347d6713b0c9969a46171b352d4decf13d75d8578de32f6f0fd02e",
+        dict(d=1, alpha=0.5, n_symbols=8192, flow="gaussian", band=RadiusBand(0.5, 1.5),
+             channel=ChannelParams(t=0.95, xi=0.002, detection="homodyne"))),
+    "gaussian_d8_heterodyne": (
+        "690b61b155956266c3ddf62d02c0f5fd109f7702f77b389e2984372b3e7ad9b6",
+        dict(d=8, alpha=1.0, n_symbols=40000, flow="gaussian", band=RadiusBand(0.95, 1.05),
+             channel=ChannelParams(t=0.8, xi=0.002, detection="heterodyne"))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SESSION_PINS))
+def test_session_bits_pinned(case, design8):
+    pin, kwargs = SESSION_PINS[case]
+    if kwargs["flow"] == "decoy":
+        kwargs = dict(kwargs, decoy=design8)
+    tr = run_session(ProtocolConfig(p_est=0.5, seed=5, **kwargs))
+    assert tr.alice_bits.size > 0
+    digest = hashlib.sha256()
+    for array in (tr.labels, tr.alice_blocks, tr.bob_blocks, tr.outcomes, tr.basis,
+                  tr.key_indices, tr.est_indices, tr.alice_bits, tr.bob_bits):
+        if array is not None:
+            digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(repr((tr.t_hat, tr.xi_hat, tr.report.k, tr.band_kept_fraction,
+                        tr.n_est_samples, tr.n_key_modes)).encode())
+    assert digest.hexdigest() == pin
 
 
 # Peak traced bytes per symbol of one run_session at 2e5 symbols, the

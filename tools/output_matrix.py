@@ -84,6 +84,10 @@ DESIGN_D3 = DESIGN_HEADER.format(d=3, alpha="1.0") + "1.0,1.0\n"
 # parity-check code files: a valid one (refused, no decoder) and one with a bit out of range
 CODE_VALID = "# n_bits k_bits\n4 2\n0 0\n0 1\n\n1 2 1\n1 3\n"
 CODE_BIT_OUT_OF_RANGE = "4 2\n# check bit\n0 0\n0 7\n"
+# a byte that is not UTF-8 (the files are written as latin-1, so "\xff" is the
+# one byte 0xff) on line 2 of a config and on line 3 of a design
+CONFIG_NON_UTF8 = "d 8\nalpha 1.0\xff\nn_symbols 1000\n"
+DESIGN_NON_UTF8 = DESIGN_HEADER.format(d=8, alpha="1.0\xff") + "1.0,1.0\n"
 CONFIGS = {"decoy_d8.cfg": DECOY_D8, "gaussian_d1.cfg": GAUSSIAN_D1,
            "gaussian_transcript.cfg": GAUSSIAN_TRANSCRIPT,
            "gaussian_d1_trusted.cfg": GAUSSIAN_D1_TRUSTED,
@@ -92,7 +96,10 @@ CONFIGS = {"decoy_d8.cfg": DECOY_D8, "gaussian_d1.cfg": GAUSSIAN_D1,
            "decoy_design_bad_value.cfg": DECOY_D8.replace("design_8_1_0.5.txt",
                                                           "design_bad_value.txt"),
            "decoy_design_d3.cfg": DECOY_D8.replace("design_8_1_0.5.txt", "design_d3.txt"),
-           "code_valid.txt": CODE_VALID, "code_bit_out_of_range.txt": CODE_BIT_OUT_OF_RANGE}
+           "code_valid.txt": CODE_VALID, "code_bit_out_of_range.txt": CODE_BIT_OUT_OF_RANGE,
+           "non_utf8.cfg": CONFIG_NON_UTF8, "design_non_utf8.txt": DESIGN_NON_UTF8,
+           "decoy_design_non_utf8.cfg": DECOY_D8.replace("design_8_1_0.5.txt",
+                                                         "design_non_utf8.txt")}
 
 # (name, argv); a command's --out, if any, names its output file or directory
 MATRIX = [
@@ -172,6 +179,8 @@ MATRIX = [
      ["simulate", "--config", "bad_value_then_unknown_key.cfg"]),
     ("session_decoy_design_bad_value", ["simulate", "--config", "decoy_design_bad_value.cfg"]),
     ("session_decoy_design_d3", ["simulate", "--config", "decoy_design_d3.cfg"]),
+    ("config_non_utf8", ["simulate", "--config", "non_utf8.cfg"]),
+    ("session_decoy_design_non_utf8", ["simulate", "--config", "decoy_design_non_utf8.cfg"]),
 ]
 
 
@@ -186,7 +195,7 @@ def main(argv):
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     with tempfile.TemporaryDirectory(prefix="output-matrix-") as work:
         for name, text in CONFIGS.items():
-            with open(os.path.join(work, name), "w") as fh:
+            with open(os.path.join(work, name), "w", encoding="latin-1") as fh:
                 fh.write(text)
         for name, args in MATRIX:
             run = subprocess.run([sys.executable, "-m", "cvqkd.cli", *args], cwd=work,

@@ -54,7 +54,7 @@ def main(argv):
             from cvqkd import cli
 
             for name, text in CONFIGS.items():
-                pathlib.Path(name).write_text(text)
+                pathlib.Path(name).write_text(text, encoding="latin-1")
             sink = io.StringIO()
             for _, args in MATRIX:
                 # a usage error leaves through argparse's sys.exit(2)

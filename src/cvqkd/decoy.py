@@ -113,10 +113,14 @@ def povm_scale(d, alpha):
     The ratio of consecutive ratios is (m + k) / (m (1 + alpha^2)), which
     exceeds 1 for all k > m alpha^2; f's truncation leaves a Poisson tail
     below TAIL_BOUND, far beyond that point, so it brackets the global minimum.
+    Both laws are positive at every k, so a zero weight is underflow: such k
+    (and any ratio that overflows) are left out of the argmin.
     """
     f = f_dist(d, alpha)
     g = g_dist(d, alpha, f.n_max)
-    ratio = g.probs / f.probs
+    ratio = np.full(f.probs.shape, np.inf)
+    with np.errstate(over="ignore"):
+        np.divide(g.probs, f.probs, out=ratio, where=(f.probs > 0) & (g.probs > 0))
     k_star = int(np.argmin(ratio))
     pi_d = float(ratio[k_star])
     paper_k = math.ceil(alpha * alpha * d)
@@ -255,22 +259,62 @@ class DecoyDesign:
 
 
 def _fit_weights(means, target, one_minus_p, n_max):
-    """Best l1 fit of (1-p) * mixture(means) to target; returns (weights, l1)."""
-    from scipy import optimize
+    """Best l1 fit of (1-p) * mixture(means) to target; returns (weights, l1).
 
-    q = _poisson_table(means, n_max)
-    n_w, n_e = q.shape[1], q.shape[0]
-    c = np.concatenate([np.zeros(n_w), np.ones(n_e)])
-    block = one_minus_p * q
-    a_ub = np.block([[block, -np.eye(n_e)], [-block, -np.eye(n_e)]])
-    b_ub = np.concatenate([target, -target])
-    a_eq = np.concatenate([np.ones(n_w), np.zeros(n_e)])[None, :]
-    res = optimize.linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], method="highs"
-    )
-    if not res.success:
-        raise RuntimeError(f"decoy weight fit failed: {res.message}")
-    return res.x[:n_w], float(res.fun)
+    The LP over weights w and errors e >= 0 is: minimize sum(e) subject to
+    [[B, -I]; [-B, -I]] [w; e] <= [target; -target] and sum(w) = 1, with
+    B = (1-p) * Q.  It goes to HiGHS's dual simplex as the model, options
+    and CSC matrix (exact zeros dropped) that scipy's linprog(method="highs")
+    would pass, so every weight keeps linprog's bits, without its per-call
+    checks.  scipy.optimize._highspy._core is private: tests/test_decoy.py
+    pins the symbols used here and checks designs against linprog.
+    """
+    from scipy.optimize._highspy import _core
+
+    block = one_minus_p * _poisson_table(means, n_max)
+    n_e, n_w = block.shape
+    # CSC by weight column: its B entries, its -B entries, its 1 in the sum row;
+    # then each error column's -1 in its row of either half
+    columns = np.hstack([block.T, -block.T, np.ones((n_w, 1))])
+    nonzero = columns != 0
+    errors = np.arange(n_e)
+    counts = np.concatenate([nonzero.sum(axis=1), np.full(n_e, 2)])
+    index = np.concatenate([np.nonzero(nonzero)[1], np.stack([errors, errors + n_e], 1).ravel()])
+    value = np.concatenate([columns[nonzero], np.full(2 * n_e, -1.0)])
+    lp = _core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_w + n_e
+    lp.num_row_ = lp.a_matrix_.num_row_ = 2 * n_e + 1
+    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
+    # the matrix fields take lists faster than numpy arrays (the others copy arrays whole)
+    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(counts)]).tolist()
+    lp.a_matrix_.index_ = index.tolist()
+    lp.a_matrix_.value_ = value.tolist()
+    lp.col_cost_ = np.concatenate([np.zeros(n_w), np.ones(n_e)])
+    lp.col_lower_ = np.zeros(n_w + n_e)
+    lp.col_upper_ = np.full(n_w + n_e, _core.kHighsInf)
+    lp.row_lower_ = np.append(np.full(2 * n_e, -_core.kHighsInf), 1.0)
+    lp.row_upper_ = np.concatenate([target, -target, [1.0]])
+
+    options = _core.HighsOptions()
+    options.presolve = "on"
+    options.output_flag = False
+    options.log_to_console = False
+    options.highs_debug_level = 0
+    options.simplex_strategy = 1  # dual simplex
+    highs = _core._Highs()
+    highs.passOptions(options)
+    # a model HiGHS refuses (a nan bound, say) would leave run() solving an empty one
+    if highs.passModel(lp) == _core.HighsStatus.kError:
+        status = _core.HighsModelStatus.kModelError
+    else:
+        highs.run()
+        status = highs.getModelStatus()
+    if status != _core.HighsModelStatus.kOptimal:
+        raise RuntimeError(
+            f"decoy weight fit failed: HiGHS model status {highs.modelStatusToString(status)}"
+        )
+    weights = np.array(highs.getSolution().col_value[:n_w])
+    return weights, float(highs.getInfo().objective_function_value)
 
 
 def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):

@@ -352,6 +352,14 @@ def test_decoy_opt_infeasible_exit_code(capsys):
     assert "photon number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["1e-9", "1e-20"])
+def test_decoy_opt_tiny_alpha_is_feasible(capsys, alpha):
+    # g's weights beyond k = 0 underflow to 0 here; pi_d is 1, not 0 or nan
+    assert main(["decoy-opt", "--d", "2", "--alpha", alpha, "--p", "0.5"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("pi_d=1.0 k_star=0 p=0.5 feasible=yes\n")
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf"])
 def test_decoy_opt_rejects_non_finite_alpha(capsys, alpha):
     assert main(["decoy-opt", "--d", "8", "--alpha", alpha, "--p", "0.5"]) == 2

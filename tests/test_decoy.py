@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from cvqkd.decoy import (
     trace_distance,
 )
 
+import linprog_oracle
 from fock_oracle import circle_density
 
 
@@ -152,6 +154,38 @@ def test_povm_ratio_at_zero_photons():
         want = math.exp(m * alpha**2) / (1 + alpha**2) ** m
         assert abs(at_zero - want) < 1e-12
         assert povm_scale(d, alpha)[0] <= at_zero
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 1e-20])
+def test_povm_scale_at_tiny_alpha_is_one(alpha):
+    # 1/(1+alpha^2) rounds to 1, so g is 0 beyond k = 0 (and f too at 1e-20):
+    # those zeros are underflow, not a ratio of 0 or 0/0
+    for d in (2, 4, 8):
+        assert povm_scale(d, alpha) == (1.0, 0)
+    design = optimize_decoy(2, alpha, 0.5)
+    assert design.p == 0.5 and math.isfinite(design.epsilon) and design.epsilon < 1e-3
+
+
+def test_povm_scale_at_large_alpha_warns_nothing():
+    # f underflows below k ~ 3000 at (8, 30); the ratio keeps its bits, silently
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pi_d, k_star = povm_scale(8, 30.0)
+    f = f_dist(8, 30.0)
+    with np.errstate(all="ignore"):
+        ratio = g_dist(8, 30.0, f.n_max).probs / f.probs
+    assert (pi_d, k_star) == (ratio.min(), int(np.argmin(ratio)))
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_povm_scale_keeps_every_finite_positive_quotient(d):
+    # leaving zero weights out of the argmin moves no pi_d the plain quotient got right
+    for alpha in LAW_ALPHAS:
+        f = f_dist(d, alpha)
+        with np.errstate(all="ignore"):
+            ratio = g_dist(d, alpha, f.n_max).probs / f.probs
+        assert 0.0 < ratio.min() < np.inf, alpha
+        assert povm_scale(d, alpha) == (ratio.min(), int(np.argmin(ratio))), alpha
 
 
 def test_p_succ_closed_forms():
@@ -303,18 +337,101 @@ def test_optimize_decoy_feasibility_boundary():
 def test_descent_stops_at_its_fixed_point(monkeypatch, args, solves):
     # 2 fits, then 6 trial factors per radius and pass: (8, 1, 0.5) keeps 9 radii
     # and its first pass accepts nothing; (2, 0.5, 0.5) runs both passes on 7
-    from scipy import optimize
-
     calls = []
-    linprog = optimize.linprog
+    fit = decoy._fit_weights
 
     def counting(*a, **kw):
         calls.append(1)
-        return linprog(*a, **kw)
+        return fit(*a, **kw)
 
-    monkeypatch.setattr(optimize, "linprog", counting)
+    monkeypatch.setattr(decoy, "_fit_weights", counting)
     optimize_decoy(*args)
     assert len(calls) == solves
+
+
+BENCHMARK_DESIGNS = [(2, 0.5, 0.5), (8, 1.0, 0.5), (8, 2.0, 0.3)]
+
+
+def _jittered(i):
+    """The benchmark's op i at seed 5: its three designs, alpha jittered by up to 1%."""
+    factors = np.random.default_rng([5, i]).uniform(0.99, 1.01, size=3)
+    return [(d, float(alpha * factor), p)
+            for (d, alpha, p), factor in zip(BENCHMARK_DESIGNS, factors)]
+
+
+# (d, alpha, p, n_radii_max): the output matrix's designs, three jittered
+# benchmark ops, and criterion 7's design just inside the POVM scale
+ORACLE_DESIGNS = [
+    *((d, alpha, p, 12) for d, alpha, p in [*BENCHMARK_DESIGNS, (4, 0.7, 0.2)]),
+    (8, 1.0, 0.5, 2),
+    *((d, alpha, p, 12) for i in range(3) for d, alpha, p in _jittered(i)),
+    (2, 0.5, povm_scale(2, 0.5)[0] - 1e-9, 12),
+]
+
+
+@pytest.mark.parametrize("d, alpha, p, n_radii_max", ORACLE_DESIGNS)
+def test_design_bits_equal_linprog_oracle(monkeypatch, d, alpha, p, n_radii_max):
+    # the direct HiGHS fit must give the designs scipy's linprog gives, bit for bit
+    design = optimize_decoy(d, alpha, p, n_radii_max=n_radii_max)
+    monkeypatch.setattr(decoy, "_fit_weights", linprog_oracle.fit_weights)
+    want = optimize_decoy(d, alpha, p, n_radii_max=n_radii_max)
+    assert design.radii == want.radii
+    assert design.weights == want.weights
+    assert design.epsilon == want.epsilon
+    assert design.n_max == want.n_max
+
+
+# the private HiGHS API that decoy._fit_weights uses; "()" makes an instance
+HIGHS_SYMBOLS = [
+    "_Highs", "HighsLp", "HighsOptions", "kHighsInf", "MatrixFormat.kColwise",
+    "HighsStatus.kError", "HighsModelStatus.kOptimal", "HighsModelStatus.kModelError",
+    *(f"HighsLp().{name}" for name in (
+        "num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_", "row_lower_",
+        "row_upper_")),
+    *(f"HighsLp().a_matrix_.{name}" for name in (
+        "num_col_", "num_row_", "format_", "start_", "index_", "value_")),
+    *(f"HighsOptions().{name}" for name in (
+        "presolve", "output_flag", "log_to_console", "highs_debug_level",
+        "simplex_strategy")),
+    *(f"_Highs().{name}" for name in (
+        "passOptions", "passModel", "run", "getModelStatus", "modelStatusToString")),
+    "_Highs().getSolution().col_value", "_Highs().getInfo().objective_function_value",
+]
+
+
+@pytest.mark.parametrize("symbol", HIGHS_SYMBOLS)
+def test_private_highs_surface_is_present(symbol):
+    # a scipy release that renames or drops one of these fails here, naming it
+    from scipy.optimize._highspy import _core
+
+    owner = _core
+    for part in symbol.split("."):
+        name = part.removesuffix("()")
+        assert hasattr(owner, name), f"scipy.optimize._highspy._core.{symbol}: no {name!r}"
+        owner = getattr(owner, name)() if part.endswith("()") else getattr(owner, name)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fit_weights_names_the_highs_model_status(bad):
+    # HiGHS refuses the model; the fit must not go on to solve an empty one
+    message = "^decoy weight fit failed: HiGHS model status Model error$"
+    with pytest.raises(RuntimeError, match=message):
+        decoy._fit_weights(np.array([1.0]), np.array([bad, 0.0]), 0.5, 1)
+
+
+def test_highs_options_take_linprogs_values():
+    # decoy._fit_weights sets what linprog(method="highs") passes: presolve on,
+    # no output, no debug checks, dual simplex
+    from scipy.optimize._highspy import _core
+
+    assert int(_core.HighsDebugLevel.kHighsDebugLevelNone) == 0
+    assert int(_core.simplex_constants.SimplexStrategy.kSimplexStrategyDual) == 1
+    options = _core.HighsOptions()
+    want = {"presolve": "on", "output_flag": False, "log_to_console": False,
+            "highs_debug_level": 0, "simplex_strategy": 1}
+    for name, value in want.items():
+        setattr(options, name, value)
+        assert getattr(options, name) == value, name
 
 
 def test_optimize_decoy_input_validation():

@@ -1,6 +1,6 @@
 """Print a sha256 listing of what a fixed set of cvqkd commands writes.
 
-Usage: python3 tools/output_matrix.py [ROOT]
+Usage: python3 tools/output_matrix.py [--check] [ROOT]
 
 Runs each command of MATRIX with ``python3 -m cvqkd.cli`` against ROOT/src
 (ROOT defaults to the checkout holding this script), in a temporary
@@ -8,19 +8,27 @@ directory with relative --out paths.  For every file a command writes, and
 for each command's exit code with its stdout and stderr (the directory's
 path replaced by ``WORK``), it prints one ``sha256  name`` line, then
 deletes the directory; a command without --out writes no file, so only its
-exit code, stdout and stderr are hashed.  Two
-checkouts produce the same outputs exactly when their listings are equal, so
+exit code, stdout and stderr are hashed.  The first line names the Python,
+numpy and scipy versions, since the hashes depend on them.  Two checkouts
+produce the same outputs exactly when their listings are equal.
 
-    diff <(python3 tools/output_matrix.py OLD) <(python3 tools/output_matrix.py)
+tools/output_matrix.txt holds the listing of this checkout.  With --check the
+script compares ROOT's listing against it, prints each changed line (``-``
+committed, ``+`` now) and exits 1 on any difference, 0 when all match.  It
+refuses to compare, with exit 2, when the committed versions are not the
+ones running.  A change that alters outputs on purpose rewrites the file:
 
-checks that a change keeps every design, CSV, stdout and transcript byte for byte.
+    python3 tools/output_matrix.py > tools/output_matrix.txt
 """
 
+import difflib
 import hashlib
 import os
+import platform
 import subprocess
 import sys
 import tempfile
+from importlib import metadata
 
 # the session configs of the benchmark workloads and of the tests
 DECOY_D8 = """flow decoy
@@ -184,14 +192,21 @@ MATRIX = [
 ]
 
 
+COMMITTED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "output_matrix.txt")
+
+
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
 
 
-def main(argv):
-    if len(argv) > 1:
-        sys.exit(__doc__.split("\n\n")[1])
-    root = os.path.abspath(argv[0] if argv else os.path.join(os.path.dirname(__file__), ".."))
+def _versions():
+    return (f"# python {platform.python_version()} numpy {metadata.version('numpy')} "
+            f"scipy {metadata.version('scipy')}")
+
+
+def _listing(root):
+    """The version line, then one ``sha256  name`` line per output of MATRIX."""
+    yield _versions()
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     with tempfile.TemporaryDirectory(prefix="output-matrix-") as work:
         for name, text in CONFIGS.items():
@@ -202,8 +217,8 @@ def main(argv):
                                  env=env, capture_output=True)
             # an error about a file a config names holds the directory's random path
             status = f"{run.returncode}\n".encode() + run.stdout
-            print(f"{_sha256(status.replace(work.encode(), b'WORK'))}  {name}.exit+stdout")
-            print(f"{_sha256(run.stderr.replace(work.encode(), b'WORK'))}  {name}.stderr")
+            yield f"{_sha256(status.replace(work.encode(), b'WORK'))}  {name}.exit+stdout"
+            yield f"{_sha256(run.stderr.replace(work.encode(), b'WORK'))}  {name}.stderr"
             if "--out" not in args:
                 continue
             out = os.path.join(work, args[args.index("--out") + 1])
@@ -211,7 +226,37 @@ def main(argv):
                      if os.path.isdir(out) else [out] if os.path.exists(out) else [])
             for path in paths:
                 with open(path, "rb") as fh:
-                    print(f"{_sha256(fh.read())}  {os.path.relpath(path, work)}", flush=True)
+                    yield f"{_sha256(fh.read())}  {os.path.relpath(path, work)}"
+
+
+def _check(root):
+    """Exit status of comparing ROOT's listing with the committed one."""
+    with open(COMMITTED) as fh:
+        committed = fh.read().splitlines()
+    header = committed[0] if committed else ""
+    if header != _versions():
+        print(f"refusing to compare: {COMMITTED} was made with {header!r}, "
+              f"this is {_versions()!r}", file=sys.stderr)
+        return 2
+    now = list(_listing(root))
+    changed = [line for line in difflib.unified_diff(committed, now, lineterm="", n=0)
+               if line[:1] in "-+" and line[:3] not in ("---", "+++")]
+    for line in changed:
+        print(line)
+    print(f"{len(changed)} changed lines against {len(committed)} committed", file=sys.stderr)
+    return 1 if changed else 0
+
+
+def main(argv):
+    check = argv[:1] == ["--check"]
+    argv = argv[1:] if check else argv
+    if len(argv) > 1 or argv[:1] and argv[0].startswith("-"):
+        sys.exit(__doc__.split("\n\n")[1])
+    root = os.path.abspath(argv[0] if argv else os.path.join(os.path.dirname(__file__), ".."))
+    if check:
+        sys.exit(_check(root))
+    for line in _listing(root):
+        print(line, flush=True)
 
 
 if __name__ == "__main__":

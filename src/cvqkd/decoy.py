@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,13 +102,21 @@ def _check_decoy_args(d, alpha):
     ModulationScheme(d, alpha)
 
 
+def _check_count(name, value):
+    """value is an int >= 1: a float or bool would not survive a design file's int field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def _check_design_args(d, alpha, p, n_max):
     """A design's (d, alpha) pass _check_decoy_args, p lies in [0, 1), n_max (if given) is >= 1."""
     _check_decoy_args(d, alpha)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"key fraction p must lie in [0, 1), got {p}")
-    if n_max is not None and n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {n_max}")
+    if n_max is not None:
+        _check_count("n_max", n_max)
 
 
 def povm_scale(d, alpha):
@@ -322,12 +334,13 @@ def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):
 
     Fits (1-p) * mixture against g - p*f in l1 on a log grid of Poisson means,
     prunes the support to n_radii_max radii, then refines each surviving
-    radius by coordinate descent.  The returned epsilon is a sound trace
-    distance certificate including all truncation tails.
+    radius by coordinate descent, with up to min(usable CPUs, 6) trial fits
+    at once; the design does not depend on the CPU count.  The returned
+    epsilon is a sound trace distance certificate including all truncation
+    tails.
     """
     _check_design_args(d, alpha, p, n_max)
-    if n_radii_max < 1:
-        raise ValueError(f"n_radii_max must be at least 1, got {n_radii_max}")
+    _check_count("n_radii_max", n_radii_max)
     pi_d, k_star = povm_scale(d, alpha)
     if p > pi_d + 1e-12:
         raise InfeasibleDecoyError(
@@ -351,18 +364,35 @@ def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):
     weights, best = _fit_weights(mus, target, 1.0 - p, n_max)
 
     factors = (0.8, 0.9, 0.95, 1.05, 1.1, 1.25)
-    for _ in range(2):
-        # the fit is deterministic: a pass that moves nothing is a fixed point
-        before = mus
-        for j in range(mus.size):
-            for factor in factors:
-                trial = mus.copy()
-                trial[j] = mus[j] * factor
-                w_try, l1_try = _fit_weights(trial, target, 1.0 - p, n_max)
+    moves = [(j, factor) for j in range(mus.size) for factor in factors]
+    # HiGHS's run releases the GIL, so up to `width` trial fits overlap; results
+    # are taken in move order, which makes every decision the one-at-a-time one
+    width = min(len(os.sched_getaffinity(0)), len(factors))
+    with ThreadPoolExecutor(width) as pool:
+        for _ in range(2):
+            # the fit is deterministic: a pass that moves nothing is a fixed point
+            before = mus
+            in_flight = deque()  # (trial, its fit) for the moves after the last one taken
+            next_move = 0
+            while in_flight or next_move < len(moves):
+                while next_move < len(moves) and len(in_flight) < width:
+                    j, factor = moves[next_move]
+                    trial = mus.copy()
+                    trial[j] = mus[j] * factor
+                    in_flight.append(
+                        (trial, pool.submit(_fit_weights, trial, target, 1.0 - p, n_max)))
+                    next_move += 1
+                trial, fit = in_flight.popleft()
+                w_try, l1_try = fit.result()
                 if l1_try < best - 1e-15:
                     mus, weights, best = trial, w_try, l1_try
-        if mus is before:
-            break
+                    # the later fits started from the old mus: let them finish, drop
+                    # them (and any error), and rebuild their moves from the new mus
+                    wait([stale for _, stale in in_flight])
+                    next_move -= len(in_flight)
+                    in_flight.clear()
+            if mus is before:
+                break
 
     weights = np.clip(weights, 0.0, None)
     keep = weights > 1e-12

@@ -2,6 +2,7 @@
 
 import math
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -333,20 +334,48 @@ def test_optimize_decoy_feasibility_boundary():
         optimize_decoy(2, 0.5, pi_d + 1e-9)
 
 
+_FIT_WEIGHTS = decoy._fit_weights  # the real fit, whatever a test has patched in since
+
+
+def _use_cpus(monkeypatch, count):
+    """Make optimize_decoy see `count` usable CPUs, so it runs that many fits at once."""
+    monkeypatch.setattr(decoy.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _trials(monkeypatch, args, fail_on=lambda trial: False):
+    """optimize_decoy(*args), and the radius means of every fit it asks for, in order.
+
+    A fit whose means satisfy fail_on is handed a nan target, so it raises
+    the RuntimeError that HiGHS's refusal gives.
+    """
+    seen = []
+
+    def recording(means, target, one_minus_p, n_max):
+        seen.append(means.tobytes())
+        bad = fail_on(means)
+        return _FIT_WEIGHTS(means, target * np.nan if bad else target, one_minus_p, n_max)
+
+    monkeypatch.setattr(decoy, "_fit_weights", recording)
+    return optimize_decoy(*args), seen
+
+
 @pytest.mark.parametrize("args, solves", [((8, 1.0, 0.5), 56), ((2, 0.5, 0.5), 86)])
 def test_descent_stops_at_its_fixed_point(monkeypatch, args, solves):
     # 2 fits, then 6 trial factors per radius and pass: (8, 1, 0.5) keeps 9 radii
     # and its first pass accepts nothing; (2, 0.5, 0.5) runs both passes on 7
-    calls = []
-    fit = decoy._fit_weights
+    _use_cpus(monkeypatch, 1)
+    assert len(_trials(monkeypatch, args)[1]) == solves
 
-    def counting(*a, **kw):
-        calls.append(1)
-        return fit(*a, **kw)
 
-    monkeypatch.setattr(decoy, "_fit_weights", counting)
-    optimize_decoy(*args)
-    assert len(calls) == solves
+@pytest.mark.parametrize("args, solves", [((8, 1.0, 0.5), 56), ((2, 0.5, 0.5), 93)])
+def test_descent_on_two_cpus_also_solves_stale_trials(monkeypatch, args, solves):
+    # the fit in flight beside each accepted one was built from the old means:
+    # it is solved and dropped, 7 times for (2, 0.5, 0.5) and never for (8, 1, 0.5);
+    # no worker thread outlives the call
+    _use_cpus(monkeypatch, 2)
+    threads = threading.active_count()
+    assert len(_trials(monkeypatch, args)[1]) == solves
+    assert threading.active_count() == threads
 
 
 BENCHMARK_DESIGNS = [(2, 0.5, 0.5), (8, 1.0, 0.5), (8, 2.0, 0.3)]
@@ -379,6 +408,39 @@ def test_design_bits_equal_linprog_oracle(monkeypatch, d, alpha, p, n_radii_max)
     assert design.weights == want.weights
     assert design.epsilon == want.epsilon
     assert design.n_max == want.n_max
+
+
+@pytest.mark.parametrize("d, alpha, p, n_radii_max", ORACLE_DESIGNS)
+def test_design_does_not_depend_on_cpu_count(monkeypatch, d, alpha, p, n_radii_max):
+    _use_cpus(monkeypatch, 1)
+    one = optimize_decoy(d, alpha, p, n_radii_max=n_radii_max)
+    _use_cpus(monkeypatch, 2)
+    assert optimize_decoy(d, alpha, p, n_radii_max=n_radii_max) == one
+
+
+def test_descent_drops_a_stale_fits_error(monkeypatch):
+    # a fit of a trial the one-at-a-time descent never builds is never looked at;
+    # of the 7 stale trials at two CPUs, one recurs later in the descent itself
+    args = (2, 0.5, 0.5)
+    _use_cpus(monkeypatch, 1)
+    want, serial = _trials(monkeypatch, args)
+    _use_cpus(monkeypatch, 2)
+    design, seen = _trials(monkeypatch, args, lambda m: m.tobytes() not in serial)
+    assert len([t for t in seen if t not in serial]) == 6
+    assert design == want
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_descent_raises_a_taken_fits_error(monkeypatch, cpus):
+    # the 20th fit (a descent trial both ways) fails: the error is the fit's own
+    _use_cpus(monkeypatch, 1)
+    failing = _trials(monkeypatch, (2, 0.5, 0.5))[1][19]
+    _use_cpus(monkeypatch, cpus)
+    threads = threading.active_count()
+    message = "^decoy weight fit failed: HiGHS model status Model error$"
+    with pytest.raises(RuntimeError, match=message):
+        _trials(monkeypatch, (2, 0.5, 0.5), lambda m: m.tobytes() == failing)
+    assert threading.active_count() == threads
 
 
 # the private HiGHS API that decoy._fit_weights uses; "()" makes an instance
@@ -441,6 +503,17 @@ def test_optimize_decoy_input_validation():
         optimize_decoy(2, -0.5, 0.1)
     with pytest.raises(ValueError):
         optimize_decoy(2, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"n_max": 64.5}, "n_max must be an integer, got 64.5"),
+    ({"n_max": math.nan}, "n_max must be an integer, got nan"),
+    ({"n_radii_max": 2.5}, "n_radii_max must be an integer, got 2.5"),
+], ids=["n_max", "n_max_nan", "n_radii_max"])
+def test_optimize_decoy_refuses_fractional_counts(kwargs, message):
+    # a float n_max used to give a design that its own file could not hold
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        optimize_decoy(2, 0.5, 0.5, **kwargs)
 
 
 def test_design_save_load_roundtrip(tmp_path):

@@ -4,8 +4,9 @@ Usage: python3 tools/unreached_lines.py [ROOT]
 
 Runs each command of output_matrix.MATRIX through cvqkd.cli.main, imported
 from ROOT/src (default: this checkout), in a temporary directory under
-sys.settrace, then prints ``path:line  source`` for each statement of
-ROOT/src/cvqkd that never ran.  No file is left behind.
+sys.settrace and threading.settrace, then prints ``path:line  source`` for
+each statement of ROOT/src/cvqkd that never ran, on any thread.  No file is
+left behind.
 """
 
 import ast
@@ -15,6 +16,7 @@ import os
 import pathlib
 import sys
 import tempfile
+import threading
 
 sys.dont_write_bytecode = True
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -50,6 +52,7 @@ def main(argv):
     with tempfile.TemporaryDirectory(prefix="unreached-lines-") as work:
         os.chdir(work)
         sys.settrace(trace)
+        threading.settrace(trace)  # the decoy descent fits on worker threads
         try:
             from cvqkd import cli
 
@@ -63,6 +66,7 @@ def main(argv):
                     cli.main(args)
         finally:
             sys.settrace(None)
+            threading.settrace(None)
             os.chdir(here)
     for path in sorted(os.path.join(package, f) for f in os.listdir(package) if f.endswith(".py")):
         with open(path) as fh:

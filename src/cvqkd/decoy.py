@@ -334,7 +334,7 @@ def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):
 
     Fits (1-p) * mixture against g - p*f in l1 on a log grid of Poisson means,
     prunes the support to n_radii_max radii, then refines each surviving
-    radius by coordinate descent, with up to min(usable CPUs, 6) trial fits
+    radius by coordinate descent, with up to min(usable CPUs, 2) trial fits
     at once; the design does not depend on the CPU count.  The returned
     epsilon is a sound trace distance certificate including all truncation
     tails.
@@ -366,8 +366,14 @@ def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):
     factors = (0.8, 0.9, 0.95, 1.05, 1.1, 1.25)
     moves = [(j, factor) for j in range(mus.size) for factor in factors]
     # HiGHS's run releases the GIL, so up to `width` trial fits overlap; results
-    # are taken in move order, which makes every decision the one-at-a-time one
-    width = min(len(os.sched_getaffinity(0)), len(factors))
+    # are taken in move order, which makes every decision the one-at-a-time one.
+    # Each fit in flight beside an accepted one is a wasted solve, and only two
+    # at once have been timed, so the width stops at 2
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    width = min(cpus, 2)
     with ThreadPoolExecutor(width) as pool:
         for _ in range(2):
             # the fit is deterministic: a pass that moves nothing is a fixed point

@@ -378,6 +378,25 @@ def test_descent_on_two_cpus_also_solves_stale_trials(monkeypatch, args, solves)
     assert threading.active_count() == threads
 
 
+def test_descent_runs_at_most_two_fits_at_once(monkeypatch):
+    # six usable CPUs still give the two-CPU descent and its 93 solves
+    _use_cpus(monkeypatch, 6)
+    assert len(_trials(monkeypatch, (2, 0.5, 0.5))[1]) == 93
+
+
+@pytest.mark.parametrize("cpu_count, solves", [(None, 86), (1, 86), (4, 93)])
+def test_descent_without_sched_getaffinity(monkeypatch, cpu_count, solves):
+    # where os has no sched_getaffinity the width comes from os.cpu_count(),
+    # and one CPU when that is unknown; the design is the one-CPU design
+    _use_cpus(monkeypatch, 1)
+    want = optimize_decoy(2, 0.5, 0.5)
+    monkeypatch.delattr(decoy.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(decoy.os, "cpu_count", lambda: cpu_count)
+    design, seen = _trials(monkeypatch, (2, 0.5, 0.5))
+    assert len(seen) == solves
+    assert design == want
+
+
 BENCHMARK_DESIGNS = [(2, 0.5, 0.5), (8, 1.0, 0.5), (8, 2.0, 0.3)]
 
 

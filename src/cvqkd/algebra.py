@@ -141,9 +141,13 @@ class OrthogonalTransform:
     def apply_inverse(self, v):
         return self._apply(v, self.reflectors[::-1])
 
-    def to_bytes(self) -> bytes:
-        head = struct.pack("<II", self.n_reflections, self.n)
-        return head + np.ascontiguousarray(self.reflectors, dtype="<f8").tobytes(order="C")
+    def write(self, fh):
+        """Write the record to a binary file: '<II' (k, n), then the k x n reflectors as '<f8'.
+
+        The reflectors go out from their own buffer, so no copy of them is made.
+        """
+        fh.write(struct.pack("<II", self.n_reflections, self.n))
+        fh.write(np.ascontiguousarray(self.reflectors, dtype="<f8").data)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "OrthogonalTransform":

@@ -97,15 +97,21 @@ def g_dist(d, alpha, n_max=None):
 
 
 def _check_decoy_args(d, alpha):
+    _check_integer("d", d)
     if d not in SPHERE_DIMS:
         raise ValueError(f"d must be one of {SPHERE_DIMS}, got {d}")
     ModulationScheme(d, alpha)
 
 
-def _check_count(name, value):
-    """value is an int >= 1: a float or bool would not survive a design file's int field."""
+def _check_integer(name, value):
+    """value is an int: a float or bool would not survive a design file's int field."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_count(name, value):
+    """value is an int >= 1."""
+    _check_integer(name, value)
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
 
@@ -329,6 +335,13 @@ def _fit_weights(means, target, one_minus_p, n_max):
     return weights, float(highs.getInfo().objective_function_value)
 
 
+def usable_cpus():
+    """The CPUs this process may run on: its affinity set, else os.cpu_count(), else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):
     """Design a decoy radius mixture hiding the key fraction p in sigma_G.
 
@@ -369,11 +382,7 @@ def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):
     # are taken in move order, which makes every decision the one-at-a-time one.
     # Each fit in flight beside an accepted one is a wasted solve, and only two
     # at once have been timed, so the width stops at 2
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    width = min(cpus, 2)
+    width = min(usable_cpus(), 2)
     with ThreadPoolExecutor(width) as pool:
         for _ in range(2):
             # the fit is deterministic: a pass that moves nothing is a fixed point

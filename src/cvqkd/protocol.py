@@ -9,10 +9,12 @@ estimation blocks, then reconciles the key blocks and bounds the key rate.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,7 +22,7 @@ import numpy as np
 from . import algebra, modulation, reconciliation, security
 from .channel import COORDS_PER_MODE, DETECTIONS, NOISE_FLOORS, ChannelParams
 from .channel import distance_to_T, transmit_measure
-from .decoy import DecoyDesign, mix_probabilities
+from .decoy import DecoyDesign, mix_probabilities, usable_cpus
 from .modulation import ModulationScheme, RadiusBand
 
 log = logging.getLogger(__name__)
@@ -536,17 +538,27 @@ def save_transcript(transcript, dir_path):
             fh.write(f"emitted_bits {transcript.alice_bits.size}\n")
         fh.write("events " + ",".join(transcript.events) + "\n")
 
-    modulation.write_blocks_csv(
-        os.path.join(dir_path, "symbols.csv"), transcript.alice_blocks, transcript.labels)
     outcomes = transcript.outcomes
     if config.channel.detection == "homodyne":
         names, columns = ["basis", "y"], [transcript.basis, outcomes]
     else:
         names, columns = ["y_x", "y_p"], list(outcomes.T)
-    modulation.write_table(os.path.join(dir_path, "outcomes.csv"), "outcomes",
-                           ["mode_index"] + names, [np.arange(len(outcomes))] + columns)
+    write_outcomes = functools.partial(
+        modulation.write_table, os.path.join(dir_path, "outcomes.csv"), "outcomes",
+        ["mode_index"] + names, [np.arange(len(outcomes))] + columns)
+    # with a second CPU a worker writes the larger table while this thread writes
+    # the other: the encoder's numpy steps and the file writes release the GIL.
+    # Each file has one writer, so no byte depends on the CPU count
+    with ThreadPoolExecutor(1) as pool:
+        worker = pool.submit(write_outcomes) if usable_cpus() > 1 else None
+        modulation.write_blocks_csv(
+            os.path.join(dir_path, "symbols.csv"), transcript.alice_blocks, transcript.labels)
+        if worker is None:
+            write_outcomes()
+        else:
+            worker.result()
     with open(os.path.join(dir_path, "transform.bin"), "wb") as fh:
-        fh.write(transcript.transform.to_bytes())
+        transcript.transform.write(fh)
     for name, bits in (("alice_key.txt", transcript.alice_bits),
                        ("bob_key.txt", transcript.bob_bits)):
         digits = b"" if bits is None else (bits.astype(np.uint8) + ord("0")).tobytes()

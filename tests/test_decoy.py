@@ -535,6 +535,22 @@ def test_optimize_decoy_refuses_fractional_counts(kwargs, message):
         optimize_decoy(2, 0.5, 0.5, **kwargs)
 
 
+@pytest.mark.parametrize("d", [2.0, True], ids=["float", "bool"])
+@pytest.mark.parametrize("call", [
+    f_dist, g_dist, povm_scale, lambda d, alpha: optimize_decoy(d, alpha, 0.5),
+], ids=["f_dist", "g_dist", "povm_scale", "optimize_decoy"])
+def test_entry_points_refuse_a_non_integer_d(call, d):
+    # optimize_decoy(2.0, 0.5, 0.5) used to return a design that saved 'd 2.0',
+    # which its own load refused
+    with pytest.raises(ValueError, match=f"^d must be an integer, got {d!r}$"):
+        call(d, 0.5)
+
+
+def test_design_refuses_a_non_integer_d():
+    with pytest.raises(ValueError, match=r"^d must be an integer, got 2\.0$"):
+        DecoyDesign(2.0, 0.5, 0.5, radii=(1.0,), weights=(1.0,), epsilon=0.0, n_max=8)
+
+
 def test_design_save_load_roundtrip(tmp_path):
     design = optimize_decoy(2, 0.5, 0.5)
     path = tmp_path / "design.txt"

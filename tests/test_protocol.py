@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import os
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,7 +26,7 @@ from cvqkd.protocol import (
     save_transcript,
 )
 from cvqkd.algebra import OrthogonalTransform
-from cvqkd import reconciliation
+from cvqkd import modulation, reconciliation
 
 
 @pytest.fixture(scope="module")
@@ -607,6 +609,52 @@ def test_save_transcript_roundtrip(tmp_path, request, name):
         assert np.array_equal(values, transcript.outcomes)
     for text in ("manifest.txt", "symbols.csv", "outcomes.csv", "alice_key.txt", "bob_key.txt"):
         assert b"\r" not in (out / text).read_bytes()
+
+
+def _use_cpus(monkeypatch, count):
+    """Make save_transcript see `count` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+
+
+@pytest.mark.parametrize("name", ["decoy_transcript", "gaussian_transcript"])
+def test_save_is_identical_at_one_and_two_cpus(tmp_path, monkeypatch, request, name):
+    # at two usable CPUs a worker writes outcomes.csv while the caller writes
+    # symbols.csv; at one the caller writes both; every file keeps its bytes
+    transcript = request.getfixturevalue(name)
+    writers = {}
+    write_table = modulation.write_table
+
+    def recording(path, kind, names, columns):
+        writers[kind] = threading.current_thread()
+        write_table(path, kind, names, columns)
+
+    monkeypatch.setattr(modulation, "write_table", recording)
+    saved = []
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        save_transcript(transcript, tmp_path / str(cpus))
+        assert writers["symbols"] is threading.current_thread()
+        assert (writers["outcomes"] is threading.current_thread()) == (cpus == 1)
+        saved.append({path.name: path.read_bytes() for path in (tmp_path / str(cpus)).iterdir()})
+    assert sorted(saved[0]) == ["alice_key.txt", "bob_key.txt", "manifest.txt",
+                                "outcomes.csv", "symbols.csv", "transform.bin"]
+    assert saved[0] == saved[1]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_save_raises_an_outcomes_write_error(tmp_path, monkeypatch, gaussian_transcript, cpus):
+    # a directory in the way of outcomes.csv: the error surfaces from the call
+    # once symbols.csv is whole, and no worker thread outlives it
+    _use_cpus(monkeypatch, 1)
+    save_transcript(gaussian_transcript, tmp_path / "want")
+    (tmp_path / "got" / "outcomes.csv").mkdir(parents=True)
+    _use_cpus(monkeypatch, cpus)
+    threads = threading.active_count()
+    with pytest.raises(OSError):
+        save_transcript(gaussian_transcript, tmp_path / "got")
+    assert threading.active_count() == threads
+    symbols = (tmp_path / "got" / "symbols.csv").read_bytes()
+    assert symbols == (tmp_path / "want" / "symbols.csv").read_bytes()
 
 
 @pytest.mark.parametrize("value, want", [

@@ -22,7 +22,7 @@ import numpy as np
 from . import algebra, modulation, reconciliation, security
 from .channel import COORDS_PER_MODE, DETECTIONS, NOISE_FLOORS, ChannelParams
 from .channel import distance_to_T, transmit_measure
-from .decoy import DecoyDesign, mix_probabilities, usable_cpus
+from .decoy import DecoyDesign, mix_probabilities
 from .modulation import ModulationScheme, RadiusBand
 
 log = logging.getLogger(__name__)
@@ -546,17 +546,17 @@ def save_transcript(transcript, dir_path):
     write_outcomes = functools.partial(
         modulation.write_table, os.path.join(dir_path, "outcomes.csv"), "outcomes",
         ["mode_index"] + names, [np.arange(len(outcomes))] + columns)
-    # with a second CPU a worker writes the larger table while this thread writes
-    # the other: the encoder's numpy steps and the file writes release the GIL.
-    # Each file has one writer, so no byte depends on the CPU count
+    # a worker writes the larger table while this thread writes the other: the
+    # encoder's numpy steps and the file writes release the GIL. Each file has
+    # one writer, so no byte depends on thread timing. The pool joins its worker
+    # before an error leaves the block: if symbols.csv fails, outcomes.csv is
+    # still written whole, and the symbols error is raised in place of any of
+    # the worker's
     with ThreadPoolExecutor(1) as pool:
-        worker = pool.submit(write_outcomes) if usable_cpus() > 1 else None
+        worker = pool.submit(write_outcomes)
         modulation.write_blocks_csv(
             os.path.join(dir_path, "symbols.csv"), transcript.alice_blocks, transcript.labels)
-        if worker is None:
-            write_outcomes()
-        else:
-            worker.result()
+        worker.result()
     with open(os.path.join(dir_path, "transform.bin"), "wb") as fh:
         transcript.transform.write(fh)
     for name, bits in (("alice_key.txt", transcript.alice_bits),

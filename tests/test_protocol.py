@@ -612,14 +612,14 @@ def test_save_transcript_roundtrip(tmp_path, request, name):
 
 
 def _use_cpus(monkeypatch, count):
-    """Make save_transcript see `count` usable CPUs."""
+    """Make this process see `count` usable CPUs."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
 
 
 @pytest.mark.parametrize("name", ["decoy_transcript", "gaussian_transcript"])
 def test_save_is_identical_at_one_and_two_cpus(tmp_path, monkeypatch, request, name):
-    # at two usable CPUs a worker writes outcomes.csv while the caller writes
-    # symbols.csv; at one the caller writes both; every file keeps its bytes
+    # a worker writes outcomes.csv while the caller writes symbols.csv, at any
+    # CPU count; every file keeps its bytes
     transcript = request.getfixturevalue(name)
     writers = {}
     write_table = modulation.write_table
@@ -634,27 +634,32 @@ def test_save_is_identical_at_one_and_two_cpus(tmp_path, monkeypatch, request, n
         _use_cpus(monkeypatch, cpus)
         save_transcript(transcript, tmp_path / str(cpus))
         assert writers["symbols"] is threading.current_thread()
-        assert (writers["outcomes"] is threading.current_thread()) == (cpus == 1)
+        assert writers["outcomes"] is not threading.current_thread()
         saved.append({path.name: path.read_bytes() for path in (tmp_path / str(cpus)).iterdir()})
     assert sorted(saved[0]) == ["alice_key.txt", "bob_key.txt", "manifest.txt",
                                 "outcomes.csv", "symbols.csv", "transform.bin"]
     assert saved[0] == saved[1]
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_save_raises_an_outcomes_write_error(tmp_path, monkeypatch, gaussian_transcript, cpus):
-    # a directory in the way of outcomes.csv: the error surfaces from the call
-    # once symbols.csv is whole, and no worker thread outlives it
-    _use_cpus(monkeypatch, 1)
+@pytest.mark.parametrize("blocked, raised", [
+    (["outcomes.csv"], "outcomes.csv"),
+    (["symbols.csv"], "symbols.csv"),
+    (["symbols.csv", "outcomes.csv"], "symbols.csv"),
+], ids=["outcomes", "symbols", "both"])
+def test_save_raises_a_table_write_error(tmp_path, gaussian_transcript, blocked, raised):
+    # directories in the way of the tables: the error surfaces from the call once
+    # the other table is whole, a symbols error wins over the worker's, and no
+    # worker thread outlives the call
     save_transcript(gaussian_transcript, tmp_path / "want")
-    (tmp_path / "got" / "outcomes.csv").mkdir(parents=True)
-    _use_cpus(monkeypatch, cpus)
+    for name in blocked:
+        (tmp_path / "got" / name).mkdir(parents=True)
     threads = threading.active_count()
-    with pytest.raises(OSError):
+    with pytest.raises(OSError) as error:
         save_transcript(gaussian_transcript, tmp_path / "got")
     assert threading.active_count() == threads
-    symbols = (tmp_path / "got" / "symbols.csv").read_bytes()
-    assert symbols == (tmp_path / "want" / "symbols.csv").read_bytes()
+    assert os.path.basename(error.value.filename) == raised
+    for name in {"outcomes.csv", "symbols.csv"} - set(blocked):
+        assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
 
 
 @pytest.mark.parametrize("value, want", [

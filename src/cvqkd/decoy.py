@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -22,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import _ufuncs, gammaln, pdtrc, xlogy
 
-from .modulation import SPHERE_DIMS, ModulationScheme, read_key, read_lines
+from .modulation import SPHERE_DIMS, ModulationScheme, check_integer, read_key, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -97,21 +96,15 @@ def g_dist(d, alpha, n_max=None):
 
 
 def _check_decoy_args(d, alpha):
-    _check_integer("d", d)
+    check_integer("d", d)
     if d not in SPHERE_DIMS:
         raise ValueError(f"d must be one of {SPHERE_DIMS}, got {d}")
     ModulationScheme(d, alpha)
 
 
-def _check_integer(name, value):
-    """value is an int: a float or bool would not survive a design file's int field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def _check_count(name, value):
     """value is an int >= 1."""
-    _check_integer(name, value)
+    check_integer(name, value)
     if value < 1:
         raise ValueError(f"{name} must be at least 1, got {value}")
 

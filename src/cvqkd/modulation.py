@@ -12,6 +12,7 @@ stored coordinates have second moment alpha^2 / 2.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -44,6 +45,12 @@ _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _COMMA, _NEWLINE, _MINUS, _ZERO = b",\n-0"
 
 
+def check_integer(name, value):
+    """value is an int: a float or bool would not survive an int field of a file."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ModulationScheme:
     """Block dimension d in {1, 2, 4, 8} and coherent amplitude alpha."""
@@ -52,6 +59,7 @@ class ModulationScheme:
     alpha: float
 
     def __post_init__(self):
+        check_integer("d", self.d)
         if self.d not in DIVISION_DIMS:
             raise ValueError(f"d must be one of {DIVISION_DIMS}, got {self.d}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):

@@ -60,6 +60,8 @@ class ProtocolConfig:
     def __post_init__(self):
         try:
             ModulationScheme(self.d, self.alpha)
+            for name in ("n_symbols", "symmetrization_k", "seed"):
+                modulation.check_integer(name, getattr(self, name))
             modulation.modulation_variance(self.alpha)
             if self.channel is None:
                 object.__setattr__(self, "channel", _default_channel(self.d))

@@ -28,10 +28,13 @@ def _value(x):
 
 
 def _positive_variance(v_a):
+    # a subnormal V_A has lost its digits, as in modulation_variance
     v = np.asarray(v_a, dtype=float)
-    valid = np.isfinite(v) & (v > 0)
-    if not valid.all():
-        raise ValueError(f"modulation variance v_a must be finite and positive, got {float(v[~valid][0])}")
+    bad = ~(np.isfinite(v) & (v >= sys.float_info.min))
+    if bad.any():
+        first = float(v[bad][0])
+        rule = "a normal float" if 0 < first < sys.float_info.min else "finite and positive"
+        raise ValueError(f"modulation variance v_a must be {rule}, got {first}")
     return v
 
 
@@ -158,16 +161,13 @@ def z_sphere(d, v_a):
         raise ValueError(f"modulation variance v_a={float(v[huge][0])} puts the Poisson mean "
                          f"of d={d} past the largest float")
     mu = (v * (m / 2.0)).reshape(-1)
+    x = mu + m
+    r, u = mu / x, 1.0 / x
+    mean = np.sqrt(x) * (1.0 - r * u / 8.0 + r * u * u / 16.0 - 15.0 * r * r * u * u / 128.0
+                         - 5.0 * r * u**3 / 128.0 + 35.0 * r * r * u**3 / 128.0
+                         - 315.0 * r**3 * u**3 / 1024.0)
     window = mu < SERIES_MU
-    if window.all():
-        mean = _window_mean(mu, m)
-    else:
-        x = mu + m
-        r, u = mu / x, 1.0 / x
-        mean = np.sqrt(x) * (1.0 - r * u / 8.0 + r * u * u / 16.0 - 15.0 * r * r * u * u / 128.0
-                             - 5.0 * r * u**3 / 128.0 + 35.0 * r * r * u**3 / 128.0
-                             - 315.0 * r**3 * u**3 / 1024.0)
-        mean[window] = _window_mean(mu[window], m)
+    mean[window] = _window_mean(mu[window], m)
     return _value((2.0 * np.sqrt(mu) / m * mean).reshape(v.shape))
 
 
@@ -264,11 +264,11 @@ def holevo_bound(gamma, detection, gamma_measured=None):
     """
     if detection not in _channel.DETECTIONS:
         raise ValueError(f"detection must be one of {_channel.DETECTIONS}")
-    if not np.all(gamma.is_physical()):
+    nu1, nu2 = gamma.symplectic_eigenvalues()
+    if not np.all(nu2 >= 1.0 - PHYSICAL_TOL):
         raise ValueError("covariance matrix is unphysical")
     if gamma_measured is None:
         gamma_measured = gamma
-    nu1, nu2 = gamma.symplectic_eigenvalues()
     a, b, c = gamma_measured.a, gamma_measured.b, gamma_measured.c
     if detection == "homodyne":
         nu_cond = np.sqrt(a * (a - c * c / b))
@@ -331,9 +331,10 @@ def check_pairing(d, detection):
 class KeyRateReport:
     """Asymptotic rate K = beta I(A;B) - chi(B;E) and everything behind it.
 
-    For one point every field is a Python float (detection a str); for a
-    batch every field but d, beta and detection is an array of the batch
-    shape.
+    For one point every field is a Python float (detection a str).  In a
+    batch each field keeps the shape its formula gives: a field whose inputs
+    do not vary (a scalar t, say) stays a Python float, and every field
+    broadcasts to the batch shape.
     """
 
     d: float
@@ -388,10 +389,8 @@ def secret_key_rate(d, v_a, params, beta):
         snr=_channel.snr(params, v), i_ab=i_ab, chi_be=chi, k=beta * i_ab - chi,
         delta_xi=delta_xi, z_d=z_d, z_epr=z_epr(v), f_factor=f_factor,
     )
-    shape = np.broadcast_shapes(*map(np.shape, fields.values()))
-    for name, value in fields.items():
-        fields[name] = np.broadcast_to(value, shape) if shape else float(value)
-    return KeyRateReport(d=float(d), beta=float(beta), detection=params.detection, **fields)
+    return KeyRateReport(d=float(d), beta=float(beta), detection=params.detection,
+                         **{name: _value(value) for name, value in fields.items()})
 
 
 # optimize_va stops once its golden-section bracket on V_A is this narrow

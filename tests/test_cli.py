@@ -219,6 +219,18 @@ def test_keyrate_reports_first_error_in_row_order(tmp_path, capsys, argv, messag
     assert err.startswith("error: ") and message in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("start, stop", [("1e-310", "1e-309"), ("1e-320", "1e-319")])
+def test_keyrate_refuses_a_subnormal_va(tmp_path, capsys, start, stop):
+    out = tmp_path / "r.csv"
+    rc = main(["keyrate", "--sweep", "va", "--start", start, "--stop", stop, "--steps", "2",
+               "--d", "1,2,8", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: modulation variance v_a must be a normal float, got {float(start)}\n"
+    assert not out.exists()
+
+
 def test_simulate_config_error_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(protocol, "run_session", None)
     cfg = tmp_path / "bad.cfg"

@@ -559,6 +559,13 @@ def test_design_save_load_roundtrip(tmp_path):
     assert loaded == design
 
 
+@pytest.mark.parametrize("radii, weights", [((-0.5,), (1.0,)), ((0.5, 1.0), (1.5, -0.5))],
+                         ids=["radius", "weight"])
+def test_design_refuses_a_negative_radius_or_weight(radii, weights):
+    with pytest.raises(ValueError, match="^radii and weights must be nonnegative$"):
+        DecoyDesign(2, 0.5, 0.5, radii=radii, weights=weights, epsilon=0.0, n_max=8)
+
+
 def test_design_validation():
     with pytest.raises(ValueError):
         DecoyDesign(2, 0.5, 0.5, radii=(1.0,), weights=(0.9,), epsilon=0.0, n_max=8)

@@ -18,9 +18,12 @@ from cvqkd.protocol import (
     ConfigError,
     ProtocolConfig,
     ProtocolError,
+    SessionTranscript,
+    distill,
     estimate_channel,
     estimation_std,
     resolve_code,
+    run_decoy_flow,
     run_gaussian_postselected,
     run_session,
     save_transcript,
@@ -111,6 +114,43 @@ def test_config_rejects_probability_outside_unit_interval(tmp_path, field, value
     path.write_text(f"flow gaussian\nd 8\nalpha 1.0\nn_symbols 1000\n{field} {value}\n")
     with pytest.raises(ConfigError, match="^" + re.escape(f"{path}: ") + message):
         ProtocolConfig.from_file(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("d", 8.0), ("d", True), ("n_symbols", 4096.0), ("seed", 1.5), ("symmetrization_k", 1.0),
+])
+def test_config_refuses_a_float_or_bool_integer_field(field, value):
+    config = {**dict(d=8, alpha=1.0, n_symbols=4096), field: value}
+    want = f"{field} must be an integer, got {value!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+        ProtocolConfig(**config)
+
+
+_GAUSSIAN_D8 = dict(d=8, alpha=1.0, n_symbols=1000, flow="gaussian")
+_DECOY_D8 = dict(d=8, alpha=1.0, n_symbols=1000, flow="decoy")
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ProtocolConfig(**{**_DECOY_D8, "n_symbols": 0}), ConfigError,
+     "n_symbols must be at least 1"),
+    (lambda: ProtocolConfig(**_DECOY_D8, beta_target=0.0), ConfigError,
+     "beta_target must lie in (0, 1]"),
+    (lambda: ProtocolConfig(**_DECOY_D8, max_frame_failure=1.5), ConfigError,
+     "max_frame_failure must lie in [0, 1]"),
+    (lambda: ProtocolConfig(d=1, alpha=1.0, n_symbols=1000, flow="decoy"), ConfigError,
+     "the decoy flow needs block dimension d >= 2"),
+    (lambda: distill(SessionTranscript(config=ProtocolConfig(**_DECOY_D8)),
+                     np.random.default_rng(0)), ProtocolError,
+     "transcript has no channel estimate"),
+    (lambda: run_decoy_flow(ProtocolConfig(**_GAUSSIAN_D8), np.random.default_rng(0)),
+     ValueError, "config.flow is 'gaussian', expected 'decoy'"),
+    (lambda: run_gaussian_postselected(ProtocolConfig(**_DECOY_D8), np.random.default_rng(0)),
+     ValueError, "config.flow is 'decoy', expected 'gaussian'"),
+], ids=["n_symbols", "beta_target", "max_frame_failure", "decoy_d1", "distill_unestimated",
+        "decoy_flow_guard", "gaussian_flow_guard"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_config_rejects_mismatched_design(design8):

@@ -9,6 +9,7 @@ import decimal
 import hashlib
 import math
 import re
+import sys
 import time
 from dataclasses import fields, replace
 
@@ -322,10 +323,11 @@ def test_gamma_after_channel_rejects_bad_params():
         sec.gamma_after_channel(g0, 0.5, -0.01)
 
 
-@pytest.mark.parametrize("v_a", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("v_a", [math.nan, math.inf, 0.0, -1.0, -5e-324])
 def test_secret_key_rate_rejects_bad_v_a(v_a):
     params = ChannelParams(t=0.5, xi=0.01)
-    with pytest.raises(ValueError, match="v_a"):
+    want = f"modulation variance v_a must be finite and positive, got {v_a}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         sec.secret_key_rate(8, v_a, params, 0.9)
 
 
@@ -340,13 +342,28 @@ _VA_PATHS = {
 }
 
 
+# 5e-324 is the smallest subnormal: a V_A below sys.float_info.min has lost its digits
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("v_a", [math.inf, -math.inf, math.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("v_a, rule", [
+    (math.inf, "finite and positive"), (-math.inf, "finite and positive"),
+    (math.nan, "finite and positive"), (5e-324, "a normal float"), (1e-310, "a normal float"),
+], ids=["inf", "-inf", "nan", "5e-324", "1e-310"])
 @pytest.mark.parametrize("path", sorted(_VA_PATHS))
-def test_non_finite_v_a_is_refused_naming_v_a(path, v_a):
-    want = f"modulation variance v_a must be finite and positive, got {v_a}"
+def test_non_finite_v_a_is_refused_naming_v_a(path, v_a, rule):
+    want = f"modulation variance v_a must be {rule}, got {v_a}"
     with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         _VA_PATHS[path](v_a)
+    # in a batch the error names the first V_A refused
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        _VA_PATHS[path](np.array([1.0, v_a, -1.0]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_smallest_normal_v_a_is_accepted():
+    # Z_d and Z_EPR agree to rounding this far down, so Z_d may sit one ulp above
+    v_a = sys.float_info.min
+    for d in (1, 2, 4, 8, math.inf):
+        assert 0.0 < sec.z_correlation(d, v_a) <= math.nextafter(sec.z_epr(v_a), math.inf)
 
 
 @pytest.mark.filterwarnings("error")
@@ -397,6 +414,42 @@ def test_holevo_rejects_unphysical():
     bad = sec.CovarianceMatrix2Mode(1.0, 1.0, 0.5)
     with pytest.raises(ValueError):
         sec.holevo_bound(bad, "homodyne")
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = sec.CovarianceMatrix2Mode.symplectic_eigenvalues
+    monkeypatch.setattr(sec.CovarianceMatrix2Mode, "symplectic_eigenvalues",
+                        lambda self: calls.append(self) or solve(self))
+    return calls
+
+
+@pytest.mark.parametrize("eta_trusted", [False, True])
+def test_holevo_bound_solves_its_matrix_once(monkeypatch, eta_trusted):
+    g = sec.gamma_after_channel(sec.gamma_key0(8, 0.7), 0.3, 0.01)
+    calls = _count_solves(monkeypatch)
+    sec.holevo_bound(g, "heterodyne")
+    assert calls == [g]
+    # one solve checks the channel's output, one serves the Holevo bound
+    calls.clear()
+    p = ChannelParams(t=0.3, xi=0.01, eta=0.6, eta_trusted=eta_trusted)
+    sec.secret_key_rate(8, np.array([0.5, 0.7]), p, 0.9)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: sec.z_sphere(3, 1.0), "d must be one of (2, 4, 8), got 3"),
+    (lambda: sec.z_correlation(3, 1.0), "d must be 1, 2, 4, 8 or inf, got 3"),
+    (lambda: sec.holevo_bound(sec.gamma_key0(8, 0.7), "direct"),
+     "detection must be one of ('homodyne', 'heterodyne')"),
+    (lambda: sec.secret_key_rate(8, 0.7, ChannelParams(t=0.5), 0.0),
+     "reconciliation efficiency must lie in (0, 1], got 0.0"),
+    (lambda: sec.secret_key_rate(8, 0.7, ChannelParams(t=0.5), 1.5),
+     "reconciliation efficiency must lie in (0, 1], got 1.5"),
+], ids=["z_sphere_d", "z_correlation_d", "holevo_detection", "beta_zero", "beta_above_one"])
+def test_input_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_equivalent_excess_noise():

@@ -13,9 +13,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +23,8 @@ from .modulation import SPHERE_DIMS, ModulationScheme, check_integer, read_key, 
 log = logging.getLogger(__name__)
 
 TAIL_BOUND = 1e-12
+# a fitted weight at or below this is solver noise: its radius leaves the design
+WEIGHT_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -269,6 +268,34 @@ class DecoyDesign:
             raise ValueError(f"{path}: {exc}") from None
 
 
+def _lp_model(core, block, target):
+    """passModel's array-overload arguments for the LP of _fit_weights.
+
+    CSC by weight column: its B entries, its -B entries, its 1 in the sum
+    row; then each error column's -1 in its row of either half.  Columns
+    start without a trailing nnz, and integrality is a full array of zeros:
+    the overload reads num_col entries whatever the array's length, and an
+    empty one is refused.  HiGHS copies the model, so the caller frees
+    these arrays, and the dense temporaries behind them, before it solves.
+    """
+    n_e, n_w = block.shape
+    columns = np.hstack([block.T, -block.T, np.ones((n_w, 1))])
+    nonzero = columns != 0
+    errors = np.arange(n_e, dtype=np.int32)
+    counts = np.concatenate([nonzero.sum(axis=1), np.full(n_e, 2)])
+    index = np.concatenate([np.nonzero(nonzero)[1].astype(np.int32),
+                            np.stack([errors, errors + n_e], 1).ravel()])
+    value = np.concatenate([columns[nonzero], np.full(2 * n_e, -1.0)])
+    n_col = n_w + n_e
+    start = np.zeros(n_col, dtype=np.int32)
+    np.cumsum(counts[:-1], out=start[1:])
+    return (n_col, 2 * n_e + 1, value.size, core.MatrixFormat.kColwise, core.ObjSense.kMinimize,
+            0.0, np.concatenate([np.zeros(n_w), np.ones(n_e)]), np.zeros(n_col),
+            np.full(n_col, core.kHighsInf), np.append(np.full(2 * n_e, -core.kHighsInf), 1.0),
+            np.concatenate([target, -target, [1.0]]), start, index, value,
+            np.zeros(n_col, dtype=np.int32))
+
+
 def _fit_weights(means, target, one_minus_p, n_max):
     """Best l1 fit of (1-p) * mixture(means) to target; returns (weights, l1).
 
@@ -282,30 +309,6 @@ def _fit_weights(means, target, one_minus_p, n_max):
     """
     from scipy.optimize._highspy import _core
 
-    block = one_minus_p * _poisson_table(means, n_max)
-    n_e, n_w = block.shape
-    # CSC by weight column: its B entries, its -B entries, its 1 in the sum row;
-    # then each error column's -1 in its row of either half
-    columns = np.hstack([block.T, -block.T, np.ones((n_w, 1))])
-    nonzero = columns != 0
-    errors = np.arange(n_e)
-    counts = np.concatenate([nonzero.sum(axis=1), np.full(n_e, 2)])
-    index = np.concatenate([np.nonzero(nonzero)[1], np.stack([errors, errors + n_e], 1).ravel()])
-    value = np.concatenate([columns[nonzero], np.full(2 * n_e, -1.0)])
-    lp = _core.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n_w + n_e
-    lp.num_row_ = lp.a_matrix_.num_row_ = 2 * n_e + 1
-    lp.a_matrix_.format_ = _core.MatrixFormat.kColwise
-    # the matrix fields take lists faster than numpy arrays (the others copy arrays whole)
-    lp.a_matrix_.start_ = np.concatenate([[0], np.cumsum(counts)]).tolist()
-    lp.a_matrix_.index_ = index.tolist()
-    lp.a_matrix_.value_ = value.tolist()
-    lp.col_cost_ = np.concatenate([np.zeros(n_w), np.ones(n_e)])
-    lp.col_lower_ = np.zeros(n_w + n_e)
-    lp.col_upper_ = np.full(n_w + n_e, _core.kHighsInf)
-    lp.row_lower_ = np.append(np.full(2 * n_e, -_core.kHighsInf), 1.0)
-    lp.row_upper_ = np.concatenate([target, -target, [1.0]])
-
     options = _core.HighsOptions()
     options.presolve = "on"
     options.output_flag = False
@@ -314,8 +317,9 @@ def _fit_weights(means, target, one_minus_p, n_max):
     options.simplex_strategy = 1  # dual simplex
     highs = _core._Highs()
     highs.passOptions(options)
+    passed = highs.passModel(*_lp_model(_core, one_minus_p * _poisson_table(means, n_max), target))
     # a model HiGHS refuses (a nan bound, say) would leave run() solving an empty one
-    if highs.passModel(lp) == _core.HighsStatus.kError:
+    if passed == _core.HighsStatus.kError:
         status = _core.HighsModelStatus.kModelError
     else:
         highs.run()
@@ -324,26 +328,21 @@ def _fit_weights(means, target, one_minus_p, n_max):
         raise RuntimeError(
             f"decoy weight fit failed: HiGHS model status {highs.modelStatusToString(status)}"
         )
-    weights = np.array(highs.getSolution().col_value[:n_w])
+    weights = np.array(highs.getSolution().col_value[:len(means)])
     return weights, float(highs.getInfo().objective_function_value)
-
-
-def usable_cpus():
-    """The CPUs this process may run on: its affinity set, else os.cpu_count(), else 1."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):
     """Design a decoy radius mixture hiding the key fraction p in sigma_G.
 
-    Fits (1-p) * mixture against g - p*f in l1 on a log grid of Poisson means,
-    prunes the support to n_radii_max radii, then refines each surviving
-    radius by coordinate descent, with up to min(usable CPUs, 2) trial fits
-    at once; the design does not depend on the CPU count.  The returned
-    epsilon is a sound trace distance certificate including all truncation
-    tails.
+    Fits (1-p) * mixture against g - p*f in l1 over a geometric grid of
+    Poisson means, then prunes: while more than n_radii_max means carry
+    weight, it drops the weightless ones and the lightest half of the excess
+    (at least one) and refits the rest.  The grid has min(1000,
+    241 * 65537 // (n_max + 1)) points (at least 2), so the first fit's
+    Poisson table never holds more entries than 241 means at n_max = 65536.
+    The returned epsilon is a sound trace distance certificate including all
+    truncation tails.
     """
     _check_design_args(d, alpha, p, n_max)
     _check_count("n_radii_max", n_radii_max)
@@ -360,50 +359,16 @@ def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):
     g = g_dist(d, alpha, n_max)
     target = g.probs - p * f.probs
 
-    means = np.geomspace(1e-3, max(float(n_max), 1.0), 241)
-    weights, _ = _fit_weights(means, target, 1.0 - p, n_max)
+    n_grid = max(2, min(1000, 241 * 65537 // (n_max + 1)))
+    mus = np.geomspace(1e-3, max(float(n_max), 1.0), n_grid)
+    weights, _ = _fit_weights(mus, target, 1.0 - p, n_max)
+    while (excess := np.count_nonzero(weights > WEIGHT_FLOOR) - n_radii_max) > 0:
+        # drop the weightless means and the lightest half of the excess; mus stay ascending
+        n_drop = mus.size - n_radii_max - excess + max(1, excess // 2)
+        mus = mus[np.sort(np.argsort(weights, kind="stable")[n_drop:])]
+        weights, _ = _fit_weights(mus, target, 1.0 - p, n_max)
 
-    support = np.flatnonzero(weights > 1e-10)
-    if support.size > n_radii_max:
-        support = support[np.argsort(weights[support])[-n_radii_max:]]
-    mus = np.sort(means[support])
-    weights, best = _fit_weights(mus, target, 1.0 - p, n_max)
-
-    factors = (0.8, 0.9, 0.95, 1.05, 1.1, 1.25)
-    moves = [(j, factor) for j in range(mus.size) for factor in factors]
-    # HiGHS's run releases the GIL, so up to `width` trial fits overlap; results
-    # are taken in move order, which makes every decision the one-at-a-time one.
-    # Each fit in flight beside an accepted one is a wasted solve, and only two
-    # at once have been timed, so the width stops at 2
-    width = min(usable_cpus(), 2)
-    with ThreadPoolExecutor(width) as pool:
-        for _ in range(2):
-            # the fit is deterministic: a pass that moves nothing is a fixed point
-            before = mus
-            in_flight = deque()  # (trial, its fit) for the moves after the last one taken
-            next_move = 0
-            while in_flight or next_move < len(moves):
-                while next_move < len(moves) and len(in_flight) < width:
-                    j, factor = moves[next_move]
-                    trial = mus.copy()
-                    trial[j] = mus[j] * factor
-                    in_flight.append(
-                        (trial, pool.submit(_fit_weights, trial, target, 1.0 - p, n_max)))
-                    next_move += 1
-                trial, fit = in_flight.popleft()
-                w_try, l1_try = fit.result()
-                if l1_try < best - 1e-15:
-                    mus, weights, best = trial, w_try, l1_try
-                    # the later fits started from the old mus: let them finish, drop
-                    # them (and any error), and rebuild their moves from the new mus
-                    wait([stale for _, stale in in_flight])
-                    next_move -= len(in_flight)
-                    in_flight.clear()
-            if mus is before:
-                break
-
-    weights = np.clip(weights, 0.0, None)
-    keep = weights > 1e-12
+    keep = weights > WEIGHT_FLOOR
     mus, weights = mus[keep], weights[keep]
     weights /= weights.sum()
     # the labeled ensemble: decoy spheres at weight 1-p plus the key sphere at p
@@ -412,13 +377,12 @@ def optimize_decoy(d, alpha, p, n_radii_max=12, n_max=None):
         np.append((1.0 - p) * weights, p),
         n_max=n_max,
     )
-    order = np.argsort(mus)
     return DecoyDesign(
         d=d,
         alpha=alpha,
         p=p,
-        radii=tuple(math.sqrt(mu) for mu in mus[order]),
-        weights=tuple(float(w) for w in weights[order]),
+        radii=tuple(math.sqrt(mu) for mu in mus),
+        weights=tuple(float(w) for w in weights),
         epsilon=trace_distance(g, labeled),
         n_max=n_max,
     )

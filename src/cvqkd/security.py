@@ -65,11 +65,10 @@ def lambda_coeffs(alpha):
     lambda_k = e^{-a^2}/2 * (cosh/sinh +- cos/sin)(a^2); they sum to one and
     are the weights of the photon-number classes n = k mod 4.  The damped
     forms e^{-x} cosh x = (1 + e^{-2x})/2 and e^{-x} sinh x = -expm1(-2x)/2
-    keep every alpha finite.
+    keep every alpha finite; alpha = 0 gives the vacuum (1, 0, 0, 0).  z1,
+    the one caller, refuses a V_A that is not a positive normal float.
     """
     a = np.asarray(alpha, dtype=float)
-    if not np.all(a > 0):
-        raise ValueError("alpha must be positive")
     x = a * a
     damp = np.exp(-x)
     cosh_d = 0.5 * (1.0 + np.exp(-2.0 * x))

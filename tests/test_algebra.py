@@ -43,6 +43,13 @@ def test_real_multiplication():
     assert algebra.mul(np.array([2.0]), np.array([3.0]))[0] == 6.0
 
 
+def test_a_scalar_is_a_real_element():
+    # a 0-d input is one d = 1 element
+    assert np.array_equal(algebra.mul(2.0, 3.0), [6.0])
+    assert np.array_equal(algebra.mul(2.0, np.array([3.0])), [6.0])
+    assert np.array_equal(algebra.inv(4.0), [0.25])
+
+
 def test_complex_matches_numpy():
     rng = np.random.default_rng(1)
     a = rng.standard_normal((100, 2))

@@ -2,7 +2,6 @@
 
 import math
 import re
-import threading
 import warnings
 
 import numpy as np
@@ -337,64 +336,70 @@ def test_optimize_decoy_feasibility_boundary():
 _FIT_WEIGHTS = decoy._fit_weights  # the real fit, whatever a test has patched in since
 
 
-def _use_cpus(monkeypatch, count):
-    """Make optimize_decoy see `count` usable CPUs, so it runs that many fits at once."""
-    monkeypatch.setattr(decoy.os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def _trials(monkeypatch, args, fail_on=lambda trial: False):
-    """optimize_decoy(*args), and the radius means of every fit it asks for, in order.
+def _trials(monkeypatch, args, fail_on=lambda means: False):
+    """optimize_decoy(*args), and the (means, weights) of every fit it asks for, in order.
 
     A fit whose means satisfy fail_on is handed a nan target, so it raises
     the RuntimeError that HiGHS's refusal gives.
     """
-    seen = []
+    fits = []
 
     def recording(means, target, one_minus_p, n_max):
-        seen.append(means.tobytes())
         bad = fail_on(means)
-        return _FIT_WEIGHTS(means, target * np.nan if bad else target, one_minus_p, n_max)
+        weights, l1 = _FIT_WEIGHTS(means, target * np.nan if bad else target, one_minus_p, n_max)
+        fits.append((means, weights))
+        return weights, l1
 
     monkeypatch.setattr(decoy, "_fit_weights", recording)
-    return optimize_decoy(*args), seen
+    return optimize_decoy(*args), fits
 
 
-@pytest.mark.parametrize("args, solves", [((8, 1.0, 0.5), 56), ((2, 0.5, 0.5), 86)])
-def test_descent_stops_at_its_fixed_point(monkeypatch, args, solves):
-    # 2 fits, then 6 trial factors per radius and pass: (8, 1, 0.5) keeps 9 radii
-    # and its first pass accepts nothing; (2, 0.5, 0.5) runs both passes on 7
-    _use_cpus(monkeypatch, 1)
-    assert len(_trials(monkeypatch, args)[1]) == solves
+def _support(weights):
+    return int(np.count_nonzero(weights > decoy.WEIGHT_FLOOR))
 
 
-@pytest.mark.parametrize("args, solves", [((8, 1.0, 0.5), 56), ((2, 0.5, 0.5), 93)])
-def test_descent_on_two_cpus_also_solves_stale_trials(monkeypatch, args, solves):
-    # the fit in flight beside each accepted one was built from the old means:
-    # it is solved and dropped, 7 times for (2, 0.5, 0.5) and never for (8, 1, 0.5);
-    # no worker thread outlives the call
-    _use_cpus(monkeypatch, 2)
-    threads = threading.active_count()
-    assert len(_trials(monkeypatch, args)[1]) == solves
-    assert threading.active_count() == threads
+# (d, alpha, p, n_radii_max) of the output matrix's designs, and the LPs each takes:
+# one grid fit, then a refit per prune step
+@pytest.mark.parametrize("args, solves", [
+    ((2, 0.5, 0.5, 12), 1), ((8, 1.0, 0.5, 12), 1), ((8, 2.0, 0.3, 12), 3),
+    ((4, 0.7, 0.2, 12), 1), ((8, 1.0, 0.5, 2), 3),
+])
+def test_design_solves_one_grid_fit_and_a_refit_per_prune(monkeypatch, args, solves):
+    design, fits = _trials(monkeypatch, args)
+    assert len(fits) == solves
+    assert fits[0][0].size == 1000
+    assert _support(fits[-1][1]) == len(design.radii) <= args[3]
+    assert all(_support(weights) > args[3] for _, weights in fits[:-1])
 
 
-def test_descent_runs_at_most_two_fits_at_once(monkeypatch):
-    # six usable CPUs still give the two-CPU descent and its 93 solves
-    _use_cpus(monkeypatch, 6)
-    assert len(_trials(monkeypatch, (2, 0.5, 0.5))[1]) == 93
+@pytest.mark.parametrize("args", [(8, 2.0, 0.3, 1), (8, 1.0, 0.5, 2), (8, 6.0, 0.1, 12)])
+def test_prune_drops_the_lightest_weights(monkeypatch, args):
+    # each step keeps the heaviest n_radii_max + ceil(excess / 2) means, in order
+    design, fits = _trials(monkeypatch, args)
+    for (means, weights), (kept, _) in zip(fits, fits[1:]):
+        excess = _support(weights) - args[3]
+        taken = np.isin(means, kept)
+        assert np.array_equal(means[taken], kept)
+        assert kept.size == args[3] + excess - max(1, excess // 2)
+        assert weights[~taken].max() <= weights[taken].min()
+    assert design.radii == tuple(np.sqrt(fits[-1][0][fits[-1][1] > decoy.WEIGHT_FLOOR]))
 
 
-@pytest.mark.parametrize("cpu_count, solves", [(None, 86), (1, 86), (4, 93)])
-def test_descent_without_sched_getaffinity(monkeypatch, cpu_count, solves):
-    # where os has no sched_getaffinity the width comes from os.cpu_count(),
-    # and one CPU when that is unknown; the design is the one-CPU design
-    _use_cpus(monkeypatch, 1)
-    want = optimize_decoy(2, 0.5, 0.5)
-    monkeypatch.delattr(decoy.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(decoy.os, "cpu_count", lambda: cpu_count)
-    design, seen = _trials(monkeypatch, (2, 0.5, 0.5))
-    assert len(seen) == solves
-    assert design == want
+def test_large_n_max_design_refits_log_excess_times(monkeypatch):
+    # n_max = 2048: the grid fit leaves 58 radii too many, which the one-at-a-time
+    # prune would take 58 refits to remove; halving takes at most ceil(log2 58) + 1
+    design, fits = _trials(monkeypatch, (8, 6.0, 0.1, 12))
+    excess = _support(fits[0][1]) - 12
+    assert design.n_max == 2048 and excess == 58
+    assert len(fits) - 1 <= math.ceil(math.log2(excess)) + 1
+    assert len(design.radii) == 12
+
+
+def test_failing_refit_raises_the_highs_model_status(monkeypatch):
+    # the first refit of the prune fails: the error is the fit's own
+    message = "^decoy weight fit failed: HiGHS model status Model error$"
+    with pytest.raises(RuntimeError, match=message):
+        _trials(monkeypatch, (8, 2.0, 0.3, 12), lambda means: means.size < 1000)
 
 
 BENCHMARK_DESIGNS = [(2, 0.5, 0.5), (8, 1.0, 0.5), (8, 2.0, 0.3)]
@@ -429,48 +434,10 @@ def test_design_bits_equal_linprog_oracle(monkeypatch, d, alpha, p, n_radii_max)
     assert design.n_max == want.n_max
 
 
-@pytest.mark.parametrize("d, alpha, p, n_radii_max", ORACLE_DESIGNS)
-def test_design_does_not_depend_on_cpu_count(monkeypatch, d, alpha, p, n_radii_max):
-    _use_cpus(monkeypatch, 1)
-    one = optimize_decoy(d, alpha, p, n_radii_max=n_radii_max)
-    _use_cpus(monkeypatch, 2)
-    assert optimize_decoy(d, alpha, p, n_radii_max=n_radii_max) == one
-
-
-def test_descent_drops_a_stale_fits_error(monkeypatch):
-    # a fit of a trial the one-at-a-time descent never builds is never looked at;
-    # of the 7 stale trials at two CPUs, one recurs later in the descent itself
-    args = (2, 0.5, 0.5)
-    _use_cpus(monkeypatch, 1)
-    want, serial = _trials(monkeypatch, args)
-    _use_cpus(monkeypatch, 2)
-    design, seen = _trials(monkeypatch, args, lambda m: m.tobytes() not in serial)
-    assert len([t for t in seen if t not in serial]) == 6
-    assert design == want
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_descent_raises_a_taken_fits_error(monkeypatch, cpus):
-    # the 20th fit (a descent trial both ways) fails: the error is the fit's own
-    _use_cpus(monkeypatch, 1)
-    failing = _trials(monkeypatch, (2, 0.5, 0.5))[1][19]
-    _use_cpus(monkeypatch, cpus)
-    threads = threading.active_count()
-    message = "^decoy weight fit failed: HiGHS model status Model error$"
-    with pytest.raises(RuntimeError, match=message):
-        _trials(monkeypatch, (2, 0.5, 0.5), lambda m: m.tobytes() == failing)
-    assert threading.active_count() == threads
-
-
 # the private HiGHS API that decoy._fit_weights uses; "()" makes an instance
 HIGHS_SYMBOLS = [
-    "_Highs", "HighsLp", "HighsOptions", "kHighsInf", "MatrixFormat.kColwise",
+    "_Highs", "HighsOptions", "kHighsInf", "MatrixFormat.kColwise", "ObjSense.kMinimize",
     "HighsStatus.kError", "HighsModelStatus.kOptimal", "HighsModelStatus.kModelError",
-    *(f"HighsLp().{name}" for name in (
-        "num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_", "row_lower_",
-        "row_upper_")),
-    *(f"HighsLp().a_matrix_.{name}" for name in (
-        "num_col_", "num_row_", "format_", "start_", "index_", "value_")),
     *(f"HighsOptions().{name}" for name in (
         "presolve", "output_flag", "log_to_console", "highs_debug_level",
         "simplex_strategy")),
@@ -490,6 +457,27 @@ def test_private_highs_surface_is_present(symbol):
         name = part.removesuffix("()")
         assert hasattr(owner, name), f"scipy.optimize._highspy._core.{symbol}: no {name!r}"
         owner = getattr(owner, name)() if part.endswith("()") else getattr(owner, name)
+
+
+def test_array_pass_model_takes_the_fits_layout():
+    # decoy._fit_weights' call: CSC starts without the trailing nnz, a full
+    # all-zero integrality array; minimize x0 + 2 x1 subject to x0 + x1 >= 1
+    from scipy.optimize._highspy import _core
+
+    highs = _core._Highs()
+    options = _core.HighsOptions()
+    options.output_flag = False
+    options.log_to_console = False
+    highs.passOptions(options)
+    status = highs.passModel(
+        2, 1, 2, _core.MatrixFormat.kColwise, _core.ObjSense.kMinimize, 0.0,
+        np.array([1.0, 2.0]), np.zeros(2), np.full(2, _core.kHighsInf), np.array([1.0]),
+        np.array([_core.kHighsInf]), np.array([0, 1], dtype=np.int32),
+        np.array([0, 0], dtype=np.int32), np.array([1.0, 1.0]), np.zeros(2, dtype=np.int32))
+    assert status == _core.HighsStatus.kOk
+    highs.run()
+    assert highs.getModelStatus() == _core.HighsModelStatus.kOptimal
+    assert highs.getSolution().col_value == [1.0, 0.0]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

@@ -532,10 +532,12 @@ def test_transcript_dtypes(request, name):
 
 # sha256 over one seed-5 session's arrays, both keys and the repr of
 # (t_hat, xi_hat, K, band_kept_fraction, n_est_samples, n_key_modes); a flow
-# or distillation change that moves any bit or count changes its digest
+# or distillation change that moves any bit or count changes its digest.
+# decoy_d8 also pins the (8, 1, 0.5) design of optimize_decoy's grid fit and
+# prune: its radii set which decoy spheres the session draws
 SESSION_PINS = {
     "decoy_d8": (
-        "b46c9e7e4bad734f1140150baa7524ec1cfff6b3aa55e16728d449a494d41e94",
+        "b8eef1278fb0901a47517f6d7b9379326873c6bca4b5b3d86a9689c6cd902576",
         dict(d=8, alpha=1.0, n_symbols=8000, flow="decoy", p=0.5,
              channel=ChannelParams(t=0.8, xi=0.002, detection="heterodyne"))),
     "gaussian_d1_homodyne": (

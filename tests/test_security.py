@@ -59,6 +59,13 @@ def test_lambda_coeffs_vacuum_limit():
     assert max(lam[1:]) < 2e-6
 
 
+def test_lambda_coeffs_at_zero_are_the_vacuum():
+    # lambda_coeffs checks nothing: z1 refuses V_A <= 0 first, and alpha = 0 is the limit
+    assert sec.lambda_coeffs(0.0) == (1.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="^modulation variance v_a must be finite and positive"):
+        sec.z1(0.0)
+
+
 def test_lambda_coeffs_match_fock_eigenvalues():
     lam = sorted(sec.lambda_coeffs(1.0))
     vals = sorted(np.linalg.eigvalsh(oracle.four_state_density(1.0, 40)))[-4:]

@@ -66,7 +66,7 @@ def _unreached(root):
     with tempfile.TemporaryDirectory(prefix="unreached-lines-") as work:
         os.chdir(work)
         sys.settrace(trace)
-        threading.settrace(trace)  # the decoy descent fits on worker threads
+        threading.settrace(trace)  # a session save writes outcomes.csv on a worker thread
         try:
             from cvqkd import cli
 

@@ -1,7 +1,9 @@
 """Photon-number laws, POVM scale probabilities, and decoy-mixture design."""
 
 import math
+import os
 import re
+import threading
 import warnings
 
 import numpy as np
@@ -434,10 +436,36 @@ def test_design_bits_equal_linprog_oracle(monkeypatch, d, alpha, p, n_radii_max)
     assert design.n_max == want.n_max
 
 
-# the private HiGHS API that decoy._fit_weights uses; "()" makes an instance
+def _use_cpus(monkeypatch, count):
+    """Make the process report `count` usable CPUs, whichever way it asks."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+@pytest.mark.parametrize("d, alpha, p, n_radii_max", ORACLE_DESIGNS)
+def test_design_does_not_depend_on_cpu_count(monkeypatch, d, alpha, p, n_radii_max):
+    # the fits run one after another on the calling thread: the CPU count the
+    # process reports changes neither the design nor the number of threads
+    _use_cpus(monkeypatch, 1)
+    one = optimize_decoy(d, alpha, p, n_radii_max=n_radii_max)
+    _use_cpus(monkeypatch, 2)
+    threads = threading.active_count()
+    assert optimize_decoy(d, alpha, p, n_radii_max=n_radii_max) == one
+    assert threading.active_count() == threads
+
+
+# the private HiGHS API that decoy._fit_weights uses, and the HighsLp list path
+# that test_array_pass_model_equals_the_list_path checks it against; "()" makes
+# an instance
 HIGHS_SYMBOLS = [
-    "_Highs", "HighsOptions", "kHighsInf", "MatrixFormat.kColwise", "ObjSense.kMinimize",
-    "HighsStatus.kError", "HighsModelStatus.kOptimal", "HighsModelStatus.kModelError",
+    "_Highs", "HighsLp", "HighsOptions", "kHighsInf", "MatrixFormat.kColwise",
+    "ObjSense.kMinimize", "HighsStatus.kError", "HighsModelStatus.kOptimal",
+    "HighsModelStatus.kModelError",
+    *(f"HighsLp().{name}" for name in (
+        "num_col_", "num_row_", "col_cost_", "col_lower_", "col_upper_", "row_lower_",
+        "row_upper_")),
+    *(f"HighsLp().a_matrix_.{name}" for name in (
+        "num_col_", "num_row_", "format_", "start_", "index_", "value_")),
     *(f"HighsOptions().{name}" for name in (
         "presolve", "output_flag", "log_to_console", "highs_debug_level",
         "simplex_strategy")),
@@ -478,6 +506,58 @@ def test_array_pass_model_takes_the_fits_layout():
     highs.run()
     assert highs.getModelStatus() == _core.HighsModelStatus.kOptimal
     assert highs.getSolution().col_value == [1.0, 0.0]
+
+
+def _list_path_fit(means, target, one_minus_p, n_max):
+    """_fit_weights' LP passed as HighsLp fields: start with its trailing nnz, lists."""
+    from scipy.optimize._highspy import _core
+
+    (n_col, n_row, nnz, matrix_format, _, _, cost, col_lower, col_upper, row_lower,
+     row_upper, start, index, value, _) = decoy._lp_model(
+        _core, one_minus_p * decoy._poisson_table(means, n_max), target)
+    lp = _core.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n_col
+    lp.num_row_ = lp.a_matrix_.num_row_ = n_row
+    lp.a_matrix_.format_ = matrix_format
+    lp.a_matrix_.start_ = [*start.tolist(), nnz]
+    lp.a_matrix_.index_ = index.tolist()
+    lp.a_matrix_.value_ = value.tolist()
+    lp.col_cost_ = cost
+    lp.col_lower_ = col_lower
+    lp.col_upper_ = col_upper
+    lp.row_lower_ = row_lower
+    lp.row_upper_ = row_upper
+    options = _core.HighsOptions()
+    options.presolve = "on"
+    options.output_flag = False
+    options.log_to_console = False
+    options.highs_debug_level = 0
+    options.simplex_strategy = 1
+    highs = _core._Highs()
+    highs.passOptions(options)
+    assert highs.passModel(lp) != _core.HighsStatus.kError
+    highs.run()
+    assert highs.getModelStatus() == _core.HighsModelStatus.kOptimal
+    weights = np.array(highs.getSolution().col_value[:len(means)])
+    return weights, float(highs.getInfo().objective_function_value)
+
+
+def test_array_pass_model_equals_the_list_path(monkeypatch):
+    # every fit of a three-fit design: the array overload gives the weights and
+    # l1 that the same model passed as HighsLp fields gives, bit for bit
+    fits = []
+
+    def both(*args):
+        got = _FIT_WEIGHTS(*args)
+        fits.append((got, _list_path_fit(*args)))
+        return got
+
+    monkeypatch.setattr(decoy, "_fit_weights", both)
+    optimize_decoy(8, 1.0, 0.5, n_radii_max=2)
+    assert len(fits) == 3
+    for (weights, l1), (want_weights, want_l1) in fits:
+        assert weights.tobytes() == want_weights.tobytes()
+        assert l1 == want_l1
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

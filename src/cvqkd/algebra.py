@@ -7,7 +7,7 @@ over leading axes.  Products follow the Cayley-Dickson doubling rule
 quaternion table at d = 4.
 
 mul evaluates that recursion coordinate-major: it transposes each chunk of
-_CHUNK_ROWS rows to a contiguous (d, rows) array, so every add, multiply and
+CHUNK_ROWS rows to a contiguous (d, rows) array, so every add, multiply and
 negation of the recursion runs on a contiguous vector, and writes the chunk's
 product back into one (N, d) result.  Each output coordinate is built from
 the same products in the same +/- order as the row-major recursion, so the
@@ -21,7 +21,10 @@ import struct
 import numpy as np
 
 DIVISION_DIMS = (1, 2, 4, 8)
-_CHUNK_ROWS = 2**13  # rows per transposed chunk in mul; the fastest in a sweep at d = 8
+# rows per step of every chunked pass: a transposed chunk in mul (the fastest
+# in a sweep at d = 8), and the passes over a session's whole arrays (columns,
+# for a reflection), which so form no whole-array temporary
+CHUNK_ROWS = 2**13
 
 
 def _check_dim(d):
@@ -53,8 +56,8 @@ def mul(a, b):
     a = a.reshape(-1, d)
     b = b.reshape(-1, d)
     out = np.empty(a.shape)
-    for start in range(0, out.shape[0], _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
+    for start in range(0, out.shape[0], CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
         out[rows] = _mul(np.ascontiguousarray(a[rows].T), np.ascontiguousarray(b[rows].T)).T
     return out.reshape(shape)
 
@@ -104,11 +107,15 @@ class OrthogonalTransform:
 
     apply() reflects about each stored row in order; apply_inverse() uses the
     reverse order.  The dense n x n matrix is never formed, so application
-    costs O(k*n) per vector.  An empty reflector list is the identity.
+    costs O(k*n) per vector and holds the result and a CHUNK_ROWS-column
+    temporary.  An empty reflector list is the identity.
+
+    A float64 reflector array is kept as given, not copied, so the caller
+    hands it over and must not change it afterwards.
     """
 
     def __init__(self, reflectors):
-        reflectors = np.array(reflectors, dtype=float)
+        reflectors = np.asarray(reflectors, dtype=float)
         if reflectors.ndim != 2:
             raise ValueError("reflectors must be a (k, n) array")
         # stored as given, so a transform loads back bit for bit
@@ -131,8 +138,10 @@ class OrthogonalTransform:
             raise ValueError(f"vector length {v.shape[-1]} != transform size {self.n}")
         out = v.copy()
         for u in rows:
-            proj = out @ u
-            out -= 2.0 * np.expand_dims(proj, -1) * u
+            step = 2.0 * np.expand_dims(out @ u, -1)
+            for start in range(0, self.n, CHUNK_ROWS):
+                cols = slice(start, start + CHUNK_ROWS)
+                out[..., cols] -= step * u[cols]
         return out
 
     def apply(self, v):
@@ -186,6 +195,9 @@ def sample_orthogonal(n, k, rng) -> OrthogonalTransform:
     k >= 1 therefore maps e1 to a uniform point of the sphere, and k = n
     samples the Haar measure on O(n).  Stages that draw the target direction
     exactly along the subspace axis reduce to the identity and are skipped.
+
+    Each stage draws straight into its row of the returned array and builds
+    its reflector there, so for k = 1 the draw is the transform.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
@@ -193,9 +205,8 @@ def sample_orthogonal(n, k, rng) -> OrthogonalTransform:
     kept = 0
     for j in range(k):
         m = n - k + 1 + j
-        u = _bisector_reflector(rng.standard_normal(m))
-        if u is not None:
-            rows[kept, n - m:] = u
+        # a skipped stage's row is drawn over whole by the next, longer stage
+        if _bisector_reflector(rng.standard_normal(out=rows[kept, n - m:])) is not None:
             kept += 1
     rows = rows[:kept]
     rows /= np.linalg.norm(rows, axis=1)[:, None]

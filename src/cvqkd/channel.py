@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algebra import CHUNK_ROWS
+
 # vacuum noise at the detector in shot-noise units, per detection mode
 NOISE_FLOORS = {"homodyne": 1.0, "heterodyne": 2.0}
 DETECTIONS = tuple(NOISE_FLOORS)
@@ -83,24 +85,30 @@ def transmit_measure(symbols, params, rng):
     Returns (outcomes, basis).  Homodyne outcomes have shape (n_modes,) with
     the uniformly drawn measured quadrature recorded in the int8 basis
     (0 = x, 1 = p); heterodyne outcomes have shape (n_modes, 2) and basis
-    None.  The additive
-    noise is Gaussian with variance noise_floor + T_eff*xi.
+    None.  The additive noise is Gaussian with variance
+    noise_floor + T_eff*xi.  It is drawn into the outcome array, and the
+    signal sqrt(T_eff)*q is added to it CHUNK_ROWS modes at a time, so the
+    call holds no array beyond its outputs and one chunk.
     """
     symbols = np.asarray(symbols, dtype=float)
     if symbols.ndim != 2 or symbols.shape[1] != 2:
         raise ValueError("symbols must be quadrature pairs of shape (n_modes, 2)")
+    n = symbols.shape[0]
     gain = math.sqrt(params.t_eff)
     if params.detection == "heterodyne":
-        signal, basis = gain * symbols, None
+        basis = None
+        outcomes = rng.standard_normal(symbols.shape)
     else:
-        n = symbols.shape[0]
         # drawn as int64 (another dtype draws another stream), kept as int8
         basis = rng.integers(0, 2, size=n).astype(np.int8)
-        signal = gain * symbols[np.arange(n), basis]
-    sigma = math.sqrt(params.noise_floor + params.t_eff * params.xi)
-    outcomes = rng.standard_normal(signal.shape)
-    outcomes *= sigma
-    outcomes += signal
+        outcomes = rng.standard_normal(n)
+    outcomes *= math.sqrt(params.noise_floor + params.t_eff * params.xi)
+    for start in range(0, n, CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        q = symbols[rows]
+        if basis is not None:
+            q = np.where(basis[rows], q[:, 1], q[:, 0])
+        outcomes[rows] += gain * q
     return outcomes, basis
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DIVISION_DIMS
+from .algebra import CHUNK_ROWS, DIVISION_DIMS
 
 # Quadrature mean per unit coherent amplitude under x = a + a*.
 QUADRATURE_SCALE = 2.0
@@ -136,10 +136,18 @@ def sample_gaussian_blocks(scheme, n_blocks, rng):
 
 
 def label_by_band(blocks, scheme, band):
-    """Boolean mask, True where the block is key-usable (radius factor in band)."""
+    """Boolean mask, True where the block is key-usable (radius factor in band).
+
+    The mask has the blocks' leading shape and is filled CHUNK_ROWS blocks
+    at a time, so the radii of all blocks are never held at once.
+    """
     blocks = np.asarray(blocks, dtype=float)
-    r = np.linalg.norm(blocks, axis=-1) / scheme.sphere_radius
-    return (r >= band.gamma_min) & (r <= band.gamma_max)
+    keep = np.empty(blocks.shape[:-1], dtype=bool)
+    rows, flat = blocks.reshape(-1, blocks.shape[-1]), keep.reshape(-1)
+    for start in range(0, len(rows), CHUNK_ROWS):
+        r = np.linalg.norm(rows[start : start + CHUNK_ROWS], axis=-1) / scheme.sphere_radius
+        flat[start : start + CHUNK_ROWS] = (r >= band.gamma_min) & (r <= band.gamma_max)
+    return keep
 
 
 def blocks_to_quadratures(blocks, d):

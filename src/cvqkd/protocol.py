@@ -259,28 +259,49 @@ class SessionTranscript:
         return self._count(0) / outside if outside else 0.0
 
 
-def estimate_channel(alice_blocks, bob_blocks, v_a, detection):
+def estimate_channel(alice_blocks, bob_blocks, v_a, detection, est=None):
     """(T_hat, xi_hat) from aligned Gaussian-modulated coordinates.
+
+    est is a boolean mask over the blocks (the leading axis) that picks the
+    estimation blocks; None takes every block.  The picked coordinates give
+    the same estimate, bit for bit, as passing the gathered rows: each
+    product is built CHUNK_ROWS blocks at a time into one buffer of the
+    estimation size, and its mean is taken over that buffer.
 
     T_hat = (C_hat / V_A)^2 with C_hat the Alice-quadrature/Bob covariance,
     so detector efficiency is folded in exactly as the measurement sees it.
     xi_hat is input-referenced and may come out slightly negative; it is
     reported raw.
     """
-    a = np.asarray(alice_blocks, dtype=float).reshape(-1)
-    y = np.asarray(bob_blocks, dtype=float).reshape(-1)
+    a = np.atleast_1d(np.asarray(alice_blocks, dtype=float))
+    y = np.atleast_1d(np.asarray(bob_blocks, dtype=float))
     if a.shape != y.shape:
         raise ValueError(f"alice ({a.size}) and bob ({y.size}) sample counts differ")
     if detection not in DETECTIONS:
         raise ValueError(f"detection must be one of {DETECTIONS}")
-    if a.size < MIN_EST_SAMPLES:
+    est = np.ones(len(a), dtype=bool) if est is None else np.asarray(est, dtype=bool)
+    width = math.prod(a.shape[1:])
+    n_samples = int(np.count_nonzero(est)) * width
+    if n_samples < MIN_EST_SAMPLES:
         raise ProtocolError(
-            f"only {a.size} estimation samples, need at least {MIN_EST_SAMPLES}"
+            f"only {n_samples} estimation samples, need at least {MIN_EST_SAMPLES}"
         )
     floor = NOISE_FLOORS[detection]
-    a_q = modulation.QUADRATURE_SCALE * a
-    c_hat = float(np.mean(a_q * y))
-    v_y = float(np.mean(y * y))
+    terms = np.empty(n_samples)
+
+    def mean_over_est(term, *arrays):
+        """np.mean of term over the picked coordinates of the arrays, built in terms."""
+        at = 0
+        for start in range(0, len(est), algebra.CHUNK_ROWS):
+            rows = start + np.flatnonzero(est[start : start + algebra.CHUNK_ROWS])
+            part = terms[at : at + rows.size * width]
+            term(*(x[rows].reshape(-1) for x in arrays), out=part)
+            at += part.size
+        return float(np.mean(terms))
+
+    c_hat = mean_over_est(
+        lambda a, y, out: np.multiply(modulation.QUADRATURE_SCALE * a, y, out=out), a, y)
+    v_y = mean_over_est(lambda y, out: np.multiply(y, y, out=out), y)
     t_hat = (c_hat / v_a) ** 2
     if t_hat < 1e-12:
         raise ProtocolError("estimated transmittance is numerically zero")
@@ -364,8 +385,10 @@ def run_decoy_flow(config, rng):
     transcript.transform = transform
     transcript.record("symmetrized")
 
-    outcomes, basis = transmit_measure(modulation.blocks_to_quadratures(sent, d), params, rng)
+    quads = modulation.blocks_to_quadratures(sent, d)
     del sent
+    outcomes, basis = transmit_measure(quads, params, rng)
+    del quads
     transcript.outcomes, transcript.basis = outcomes, basis
     transcript.record("transmitted")
     transcript.record("measured")
@@ -392,36 +415,44 @@ def run_gaussian_postselected(config, rng):
     x = modulation.sample_gaussian_blocks(scheme, 2 * n // d, rng)
     transcript.record("modulated")
 
-    outcomes, basis = transmit_measure(modulation.blocks_to_quadratures(x, d), params, rng)
+    quads = modulation.blocks_to_quadratures(x, d)
+    del x
+    outcomes, basis = transmit_measure(quads, params, rng)
     transcript.outcomes, transcript.basis = outcomes, basis
     transcript.record("transmitted")
     transcript.record("measured")
 
-    # with homodyne, Bob announces bases and Alice keeps only the measured coordinate
-    a = x.reshape(n, 2)[np.arange(n), basis] if params.detection == "homodyne" else x.reshape(-1)
+    # with homodyne, Bob announces bases and Alice keeps only the measured
+    # coordinate. Halving a quadrature gives back its amplitude coordinate
+    # exactly, because QUADRATURE_SCALE is a power of two
+    if params.detection == "homodyne":
+        a = np.where(basis, quads[:, 1], quads[:, 0])
+    else:
+        a = quads.reshape(-1)
+    del quads
+    a /= modulation.QUADRATURE_SCALE
     y = outcomes.reshape(-1)
-    del x
 
     transform = algebra.sample_orthogonal(a.size, config.symmetrization_k, rng)
-    x_sym = transform.apply(a)
-    del a
-    y_sym = transform.apply(y)
     transcript.transform = transform
-    transcript.record("symmetrized")
-
-    n_blocks = x_sym.size // d
-    transcript.alice_blocks = x_sym.reshape(n_blocks, d)
-    transcript.bob_blocks = y_sym.reshape(n_blocks, d)
-
+    # the estimation blocks are drawn before the reflections run, so the int64
+    # permutation never sits beside the symmetrized arrays; the reflections
+    # draw nothing, so the stream is the one of drawing after them
+    n_blocks = a.size // d
     n_est = int(round(config.p_est * n_blocks))
     labels = np.zeros(n_blocks, dtype=np.int8)
     labels[rng.permutation(n_blocks)[:n_est]] = 1
+
+    transcript.alice_blocks = transform.apply(a).reshape(n_blocks, d)
+    del a
+    transcript.bob_blocks = transform.apply(y).reshape(n_blocks, d)
+    transcript.record("symmetrized")
     transcript.labels = labels
     transcript.record("estimation_coordinates_chosen")
 
-    outside = labels != 1
-    keep = modulation.label_by_band(transcript.alice_blocks[outside], scheme, config.band)
-    labels[outside] = np.where(keep, 0, -1)
+    # a block outside the band is dropped unless it is an estimation block
+    keep = modulation.label_by_band(transcript.alice_blocks, scheme, config.band)
+    labels[~keep & (labels == 0)] = -1
     transcript.record("band_filtered")
     return transcript
 
@@ -501,10 +532,9 @@ def run_session(config):
                                 np.random.SeedSequence(config.seed).spawn(2))
     flow = run_decoy_flow if config.flow == "decoy" else run_gaussian_postselected
     transcript = flow(config, rng_flow)
-    est = transcript.est_indices
     transcript.t_hat, transcript.xi_hat = estimate_channel(
-        transcript.alice_blocks[est], transcript.bob_blocks[est], config.v_a,
-        config.channel.detection)
+        transcript.alice_blocks, transcript.bob_blocks, config.v_a,
+        config.channel.detection, transcript.labels == 1)
     transcript.record("estimated")
     distill(transcript, rng_distill)
     return transcript

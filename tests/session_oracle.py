@@ -1,0 +1,79 @@
+"""Whole-array forms of the session steps, for bit-equality checks.
+
+These are the straightforward formulas that channel.transmit_measure,
+modulation.label_by_band, protocol.estimate_channel and the Gaussian flow
+replaced with chunked passes: every step here forms its temporaries over the
+whole array, gathers rows by an int64 index and picks the homodyne quadrature
+with an np.arange index.  The package must give the same bits from the same
+generator state.
+"""
+
+import math
+
+import numpy as np
+
+import orthogonal_oracle
+from cvqkd import modulation
+from cvqkd.channel import NOISE_FLOORS
+
+
+def transmit_measure(symbols, params, rng):
+    """(outcomes, basis) with the signal formed as one whole array."""
+    symbols = np.asarray(symbols, dtype=float)
+    gain = math.sqrt(params.t_eff)
+    if params.detection == "heterodyne":
+        signal, basis = gain * symbols, None
+    else:
+        n = symbols.shape[0]
+        basis = rng.integers(0, 2, size=n).astype(np.int8)
+        signal = gain * symbols[np.arange(n), basis]
+    sigma = math.sqrt(params.noise_floor + params.t_eff * params.xi)
+    outcomes = rng.standard_normal(signal.shape)
+    outcomes *= sigma
+    outcomes += signal
+    return outcomes, basis
+
+
+def label_by_band(blocks, scheme, band):
+    """The band mask from the radii of all blocks at once."""
+    blocks = np.asarray(blocks, dtype=float)
+    r = np.linalg.norm(blocks, axis=-1) / scheme.sphere_radius
+    return (r >= band.gamma_min) & (r <= band.gamma_max)
+
+
+def estimate_channel(alice_rows, bob_rows, v_a, detection):
+    """(T_hat, xi_hat) from already gathered estimation rows."""
+    a = np.asarray(alice_rows, dtype=float).reshape(-1)
+    y = np.asarray(bob_rows, dtype=float).reshape(-1)
+    a_q = modulation.QUADRATURE_SCALE * a
+    c_hat = float(np.mean(a_q * y))
+    v_y = float(np.mean(y * y))
+    t_hat = (c_hat / v_a) ** 2
+    return t_hat, (v_y - NOISE_FLOORS[detection] - t_hat * v_a) / t_hat
+
+
+def gaussian_flow(config, rng):
+    """The Gaussian flow's arrays, drawn in the order of the package's flow.
+
+    Alice keeps her amplitude coordinate x itself, indexed by the basis, and
+    the estimation blocks are drawn after both reflections are applied.
+    Returns a dict of the transcript's arrays.
+    """
+    d, params, n = config.d, config.channel, config.n_symbols
+    scheme = modulation.ModulationScheme(d, config.alpha)
+    x = modulation.sample_gaussian_blocks(scheme, 2 * n // d, rng)
+    outcomes, basis = transmit_measure(modulation.QUADRATURE_SCALE * x.reshape(-1, 2),
+                                       params, rng)
+    a = x.reshape(n, 2)[np.arange(n), basis] if params.detection == "homodyne" else x.reshape(-1)
+    reflectors = orthogonal_oracle.sample_reflectors(a.size, config.symmetrization_k, rng)
+    n_blocks = a.size // d
+    alice_blocks = orthogonal_oracle.apply_reflectors(reflectors, a).reshape(n_blocks, d)
+    bob_blocks = orthogonal_oracle.apply_reflectors(reflectors, outcomes.reshape(-1))
+    labels = np.zeros(n_blocks, dtype=np.int8)
+    labels[rng.permutation(n_blocks)[: int(round(config.p_est * n_blocks))]] = 1
+    outside = labels != 1
+    keep = label_by_band(alice_blocks[outside], scheme, config.band)
+    labels[outside] = np.where(keep, 0, -1)
+    return dict(labels=labels, alice_blocks=alice_blocks,
+                bob_blocks=bob_blocks.reshape(n_blocks, d), outcomes=outcomes, basis=basis,
+                reflectors=reflectors)

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import session_oracle
 from cvqkd import channel as ch
 from cvqkd import modulation as mod
+from cvqkd.algebra import CHUNK_ROWS
 
 
 def gaussian_symbols(v_a, n, rng):
@@ -140,6 +142,24 @@ def test_gaussian_spec_matches_transmit_measure():
             signal = math.sqrt(p.t_eff) * q
         sigma = math.sqrt(p.noise_floor + p.t_eff * p.xi)
         assert np.array_equal(y, signal + sigma * rng.standard_normal(signal.shape))
+
+
+@pytest.mark.parametrize("detection", ch.DETECTIONS)
+@pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 5])
+def test_transmit_measure_matches_whole_array_oracle(detection, n):
+    # adding the signal chunk by chunk, with the homodyne quadrature picked by
+    # np.where, keeps every bit of the whole-array signal and the same stream
+    q = gaussian_symbols(1.5, n, np.random.default_rng(n))
+    p = ch.ChannelParams(t=0.3, xi=0.02, eta=0.9, detection=detection)
+    rng, oracle_rng = np.random.default_rng(6), np.random.default_rng(6)
+    y, basis = ch.transmit_measure(q, p, rng)
+    want_y, want_basis = session_oracle.transmit_measure(q, p, oracle_rng)
+    assert y.shape == want_y.shape and np.array_equal(y.view(np.uint64), want_y.view(np.uint64))
+    if detection == "homodyne":
+        assert basis.dtype == np.int8 and np.array_equal(basis, want_basis)
+    else:
+        assert basis is None and want_basis is None
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 def test_zero_noise_is_identity_at_unit_transmittance():

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+import session_oracle
 from cvqkd import modulation as mod
+from cvqkd.algebra import CHUNK_ROWS
 from cvqkd.protocol import ProtocolConfig
 from radius_oracle import band_acceptance_probability, chi_pdf
 
@@ -175,6 +177,22 @@ def test_label_by_band():
     assert mod.label_by_band(on_sphere, s, mod.RadiusBand(1.0, 1.0)).all()
 
 
+@pytest.mark.parametrize("d", [1, 8])
+@pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 5])
+def test_label_by_band_matches_whole_array_oracle(d, n):
+    # the chunked mask equals the one from the radii of all blocks at once,
+    # across chunk boundaries, on a (5, 7, d) stack and on one 1-D block
+    rng = np.random.default_rng(100 * d + n)
+    s = mod.ModulationScheme(d, 0.5)
+    band = mod.RadiusBand(0.9, 1.1)
+    for blocks in (mod.sample_gaussian_blocks(s, n, rng), rng.normal(0.0, 0.35, (5, 7, d)),
+                   mod.sample_gaussian_blocks(s, 1, rng)[0]):
+        got = mod.label_by_band(blocks, s, band)
+        want = session_oracle.label_by_band(blocks, s, band)
+        assert got.dtype == bool and np.shape(got) == np.shape(want) == blocks.shape[:-1]
+        assert np.array_equal(got, want)
+
+
 def test_label_fraction_matches_integral():
     rng = np.random.default_rng(9)
     s = mod.ModulationScheme(8, 0.5)
@@ -193,13 +211,19 @@ def test_blocks_to_amplitudes_d2():
 
 
 def test_amplitude_roundtrip_exact():
-    # amplitude coordinates map to quadratures in order, and scaling by 2 is exact
+    # amplitude coordinates map to quadratures in order, and scaling by 2 is
+    # exact: the Gaussian flow's homodyne Alice keeps her measured quadrature
+    # / QUADRATURE_SCALE, which is her coordinate only for a power-of-two scale
+    assert math.frexp(mod.QUADRATURE_SCALE)[0] == 0.5
     rng = np.random.default_rng(10)
     for d in (1, 2, 4, 8):
         blocks = rng.standard_normal((6, d))
         quads = mod.blocks_to_quadratures(blocks, d)
         back = (quads / mod.QUADRATURE_SCALE).reshape(-1, d)
         assert np.array_equal(back, blocks)
+    extremes = np.array([5e-324, -2.5e-308, 1e-310, 1e300, -0.0, 0.0])
+    back = mod.blocks_to_quadratures(extremes[:, None], 1).reshape(-1) / mod.QUADRATURE_SCALE
+    assert np.array_equal(back.view(np.uint64), extremes.view(np.uint64))
 
 
 def test_amplitude_norm_bookkeeping():

@@ -10,11 +10,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import session_oracle
 from radius_oracle import band_acceptance_probability
 from cvqkd.channel import ChannelParams
 from cvqkd.decoy import DecoyDesign, optimize_decoy
 from cvqkd.modulation import RadiusBand, read_csv_table
 from cvqkd.protocol import (
+    MIN_EST_SAMPLES,
     ConfigError,
     ProtocolConfig,
     ProtocolError,
@@ -28,7 +30,7 @@ from cvqkd.protocol import (
     run_session,
     save_transcript,
 )
-from cvqkd.algebra import OrthogonalTransform
+from cvqkd.algebra import CHUNK_ROWS, OrthogonalTransform
 from cvqkd import modulation, reconciliation
 
 
@@ -269,6 +271,62 @@ def test_estimate_channel_sample_floor():
         estimate_channel(a, y, 2.0, "heterodyne")
     with pytest.raises(ValueError):
         estimate_channel(a, y[:10], 2.0, "heterodyne")
+
+
+@pytest.mark.parametrize("shape", [(2 * CHUNK_ROWS + 5,), (2 * CHUNK_ROWS + 5, 1),
+                                   (CHUNK_ROWS + 3, 8), (300, 2)])
+def test_estimate_channel_mask_equals_gathered_rows(shape):
+    # the masked, chunk-built products give the estimate of the gathered rows
+    # bit for bit, and so does passing those rows with no mask
+    rng = np.random.default_rng(sum(shape))
+    a = rng.normal(0.0, 0.5, size=shape)
+    y = 2.0 * math.sqrt(0.4) * a + rng.standard_normal(shape)
+    est = rng.random(shape[0]) < 0.5
+    want = session_oracle.estimate_channel(a[est], y[est], 2.0, "heterodyne")
+    assert estimate_channel(a, y, 2.0, "heterodyne", est) == want
+    assert estimate_channel(a[est], y[est], 2.0, "heterodyne") == want
+    assert estimate_channel(a, y, 2.0, "heterodyne", np.ones(shape[0], dtype=bool)) == \
+        session_oracle.estimate_channel(a, y, 2.0, "heterodyne")
+
+
+def test_estimate_channel_mask_refuses_as_the_gathered_rows_do():
+    # 12 blocks of 8 are 96 samples: the mask and the gathered rows are refused
+    # with the same text
+    rng = np.random.default_rng(4)
+    a, y = rng.standard_normal((2, 1000, 8))
+    est = np.zeros(1000, dtype=bool)
+    est[rng.choice(1000, 12, replace=False)] = True
+    texts = []
+    for args in ((a, y, 2.0, "heterodyne", est), (a[est], y[est], 2.0, "heterodyne")):
+        with pytest.raises(ProtocolError) as error:
+            estimate_channel(*args)
+        texts.append(str(error.value))
+    assert texts == [f"only 96 estimation samples, need at least {MIN_EST_SAMPLES}"] * 2
+    est[np.flatnonzero(~est)[:1]] = True
+    assert estimate_channel(a, y, 2.0, "heterodyne", est) == \
+        session_oracle.estimate_channel(a[est], y[est], 2.0, "heterodyne")
+
+
+@pytest.mark.parametrize("d, detection, n_symbols", [
+    (1, "homodyne", 2 * CHUNK_ROWS + 6), (8, "heterodyne", 40_000), (2, "heterodyne", 9_000)])
+def test_gaussian_flow_matches_whole_array_oracle(d, detection, n_symbols):
+    # Alice's halved quadratures, the labels drawn before the reflections and
+    # the chunked steps give the whole-array flow's arrays bit for bit
+    config = ProtocolConfig(d=d, alpha=0.7, n_symbols=n_symbols, flow="gaussian", p_est=0.3,
+                            band=RadiusBand(0.8, 1.2), seed=3,
+                            channel=ChannelParams(t=0.6, xi=0.01, detection=detection))
+    rng, oracle_rng = np.random.default_rng(21), np.random.default_rng(21)
+    tr = run_gaussian_postselected(config, rng)
+    want = session_oracle.gaussian_flow(config, oracle_rng)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert np.array_equal(tr.transform.reflectors, want.pop("reflectors"))
+    for name, array in want.items():
+        got = getattr(tr, name)
+        if array is None:
+            assert got is None
+            continue
+        assert got.dtype == array.dtype and got.shape == array.shape, name
+        assert np.array_equal(got.view(np.uint8), array.view(np.uint8)), name
 
 
 def test_estimation_std_matches_monte_carlo():
@@ -569,20 +627,25 @@ def test_session_bits_pinned(case, design8):
 
 
 # Peak traced bytes per symbol of one run_session at 2e5 symbols, the
-# transcript included.  The flows drop each intermediate once it is used and
-# peak at 57 (Gaussian d=1), 97 (Gaussian d=8) and 103 B (decoy).  Flows that
-# hold the modulated blocks, the quadratures and the permutation to the end,
-# with int64 labels and out-of-place reflections, peak at 112, 144 and 137 B.
-# At d=1 homodyne, holding any one of x, a or the permutation, or int64
-# labels or basis, already costs 61-73 B.
+# transcript included.  The flows drop each intermediate once it is used, and
+# the channel's signal, the reflections' update, the band's radii and the
+# estimate's products are built CHUNK_ROWS rows at a time: the sessions peak
+# at 39.7 (Gaussian d=1), 78.0 (Gaussian d=8) and 101.2 B (decoy, in
+# distill).  With those steps over whole arrays, a copy of the reflectors in
+# the transform's constructor and gathered estimation rows they peaked at
+# 54.0, 97.3 and 103.3 B.  Flows that also hold the modulated blocks, the
+# quadratures and the permutation to the end, with int64 labels and
+# out-of-place reflections, peak at 112, 144 and 137 B.  At d=1 homodyne one
+# more array of 8 B per coordinate held at the peak, such as the int64
+# permutation, already breaks the bound.
 MEMORY_CASES = {
-    "gaussian_d1_homodyne": (60.0, dict(
+    "gaussian_d1_homodyne": (41.5, dict(
         d=1, alpha=0.5, flow="gaussian",
         channel=ChannelParams(t=0.5, xi=0.005, detection="homodyne"))),
-    "gaussian_d8_heterodyne": (120.0, dict(
+    "gaussian_d8_heterodyne": (81.5, dict(
         d=8, alpha=1.0, flow="gaussian",
         channel=ChannelParams(t=0.5, xi=0.005, detection="heterodyne"))),
-    "decoy_d8": (120.0, dict(
+    "decoy_d8": (106.0, dict(
         d=8, alpha=1.0, flow="decoy", p=0.5,
         channel=ChannelParams(t=0.5, xi=0.005, detection="heterodyne"))),
 }

@@ -98,7 +98,9 @@ def sample_unit(d, rng, size):
     elements used by the reverse-reconciliation reduction.
     """
     _check_dim(d)
-    signs = rng.integers(0, 2, size=(size, d)) * 2 - 1
+    signs = rng.integers(0, 2, size=(size, d))
+    signs *= 2
+    signs -= 1
     return signs / np.sqrt(d)
 
 

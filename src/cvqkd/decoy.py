@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import _ufuncs, gammaln, pdtrc, xlogy
 
 from .modulation import SPHERE_DIMS, ModulationScheme, check_integer, read_key, read_lines
 
@@ -65,6 +64,8 @@ def _poisson_table(means, n_max=None):
     n_max defaults to the _auto_n_max truncation of the widest law.  The
     formulas are scipy.stats.poisson's pmf and sf, bit for bit.
     """
+    from scipy.special import gammaln, pdtrc, xlogy
+
     means = np.asarray(means, dtype=float)
     if n_max is None:
         n_max = _auto_n_max(
@@ -86,6 +87,8 @@ def g_dist(d, alpha, n_max=None):
     g(k) = C(m+k-1, k) alpha^{2k} / (1+alpha^2)^{m+k} with m = d/2 modes, computed
     by the private ufuncs behind scipy.stats.nbinom: no public formula gives their bits.
     """
+    from scipy.special import _ufuncs
+
     _check_decoy_args(d, alpha)
     m = d // 2
     p_nb = 1.0 / (1.0 + alpha * alpha)

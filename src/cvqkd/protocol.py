@@ -452,7 +452,10 @@ def run_gaussian_postselected(config, rng):
 
     # a block outside the band is dropped unless it is an estimation block
     keep = modulation.label_by_band(transcript.alice_blocks, scheme, config.band)
-    labels[~keep & (labels == 0)] = -1
+    # in one byte mask: a zero label outside the band (True > False) turns to -1
+    drop = labels == 0
+    np.greater(drop, keep, out=drop)
+    labels -= drop.view(np.int8)
     transcript.record("band_filtered")
     return transcript
 
@@ -479,11 +482,12 @@ def distill(transcript, rng):
             f"{code.n_bits}-bit frame{detail}"
         )
 
-    x = reconciliation.normalize_alice_blocks(transcript.alice_blocks[key_idx])
-    y = reconciliation.normalize_bob_blocks(
-        transcript.bob_blocks[key_idx], transcript.t_hat, config.alpha
-    )
-    result = reconciliation.reconcile(x, y, code, rng)
+    # the key rows are passed unnamed, so reconcile can free them as it goes
+    result = reconciliation.reconcile(
+        reconciliation.normalize_alice_blocks(transcript.alice_blocks[key_idx]),
+        reconciliation.normalize_bob_blocks(
+            transcript.bob_blocks[key_idx], transcript.t_hat, config.alpha),
+        code, rng)
     transcript.reconcile_result = result
     failure = 1.0 - float(np.mean(result.frame_success))
     if failure > config.max_frame_failure:

@@ -232,14 +232,21 @@ def reconcile(x_blocks, y_blocks, code, rng):
             f"{n_blocks * d} bits cannot fill one frame of {code.n_bits}"
         )
 
+    # each working array is dropped after its last use; the inputs go too,
+    # so a caller that passes fresh arrays holds none of them through here
+    del x_blocks, y_blocks
     u, t = bob_reduce(y, rng)
+    del y
+    bits_all = (u.reshape(-1) < 0).astype(np.uint8)
+    del u
     v = alice_reduce(x, t)
+    del x
     w_power = float(np.mean(v * v))
     sigma2_hat = max(w_power - 1.0 / d, 1e-12)
     snr_hat = 1.0 / (d * sigma2_hat)
     llr_all = 2.0 * math.sqrt(d) * v.reshape(-1) / sigma2_hat
+    del v
 
-    bits_all = (u.reshape(-1) < 0).astype(np.uint8)
     used = n_frames * code.n_bits
     frames = bits_all[:used].reshape(n_frames, code.n_bits)
     llr = llr_all[:used].reshape(n_frames, code.n_bits)

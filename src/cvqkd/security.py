@@ -16,7 +16,6 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from . import channel as _channel
 from .modulation import SPHERE_DIMS
@@ -116,6 +115,9 @@ CHUNK_NODES = 2**20
 
 def _window_mean(mu, m):
     """E[sqrt(N + m)] for N ~ Poisson(mu), summed over each point's window."""
+    # imported here, not at module level, so d = 1 and d = inf never load scipy
+    from scipy.special import gammaln
+
     sd = np.sqrt(mu)
     first = np.maximum(np.floor(mu - WINDOW_SIGMAS * sd), 0.0)
     count = np.floor(mu + WINDOW_SIGMAS * sd + WINDOW_EXTRA - first) + 1.0
@@ -127,7 +129,7 @@ def _window_mean(mu, m):
         stop = count[part, None]
         node = np.arange(int(stop.max()), dtype=float)
         k = first[part, None] + node
-        log_w = np.where(node < stop, k * np.log(mu[part, None]) - special.gammaln(k + 1.0), -np.inf)
+        log_w = np.where(node < stop, k * np.log(mu[part, None]) - gammaln(k + 1.0), -np.inf)
         # the log weights are used once, so exp may overwrite them
         w = np.exp(log_w - log_w.max(axis=1, keepdims=True), out=log_w)
         terms = w * np.sqrt(k + m)

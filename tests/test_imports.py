@@ -2,8 +2,11 @@
 
 scipy.stats alone costs most of a second to import, and only the
 reconcile-bench p-value uses it; decoy design loads scipy.optimize but not
-scipy.stats.  Each check runs in a fresh interpreter, because this test
-process has long since imported scipy.stats itself.
+scipy.stats.  scipy.special is loaded only by the d >= 2 sphere windows and
+the decoy photon laws, so importing the package, a d = 1 Gaussian session and
+the d = 1 and d = inf key rates load no scipy module at all.  Each check runs
+in a fresh interpreter, because this test process has long since imported
+scipy.stats itself.
 """
 
 import json
@@ -44,6 +47,32 @@ print(json.dumps({{"rc": rc, "blocks": int(transcript.alice_blocks.shape[0]),
     assert result["loaded"] == []
 
 
+def test_d1_session_and_keyrate_load_no_scipy(tmp_path):
+    code = """
+import json, sys
+from cvqkd import cli, protocol
+from cvqkd.channel import ChannelParams
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+loaded = {"import": scipy_loaded()}
+config = protocol.ProtocolConfig(
+    d=1, alpha=0.5, n_symbols=20000, flow="gaussian", p_est=0.5, code="rep16", seed=3,
+    channel=ChannelParams(t=0.5, xi=0.005, detection="homodyne"))
+transcript = protocol.run_session(config)
+loaded["session"] = scipy_loaded()
+args = ["keyrate", "--sweep", "distance_km", "--start", "0", "--stop", "50", "--steps", "3",
+        "--optimize-va", "--eta", "0.6", "--beta", "0.8", "--xi", "0.005"]
+rc = [cli.main(args + ["--d", "1,inf", "--out", "rates.csv"])]
+loaded["keyrate"] = scipy_loaded()
+rc.append(cli.main(args + ["--d", "8", "--out", "rates8.csv"]))
+loaded["keyrate_d8"] = "scipy.special" in sys.modules
+print(json.dumps({"rc": rc, "bits": int(transcript.alice_bits.size), "loaded": loaded}))
+"""
+    result = _run(code, tmp_path)
+    assert result["rc"] == [0, 0] and result["bits"] > 0
+    assert result["loaded"] == {"import": [], "session": [], "keyrate": [], "keyrate_d8": True}
+
+
 def test_decoy_design_loads_no_scipy_stats(tmp_path):
     code = f"""
 import json, sys
@@ -52,10 +81,11 @@ rc = cli.main(["decoy-opt", "--d", "2", "--alpha", "0.5", "--p", "0.5", "--out",
 decoy.povm_scale(8, 1.0)
 decoy.g_dist(4, 0.7)
 decoy.mixture_photon_dist([0.0, 0.5, 1.5], [0.2, 0.3, 0.5])
-print(json.dumps({{"rc": rc, "loaded": [m for m in {DEFERRED!r} if m in sys.modules]}}))
+print(json.dumps({{"rc": rc, "loaded": [m for m in {DEFERRED!r} if m in sys.modules],
+                  "special": "scipy.special" in sys.modules}}))
 """
     result = _run(code, tmp_path)
-    assert result == {"rc": 0, "loaded": ["scipy.optimize"]}
+    assert result == {"rc": 0, "loaded": ["scipy.optimize"], "special": True}
 
 
 def test_deferred_scipy_paths_still_run(tmp_path):

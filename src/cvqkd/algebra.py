@@ -88,7 +88,9 @@ def inv(a):
     n2 = np.sum(a * a, axis=-1, keepdims=True)
     if np.any(n2 == 0.0):
         raise ZeroDivisionError("cannot invert a zero algebra element")
-    return conj(a) / n2
+    out = conj(a)
+    out /= n2
+    return out
 
 
 def sample_unit(d, rng, size):
@@ -110,6 +112,7 @@ class OrthogonalTransform:
     apply() reflects about each stored row in order; apply_inverse() uses the
     reverse order.  The dense n x n matrix is never formed, so application
     costs O(k*n) per vector and holds the result and a CHUNK_ROWS-column
+    temporary; reflect() transforms an array in place and holds only the
     temporary.  An empty reflector list is the identity.
 
     A float64 reflector array is kept as given, not copied, so the caller
@@ -134,11 +137,9 @@ class OrthogonalTransform:
     def n_reflections(self) -> int:
         return self.reflectors.shape[0]
 
-    def _apply(self, v, rows):
-        v = np.asarray(v, dtype=float)
-        if v.shape[-1] != self.n:
-            raise ValueError(f"vector length {v.shape[-1]} != transform size {self.n}")
-        out = v.copy()
+    def _reflect(self, out, rows):
+        if out.shape[-1] != self.n:
+            raise ValueError(f"vector length {out.shape[-1]} != transform size {self.n}")
         for u in rows:
             step = 2.0 * np.expand_dims(out @ u, -1)
             for start in range(0, self.n, CHUNK_ROWS):
@@ -146,11 +147,15 @@ class OrthogonalTransform:
                 out[..., cols] -= step * u[cols]
         return out
 
+    def reflect(self, v):
+        """Apply the transform to the float64 array v in place, and return v."""
+        return self._reflect(v, self.reflectors)
+
     def apply(self, v):
-        return self._apply(v, self.reflectors)
+        return self._reflect(np.asarray(v, dtype=float).copy(), self.reflectors)
 
     def apply_inverse(self, v):
-        return self._apply(v, self.reflectors[::-1])
+        return self._reflect(np.asarray(v, dtype=float).copy(), self.reflectors[::-1])
 
     def write(self, fh):
         """Write the record to a binary file: '<II' (k, n), then the k x n reflectors as '<f8'.
@@ -198,18 +203,56 @@ def sample_orthogonal(n, k, rng) -> OrthogonalTransform:
     samples the Haar measure on O(n).  Stages that draw the target direction
     exactly along the subspace axis reduce to the identity and are skipped.
 
-    Each stage draws straight into its row of the returned array and builds
-    its reflector there, so for k = 1 the draw is the transform.
+    It is draw_stages into a zero (k, n) array, then transform_from_stages,
+    which builds the reflectors in that array: for k = 1 the draw is the
+    transform.
     """
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     rows = np.zeros((k, n))
+    draw_stages(rows, rng)
+    return transform_from_stages(rows)
+
+
+def draw_stages(rows, rng):
+    """Draw each stage's target direction into its row of the zero (k, n) array rows.
+
+    Stage j draws the trailing n-k+1+j coordinates of row j, from column
+    k-1-j on; the columns before stay zero.
+    """
+    k = len(rows)
+    for j in range(k):
+        rng.standard_normal(out=rows[j, k - 1 - j:])
+
+
+def transform_from_stages(rows) -> OrthogonalTransform:
+    """The transform of draw_stages' rows, built in place in them and handed over.
+
+    A skipped stage's row is left out; the rows after it move up.
+    """
+    k = len(rows)
     kept = 0
     for j in range(k):
-        m = n - k + 1 + j
-        # a skipped stage's row is drawn over whole by the next, longer stage
-        if _bisector_reflector(rng.standard_normal(out=rows[kept, n - m:])) is not None:
+        if _bisector_reflector(rows[j, k - 1 - j:]) is not None:
+            if kept != j:
+                rows[kept] = rows[j]
             kept += 1
     rows = rows[:kept]
-    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    for row in rows:
+        row /= np.sqrt(_sum_of_squares(row))
     return OrthogonalTransform(rows)
+
+
+def _sum_of_squares(x):
+    """np.add.reduce(x * x) of a contiguous 1-D array, bit for bit, holding one chunk.
+
+    numpy sums a contiguous float64 array pairwise, splitting n elements at
+    n // 2 rounded down to a multiple of 8; following those splits down to
+    CHUNK_ROWS elements sums the same terms in the same order.  So the
+    squared norm of np.linalg.norm(rows, axis=1) needs no whole-row square.
+    """
+    if len(x) <= CHUNK_ROWS:
+        return np.add.reduce(x * x)
+    half = len(x) // 2
+    half -= half % 8
+    return _sum_of_squares(x[:half]) + _sum_of_squares(x[half:])

@@ -79,6 +79,38 @@ def distance_to_T(d_km):
     return 10.0 ** (-FIBER_LOSS_DB_PER_KM * d_km / 10.0)
 
 
+def draw_basis(basis, rng):
+    """Fill the int8 array basis with uniform homodyne bases (0 = x, 1 = p).
+
+    Each chunk of CHUNK_ROWS modes is drawn as int64, since another dtype
+    draws another stream; the chunks continue one stream, so the bases are
+    those of one int64 draw of the whole length, without its 8 B per mode.
+    """
+    for start in range(0, len(basis), CHUNK_ROWS):
+        chunk = basis[start : start + CHUNK_ROWS]
+        chunk[...] = rng.integers(0, 2, size=chunk.size)
+
+
+def add_signal(outcomes, symbols, basis, params):
+    """Turn unit-variance noise draws into outcomes, in place.
+
+    Each outcome is scaled to variance noise_floor + T_eff*xi and gains
+    sqrt(T_eff) times its quadrature, CHUNK_ROWS modes at a time.  With a
+    basis, symbols are quadrature pairs and the basis picks one per mode;
+    without one, symbols already have the outcomes' shape.
+    """
+    gain = math.sqrt(params.t_eff)
+    sigma = math.sqrt(params.noise_floor + params.t_eff * params.xi)
+    for start in range(0, len(outcomes), CHUNK_ROWS):
+        rows = slice(start, start + CHUNK_ROWS)
+        q = symbols[rows]
+        if basis is not None:
+            q = np.where(basis[rows], q[:, 1], q[:, 0])
+        out = outcomes[rows]
+        out *= sigma
+        out += gain * q
+
+
 def transmit_measure(symbols, params, rng):
     """Send quadrature symbols through the channel and detect them.
 
@@ -86,29 +118,21 @@ def transmit_measure(symbols, params, rng):
     the uniformly drawn measured quadrature recorded in the int8 basis
     (0 = x, 1 = p); heterodyne outcomes have shape (n_modes, 2) and basis
     None.  The additive noise is Gaussian with variance
-    noise_floor + T_eff*xi.  It is drawn into the outcome array, and the
-    signal sqrt(T_eff)*q is added to it CHUNK_ROWS modes at a time, so the
-    call holds no array beyond its outputs and one chunk.
+    noise_floor + T_eff*xi.  The draws (draw_basis, then the unit noise into
+    the outcome array) are followed by add_signal, so the call holds no
+    array beyond its outputs and one chunk.
     """
     symbols = np.asarray(symbols, dtype=float)
     if symbols.ndim != 2 or symbols.shape[1] != 2:
         raise ValueError("symbols must be quadrature pairs of shape (n_modes, 2)")
-    n = symbols.shape[0]
-    gain = math.sqrt(params.t_eff)
     if params.detection == "heterodyne":
         basis = None
         outcomes = rng.standard_normal(symbols.shape)
     else:
-        # drawn as int64 (another dtype draws another stream), kept as int8
-        basis = rng.integers(0, 2, size=n).astype(np.int8)
-        outcomes = rng.standard_normal(n)
-    outcomes *= math.sqrt(params.noise_floor + params.t_eff * params.xi)
-    for start in range(0, n, CHUNK_ROWS):
-        rows = slice(start, start + CHUNK_ROWS)
-        q = symbols[rows]
-        if basis is not None:
-            q = np.where(basis[rows], q[:, 1], q[:, 0])
-        outcomes[rows] += gain * q
+        basis = np.empty(symbols.shape[0], dtype=np.int8)
+        draw_basis(basis, rng)
+        outcomes = rng.standard_normal(symbols.shape[0])
+    add_signal(outcomes, symbols, basis, params)
     return outcomes, basis
 
 

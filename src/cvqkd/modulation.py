@@ -132,7 +132,19 @@ def sample_gaussian_blocks(scheme, n_blocks, rng):
     Block radii over alpha sqrt(d/2) then follow chi_d / sqrt(d), the law
     the radius-band flow filters on.
     """
-    return rng.normal(0.0, scheme.alpha / math.sqrt(2.0), size=(n_blocks, scheme.d))
+    blocks = rng.standard_normal((n_blocks, scheme.d))
+    scale_gaussian_blocks(blocks, scheme)
+    return blocks
+
+
+def scale_gaussian_blocks(blocks, scheme):
+    """Scale standard normal draws in place to N(0, alpha^2/2) coordinates.
+
+    The result is rng.normal(0, alpha/sqrt(2)) of the same draws bit for
+    bit: that computes 0 + scale*z, and adding 0 turns a -0.0 into 0.0.
+    """
+    blocks *= scheme.alpha / math.sqrt(2.0)
+    blocks += 0.0
 
 
 def label_by_band(blocks, scheme, band):

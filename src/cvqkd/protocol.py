@@ -14,6 +14,7 @@ import logging
 import math
 import os
 import re
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import algebra, modulation, reconciliation, security
 from .channel import COORDS_PER_MODE, DETECTIONS, NOISE_FLOORS, ChannelParams
-from .channel import distance_to_T, transmit_measure
+from .channel import add_signal, distance_to_T, draw_basis, transmit_measure
 from .decoy import DecoyDesign, mix_probabilities
 from .modulation import ModulationScheme, RadiusBand
 
@@ -212,10 +213,13 @@ class SessionTranscript:
     quadrature-unit outcomes (already un-mixed where the flow requires it).
     labels (one per block, the one record of block roles) and basis (one per
     homodyne mode) are int8; the block indices and counts are derived from labels.
+    event_ns holds the perf_counter_ns() reading taken as each event was
+    recorded; it is a timing, so no saved file holds it.
     """
 
     config: ProtocolConfig
     events: list = field(default_factory=list)
+    event_ns: list = field(default_factory=list)
     labels: np.ndarray = None
     alice_blocks: np.ndarray = None
     bob_blocks: np.ndarray = None
@@ -231,6 +235,7 @@ class SessionTranscript:
 
     def record(self, event):
         self.events.append(event)
+        self.event_ns.append(time.perf_counter_ns())
 
     def _count(self, label):
         return int(np.count_nonzero(self.labels == label))
@@ -402,7 +407,25 @@ def run_decoy_flow(config, rng):
 
 
 def run_gaussian_postselected(config, rng):
-    """Gaussian flow: send, measure, symmetrize, pick estimation, band-filter."""
+    """Gaussian flow: modulate, send, measure, symmetrize, pick estimation, band-filter.
+
+    One worker thread makes every draw from rng, in the stream order of the
+    serial steps: the Gaussian blocks, the homodyne basis, the detection
+    noise, the reflectors' stages and the estimation permutation.  Only it
+    touches rng while its pool is open, so no byte depends on thread timing
+    or the CPU count.  The draws release the GIL, and this thread computes
+    beside them: the blocks' scaling beside the basis, Alice's coordinate
+    beside the noise, the signal beside the stages, and Alice's reflection
+    and band mask beside the permutation.
+
+    Each draw fills an array this thread allocates (the permutation is an
+    arange shuffled in place), so the worker's malloc arena holds no large
+    array.  The stages and the permutation are allocated once the modulated
+    blocks are freed, and Bob's reflection once the permutation is, so the
+    flow holds no more at once than the serial order did.  The events keep
+    their order, each recorded once its arrays are final, so "symmetrized"
+    follows Bob's reflection.
+    """
     if config.flow != "gaussian":
         raise ValueError(f"config.flow is {config.flow!r}, expected 'gaussian'")
     d, params = config.d, config.channel
@@ -411,47 +434,63 @@ def run_gaussian_postselected(config, rng):
     transcript = SessionTranscript(config=config)
     n = config.n_symbols
     scheme = ModulationScheme(d, config.alpha)
-    # both quadratures of every mode are modulated, homodyne or not
-    x = modulation.sample_gaussian_blocks(scheme, 2 * n // d, rng)
-    transcript.record("modulated")
+    homodyne = params.detection == "homodyne"
+    with ThreadPoolExecutor(1) as pool:
+        # both quadratures of every mode are modulated, homodyne or not: the
+        # 2n // d blocks, filled in order and viewed as the modes' amplitude
+        # pairs. A future of rng.standard_normal(out=) keeps its array, so it
+        # is dropped
+        x = np.empty((n, 2))
+        drawn_x = pool.submit(rng.standard_normal, out=x)
+        basis = np.empty(n, dtype=np.int8) if homodyne else None
+        drawn_basis = pool.submit(draw_basis, basis, rng) if homodyne else None
+        outcomes = np.empty(n if homodyne else (n, 2))
+        drawn_noise = pool.submit(rng.standard_normal, out=outcomes)
+        drawn_x.result()
+        del drawn_x
+        modulation.scale_gaussian_blocks(x, scheme)
+        transcript.record("modulated")
 
-    quads = modulation.blocks_to_quadratures(x, d)
-    del x
-    outcomes, basis = transmit_measure(quads, params, rng)
-    transcript.outcomes, transcript.basis = outcomes, basis
-    transcript.record("transmitted")
-    transcript.record("measured")
+        # with homodyne, Bob announces bases and Alice keeps only the measured
+        # amplitude coordinate
+        if homodyne:
+            drawn_basis.result()
+            a = np.where(basis, x[:, 1], x[:, 0])
+        else:
+            a = x.reshape(-1)
+        del x
+        stages = np.zeros((config.symmetrization_k, a.size))
+        drawn_stages = pool.submit(algebra.draw_stages, stages, rng)
+        n_blocks = a.size // d
+        order = np.arange(n_blocks)
+        drawn_order = pool.submit(rng.shuffle, order)
+        # the signal is her coordinate in quadrature units; doubling and
+        # halving are exact, because QUADRATURE_SCALE is a power of two
+        a *= modulation.QUADRATURE_SCALE
+        drawn_noise.result()
+        add_signal(outcomes, a.reshape(outcomes.shape), None, params)
+        a /= modulation.QUADRATURE_SCALE
+        transcript.outcomes, transcript.basis = outcomes, basis
+        transcript.record("transmitted")
+        transcript.record("measured")
 
-    # with homodyne, Bob announces bases and Alice keeps only the measured
-    # coordinate. Halving a quadrature gives back its amplitude coordinate
-    # exactly, because QUADRATURE_SCALE is a power of two
-    if params.detection == "homodyne":
-        a = np.where(basis, quads[:, 1], quads[:, 0])
-    else:
-        a = quads.reshape(-1)
-    del quads
-    a /= modulation.QUADRATURE_SCALE
-    y = outcomes.reshape(-1)
-
-    transform = algebra.sample_orthogonal(a.size, config.symmetrization_k, rng)
-    transcript.transform = transform
-    # the estimation blocks are drawn before the reflections run, so the int64
-    # permutation never sits beside the symmetrized arrays; the reflections
-    # draw nothing, so the stream is the one of drawing after them
-    n_blocks = a.size // d
-    n_est = int(round(config.p_est * n_blocks))
+        drawn_stages.result()
+        transform = transcript.transform = algebra.transform_from_stages(stages)
+        del stages
+        alice_blocks = transform.reflect(a).reshape(n_blocks, d)
+        del a
+        # a block outside the band is dropped unless it is an estimation block
+        keep = modulation.label_by_band(alice_blocks, scheme, config.band)
+        drawn_order.result()
     labels = np.zeros(n_blocks, dtype=np.int8)
-    labels[rng.permutation(n_blocks)[:n_est]] = 1
-
-    transcript.alice_blocks = transform.apply(a).reshape(n_blocks, d)
-    del a
-    transcript.bob_blocks = transform.apply(y).reshape(n_blocks, d)
+    labels[order[: int(round(config.p_est * n_blocks))]] = 1
+    del order
+    transcript.alice_blocks = alice_blocks
+    transcript.bob_blocks = transform.apply(outcomes.reshape(-1)).reshape(n_blocks, d)
     transcript.record("symmetrized")
     transcript.labels = labels
     transcript.record("estimation_coordinates_chosen")
 
-    # a block outside the band is dropped unless it is an estimation block
-    keep = modulation.label_by_band(transcript.alice_blocks, scheme, config.band)
     # in one byte mask: a zero label outside the band (True > False) turns to -1
     drop = labels == 0
     np.greater(drop, keep, out=drop)

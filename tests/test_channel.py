@@ -162,6 +162,17 @@ def test_transmit_measure_matches_whole_array_oracle(detection, n):
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS + 5])
+def test_chunked_basis_is_one_int64_draw(n):
+    # the chunks continue one stream: the bases and the generator state are
+    # those of a single int64 draw of the whole length
+    rng, single = np.random.default_rng(9), np.random.default_rng(9)
+    basis = np.empty(n, dtype=np.int8)
+    ch.draw_basis(basis, rng)
+    assert np.array_equal(basis, single.integers(0, 2, size=n).astype(np.int8))
+    assert rng.bit_generator.state == single.bit_generator.state
+
+
 def test_zero_noise_is_identity_at_unit_transmittance():
     # with the replayed noise taken out, a lossless channel passes q unchanged
     q = np.random.default_rng(13).standard_normal((100, 2))

@@ -110,6 +110,28 @@ def test_gaussian_blocks_moments():
     assert np.max(np.abs(blocks.mean(axis=0))) < 4 * math.sqrt(want / 1_000_000)
 
 
+@pytest.mark.parametrize("d, alpha", [(1, 0.5), (8, 1.0), (4, 3.7e-3), (2, 1e150)])
+def test_gaussian_blocks_are_one_normal_draw_bit_for_bit(d, alpha):
+    # standard normals scaled in place give rng.normal(0, alpha / sqrt(2))
+    # of the same stream, in values and in generator state
+    s = mod.ModulationScheme(d, alpha)
+    rng, single = np.random.default_rng(8), np.random.default_rng(8)
+    blocks = mod.sample_gaussian_blocks(s, 100_003, rng)
+    want = single.normal(0.0, alpha / math.sqrt(2.0), size=(100_003, d))
+    assert np.array_equal(blocks.view(np.uint64), want.view(np.uint64))
+    assert rng.bit_generator.state == single.bit_generator.state
+
+
+def test_gaussian_block_scaling_keeps_signed_zeros_as_normal_does():
+    # rng.normal computes 0 + scale * z, so a zero draw of either sign is +0.0
+    z = np.array([[-0.0, 0.0, -1.5, 2.0**-1074]])
+    mod.scale_gaussian_blocks(z, mod.ModulationScheme(4, 0.5))
+    scale = 0.5 / math.sqrt(2.0)
+    want = np.array([[0.0 + scale * -0.0, 0.0, 0.0 + scale * -1.5, 0.0 + scale * 2.0**-1074]])
+    assert np.array_equal(z.view(np.uint64), want.view(np.uint64))
+    assert not np.signbit(z[0, 0])
+
+
 def test_gaussian_radius_follows_chi():
     rng = np.random.default_rng(5)
     s = mod.ModulationScheme(8, 0.6)

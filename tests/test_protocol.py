@@ -31,7 +31,7 @@ from cvqkd.protocol import (
     save_transcript,
 )
 from cvqkd.algebra import CHUNK_ROWS, OrthogonalTransform
-from cvqkd import modulation, reconciliation
+from cvqkd import algebra, modulation, reconciliation
 
 
 @pytest.fixture(scope="module")
@@ -307,13 +307,17 @@ def test_estimate_channel_mask_refuses_as_the_gathered_rows_do():
         session_oracle.estimate_channel(a[est], y[est], 2.0, "heterodyne")
 
 
-@pytest.mark.parametrize("d, detection, n_symbols", [
-    (1, "homodyne", 2 * CHUNK_ROWS + 6), (8, "heterodyne", 40_000), (2, "heterodyne", 9_000)])
-def test_gaussian_flow_matches_whole_array_oracle(d, detection, n_symbols):
-    # Alice's halved quadratures, the labels drawn before the reflections and
-    # the chunked steps give the whole-array flow's arrays bit for bit
+@pytest.mark.parametrize("d, detection, n_symbols, k", [
+    pytest.param(d, detection, n, k, id=f"{d}-{detection}-{n}" + ("" if k == 1 else f"-k{k}"))
+    for d, detection, n, k in [(1, "homodyne", 2 * CHUNK_ROWS + 6, 1), (8, "heterodyne", 40_000, 1),
+                               (2, "heterodyne", 9_000, 1), (1, "homodyne", 2 * CHUNK_ROWS + 6, 3),
+                               (8, "heterodyne", 40_000, 3)]])
+def test_gaussian_flow_matches_whole_array_oracle(d, detection, n_symbols, k):
+    # the draws on the worker thread into arrays allocated beforehand, Alice's
+    # doubled and halved coordinate, her reflection in place and the chunked
+    # steps give the serial whole-array flow's arrays and stream bit for bit
     config = ProtocolConfig(d=d, alpha=0.7, n_symbols=n_symbols, flow="gaussian", p_est=0.3,
-                            band=RadiusBand(0.8, 1.2), seed=3,
+                            band=RadiusBand(0.8, 1.2), seed=3, symmetrization_k=k,
                             channel=ChannelParams(t=0.6, xi=0.01, detection=detection))
     rng, oracle_rng = np.random.default_rng(21), np.random.default_rng(21)
     tr = run_gaussian_postselected(config, rng)
@@ -327,6 +331,83 @@ def test_gaussian_flow_matches_whole_array_oracle(d, detection, n_symbols):
             continue
         assert got.dtype == array.dtype and got.shape == array.shape, name
         assert np.array_equal(got.view(np.uint8), array.view(np.uint8)), name
+
+
+@pytest.mark.parametrize("n", [1, 2, 1000, 2 * CHUNK_ROWS + 5])
+def test_shuffled_arange_is_the_permutation(n):
+    # the flow shuffles an arange it allocates; values and generator state
+    # are those of rng.permutation(n)
+    rng, single = np.random.default_rng(n), np.random.default_rng(n)
+    order = np.arange(n)
+    rng.shuffle(order)
+    assert np.array_equal(order, single.permutation(n))
+    assert rng.bit_generator.state == single.bit_generator.state
+
+
+class _ThreadRecordingRng:
+    """A generator that notes the thread of every draw it is asked for."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.threads = set()
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def draw(*args, **kwargs):
+            self.threads.add(threading.current_thread())
+            return method(*args, **kwargs)
+
+        return draw
+
+
+@pytest.mark.parametrize("detection, d", [("homodyne", 1), ("heterodyne", 8)])
+def test_gaussian_flow_draws_on_one_worker_thread(detection, d):
+    # every draw runs on one thread that is not the caller's and has ended
+    # when the flow returns; the arrays are the oracle's
+    config = ProtocolConfig(d=d, alpha=0.7, n_symbols=4_000, flow="gaussian", p_est=0.3,
+                            channel=ChannelParams(t=0.6, xi=0.01, detection=detection))
+    rng = _ThreadRecordingRng(5)
+    threads = threading.active_count()
+    tr = run_gaussian_postselected(config, rng)
+    assert threading.active_count() == threads
+    assert len(rng.threads) == 1 and threading.current_thread() not in rng.threads
+    assert not next(iter(rng.threads)).is_alive()
+    want = session_oracle.gaussian_flow(config, np.random.default_rng(5))
+    assert np.array_equal(tr.bob_blocks, want["bob_blocks"])
+    assert np.array_equal(tr.labels, want["labels"])
+
+
+@pytest.mark.parametrize("module, name", [(algebra, "draw_stages"),
+                                          (modulation, "label_by_band")],
+                         ids=["worker", "caller"])
+def test_gaussian_flow_raises_a_step_error(monkeypatch, module, name):
+    # an error in a draw on the worker, or in a step on the caller while the
+    # worker shuffles, leaves the flow as raised, and no worker outlives it
+    class StepError(Exception):
+        pass
+
+    def fail(*args, **kwargs):
+        raise StepError(name)
+
+    monkeypatch.setattr(module, name, fail)
+    config = ProtocolConfig(d=1, alpha=0.7, n_symbols=4_000, flow="gaussian",
+                            channel=ChannelParams(t=0.6, xi=0.01, detection="homodyne"))
+    threads = threading.active_count()
+    with pytest.raises(StepError, match=name):
+        run_gaussian_postselected(config, np.random.default_rng(5))
+    assert threading.active_count() == threads
+
+
+def test_transcript_times_each_event_outside_the_manifest(tmp_path, gaussian_transcript):
+    # one perf_counter_ns reading per event, in order; the saved files hold none
+    events, stamps = gaussian_transcript.events, gaussian_transcript.event_ns
+    assert len(stamps) == len(events) and all(type(t) is int for t in stamps)
+    assert stamps == sorted(stamps)
+    save_transcript(gaussian_transcript, tmp_path)
+    manifest = (tmp_path / "manifest.txt").read_text()
+    assert "events " + ",".join(events) + "\n" in manifest
+    assert not any(str(t) in manifest for t in stamps)
 
 
 def test_estimation_std_matches_monte_carlo():

@@ -6,6 +6,11 @@ Gaussian detection noise has variance 1 + T_eff*xi for homodyne and
 2 + T_eff*xi for heterodyne; the heterodyne outcomes are rescaled by sqrt(2)
 so both modes share the sqrt(T_eff) signal gain and only the noise floor
 differs.  Excess noise xi is referenced at the channel input.
+
+Both session flows run the same steps: draw_basis draws the homodyne bases,
+the unit noise is drawn into the outcome array, and add_signal adds the
+quadratures in place.  A homodyne flow passes the quadrature each mode
+measured.
 """
 
 from __future__ import annotations
@@ -91,49 +96,20 @@ def draw_basis(basis, rng):
         chunk[...] = rng.integers(0, 2, size=chunk.size)
 
 
-def add_signal(outcomes, symbols, basis, params):
+def add_signal(outcomes, signal, params):
     """Turn unit-variance noise draws into outcomes, in place.
 
     Each outcome is scaled to variance noise_floor + T_eff*xi and gains
-    sqrt(T_eff) times its quadrature, CHUNK_ROWS modes at a time.  With a
-    basis, symbols are quadrature pairs and the basis picks one per mode;
-    without one, symbols already have the outcomes' shape.
+    sqrt(T_eff) times its quadrature in signal, which has the outcomes'
+    shape, CHUNK_ROWS modes at a time.  A homodyne caller passes the
+    quadrature each mode measured.
     """
     gain = math.sqrt(params.t_eff)
     sigma = math.sqrt(params.noise_floor + params.t_eff * params.xi)
     for start in range(0, len(outcomes), CHUNK_ROWS):
-        rows = slice(start, start + CHUNK_ROWS)
-        q = symbols[rows]
-        if basis is not None:
-            q = np.where(basis[rows], q[:, 1], q[:, 0])
-        out = outcomes[rows]
+        out = outcomes[start : start + CHUNK_ROWS]
         out *= sigma
-        out += gain * q
-
-
-def transmit_measure(symbols, params, rng):
-    """Send quadrature symbols through the channel and detect them.
-
-    Returns (outcomes, basis).  Homodyne outcomes have shape (n_modes,) with
-    the uniformly drawn measured quadrature recorded in the int8 basis
-    (0 = x, 1 = p); heterodyne outcomes have shape (n_modes, 2) and basis
-    None.  The additive noise is Gaussian with variance
-    noise_floor + T_eff*xi.  The draws (draw_basis, then the unit noise into
-    the outcome array) are followed by add_signal, so the call holds no
-    array beyond its outputs and one chunk.
-    """
-    symbols = np.asarray(symbols, dtype=float)
-    if symbols.ndim != 2 or symbols.shape[1] != 2:
-        raise ValueError("symbols must be quadrature pairs of shape (n_modes, 2)")
-    if params.detection == "heterodyne":
-        basis = None
-        outcomes = rng.standard_normal(symbols.shape)
-    else:
-        basis = np.empty(symbols.shape[0], dtype=np.int8)
-        draw_basis(basis, rng)
-        outcomes = rng.standard_normal(symbols.shape[0])
-    add_signal(outcomes, symbols, basis, params)
-    return outcomes, basis
+        out += gain * signal[start : start + CHUNK_ROWS]
 
 
 def snr(params, v_a):

@@ -4,9 +4,10 @@ Blocks are real arrays of shape (n_blocks, d) holding coherent-state
 amplitude coordinates: consecutive coordinates pair up as the real and
 imaginary parts of complex amplitudes.  With the quadrature convention
 x = a + a*, a coherent state |b> has quadrature means (2 Re b, 2 Im b) and
-vacuum quadrature variance 1, so the symbols returned by
-blocks_to_quadratures carry modulation variance V_A = 2 alpha^2 while the
-stored coordinates have second moment alpha^2 / 2.
+vacuum quadrature variance 1.  A session sends each coordinate times
+QUADRATURE_SCALE as a quadrature mean, so the sent symbols carry modulation
+variance V_A = 2 alpha^2 while the stored coordinates have second moment
+alpha^2 / 2.
 """
 
 from __future__ import annotations
@@ -160,20 +161,6 @@ def label_by_band(blocks, scheme, band):
         r = np.linalg.norm(rows[start : start + CHUNK_ROWS], axis=-1) / scheme.sphere_radius
         flat[start : start + CHUNK_ROWS] = (r >= band.gamma_min) & (r <= band.gamma_max)
     return keep
-
-
-def blocks_to_quadratures(blocks, d):
-    """Per-mode quadrature mean pairs (2 Re b, 2 Im b), shape (n_modes, 2).
-
-    Consecutive coordinates pair into one mode; for d = 1 two consecutive
-    blocks form one mode, so the coordinate count must be even.
-    """
-    blocks = np.atleast_2d(np.asarray(blocks, dtype=float))
-    if blocks.shape[1] != d:
-        raise ValueError(f"blocks have width {blocks.shape[1]}, expected d={d}")
-    if blocks.size % 2:
-        raise ValueError(f"need an even coordinate count, got {blocks.size}")
-    return QUADRATURE_SCALE * blocks.reshape(-1, 2)
 
 
 def write_table(path, kind, names, columns):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import algebra, modulation, reconciliation, security
 from .channel import COORDS_PER_MODE, DETECTIONS, NOISE_FLOORS, ChannelParams
-from .channel import add_signal, distance_to_T, draw_basis, transmit_measure
+from .channel import add_signal, distance_to_T, draw_basis
 from .decoy import DecoyDesign, mix_probabilities
 from .modulation import ModulationScheme, RadiusBand
 
@@ -386,21 +386,22 @@ def run_decoy_flow(config, rng):
     transcript.record("modulated")
 
     transform = algebra.sample_orthogonal(n_blocks * d, config.symmetrization_k, rng)
-    sent = transform.apply(blocks.reshape(-1)).reshape(n_blocks, d)
+    # doubling before the reflections gives the bits of doubling after them: a
+    # power-of-two scale scales every rounding exactly, short of subnormals
+    sent = transform.reflect(modulation.QUADRATURE_SCALE * blocks.reshape(-1))
     transcript.transform = transform
     transcript.record("symmetrized")
 
-    quads = modulation.blocks_to_quadratures(sent, d)
+    # the config pairs d >= 2 with heterodyne detection, which reads both quadratures
+    outcomes = rng.standard_normal((sent.size // 2, 2))
+    add_signal(outcomes, sent.reshape(outcomes.shape), params)
     del sent
-    outcomes, basis = transmit_measure(quads, params, rng)
-    del quads
-    transcript.outcomes, transcript.basis = outcomes, basis
+    transcript.outcomes = outcomes
     transcript.record("transmitted")
     transcript.record("measured")
 
     # outcome pairs are already in block coordinate order; undo the mixing
-    y_flat = transform.apply_inverse(outcomes.reshape(-1))
-    transcript.bob_blocks = y_flat.reshape(n_blocks, d)
+    transcript.bob_blocks = transform.apply_inverse(outcomes.reshape(-1)).reshape(n_blocks, d)
     transcript.record("unsymmetrized")
     transcript.record("labels_revealed")
     return transcript
@@ -468,7 +469,7 @@ def run_gaussian_postselected(config, rng):
         # halving are exact, because QUADRATURE_SCALE is a power of two
         a *= modulation.QUADRATURE_SCALE
         drawn_noise.result()
-        add_signal(outcomes, a.reshape(outcomes.shape), None, params)
+        add_signal(outcomes, a.reshape(outcomes.shape), params)
         a /= modulation.QUADRATURE_SCALE
         transcript.outcomes, transcript.basis = outcomes, basis
         transcript.record("transmitted")

@@ -1,11 +1,11 @@
 """Whole-array forms of the session steps, for bit-equality checks.
 
-These are the straightforward formulas that channel.transmit_measure,
-modulation.label_by_band, protocol.estimate_channel and the Gaussian flow
-replaced with chunked passes: every step here forms its temporaries over the
-whole array, gathers rows by an int64 index and picks the homodyne quadrature
-with an np.arange index.  The package must give the same bits from the same
-generator state.
+These are the straightforward formulas that channel.add_signal,
+modulation.label_by_band, protocol.estimate_channel and the two flows
+replaced with chunked and in-place passes: every step here forms its
+temporaries over the whole array, gathers rows by an int64 index, picks the
+homodyne quadrature with an np.arange index and reflects out of place.  The
+package must give the same bits from the same generator state.
 """
 
 import math
@@ -15,6 +15,7 @@ import numpy as np
 import orthogonal_oracle
 from cvqkd import modulation
 from cvqkd.channel import NOISE_FLOORS
+from cvqkd.decoy import mix_probabilities
 
 
 def transmit_measure(symbols, params, rng):
@@ -77,3 +78,32 @@ def gaussian_flow(config, rng):
     return dict(labels=labels, alice_blocks=alice_blocks,
                 bob_blocks=bob_blocks.reshape(n_blocks, d), outcomes=outcomes, basis=basis,
                 reflectors=reflectors)
+
+
+def decoy_flow(config, rng):
+    """The decoy flow's arrays from its first formula, in the package's draw order.
+
+    The blocks are reflected out of place, then doubled into quadrature
+    pairs, sent through transmit_measure, and Bob's outcomes are reflected
+    back in reverse order.  Returns a dict of the transcript's arrays.
+    """
+    d, params = config.d, config.channel
+    n_blocks = config.n_coordinates // d
+    labels = rng.choice(3, size=n_blocks, p=mix_probabilities(config.p, config.p_est))
+    labels = labels.astype(np.int8)
+    scheme = modulation.ModulationScheme(d, config.alpha)
+    n_key, n_est, n_dec = (np.count_nonzero(labels == code) for code in (0, 1, 2))
+    blocks = np.empty((n_blocks, d))
+    blocks[labels == 0] = modulation.sample_key_blocks(scheme, n_key, rng)
+    blocks[labels == 1] = modulation.sample_gaussian_blocks(scheme, n_est, rng)
+    if n_dec:
+        radii = np.asarray(config.decoy.radii)[
+            rng.choice(len(config.decoy.radii), size=n_dec, p=config.decoy.weights)]
+        blocks[labels == 2] = radii[:, None] * modulation.sample_sphere_blocks(d, 1.0, n_dec, rng)
+    reflectors = orthogonal_oracle.sample_reflectors(n_blocks * d, config.symmetrization_k, rng)
+    sent = orthogonal_oracle.apply_reflectors(reflectors, blocks.reshape(-1))
+    outcomes, basis = transmit_measure(modulation.QUADRATURE_SCALE * sent.reshape(-1, 2),
+                                       params, rng)
+    bob_blocks = orthogonal_oracle.apply_reflectors(reflectors[::-1], outcomes.reshape(-1))
+    return dict(labels=labels, alice_blocks=blocks, bob_blocks=bob_blocks.reshape(n_blocks, d),
+                outcomes=outcomes, basis=basis, reflectors=reflectors)

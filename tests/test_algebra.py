@@ -208,6 +208,8 @@ def test_householder_is_involutive():
 
 
 def test_householder_rejects_bad_input():
+    with pytest.raises(ValueError, match=r"reflectors must be a \(k, n\) array"):
+        algebra.OrthogonalTransform(np.ones(3))
     with pytest.raises(ValueError):
         algebra.OrthogonalTransform(np.zeros((1, 4)))
     with pytest.raises(ValueError):

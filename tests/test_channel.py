@@ -15,6 +15,23 @@ def gaussian_symbols(v_a, n, rng):
     return rng.normal(0.0, math.sqrt(v_a), size=(n, 2))
 
 
+def transmit(q, params, rng):
+    """(outcomes, basis) of the flows' channel steps on the quadrature pairs q.
+
+    Homodyne draws the bases, then the noise, and picks each mode's measured
+    quadrature by the basis, as the Gaussian flow does; heterodyne draws only
+    the noise and basis is None.
+    """
+    basis, signal = None, q
+    if params.detection == "homodyne":
+        basis = np.empty(len(q), dtype=np.int8)
+        ch.draw_basis(basis, rng)
+        signal = np.where(basis, q[:, 1], q[:, 0])
+    outcomes = rng.standard_normal(signal.shape)
+    ch.add_signal(outcomes, signal, params)
+    return outcomes, basis
+
+
 def test_distance_to_transmittance():
     assert ch.distance_to_T(0.0) == 1.0
     assert abs(ch.distance_to_T(50.0) - 0.1) < 1e-15
@@ -64,7 +81,7 @@ def test_effective_transmittance():
 def test_vacuum_variance_homodyne():
     rng = np.random.default_rng(0)
     p = ch.ChannelParams(t=1.0, xi=0.0, detection="homodyne")
-    y, basis = ch.transmit_measure(np.zeros((1_000_000, 2)), p, rng)
+    y, basis = transmit(np.zeros((1_000_000, 2)), p, rng)
     assert y.shape == (1_000_000,)
     assert set(np.unique(basis)) == {0, 1}
     assert abs(np.var(y) - 1.0) < 0.01
@@ -73,7 +90,7 @@ def test_vacuum_variance_homodyne():
 def test_vacuum_variance_heterodyne():
     rng = np.random.default_rng(1)
     p = ch.ChannelParams(t=1.0, xi=0.0, detection="heterodyne")
-    y, basis = ch.transmit_measure(np.zeros((500_000, 2)), p, rng)
+    y, basis = transmit(np.zeros((500_000, 2)), p, rng)
     assert y.shape == (500_000, 2)
     assert basis is None
     assert abs(np.var(y) - 2.0) < 0.01
@@ -83,7 +100,7 @@ def test_output_variance_matches_covariance_entry():
     rng = np.random.default_rng(2)
     p = ch.ChannelParams(t=0.1, xi=0.01, detection="homodyne")
     q = gaussian_symbols(0.7, 1_000_000, rng)
-    y, _ = ch.transmit_measure(q, p, rng)
+    y, _ = transmit(q, p, rng)
     assert abs(np.var(y) - 1.071) < 0.01
 
 
@@ -93,9 +110,9 @@ def test_signal_cross_covariance_for_sphere_modulation():
     rng = np.random.default_rng(3)
     scheme = mod.ModulationScheme(8, 0.6)
     blocks = mod.sample_key_blocks(scheme, 250_000, rng)
-    q = mod.blocks_to_quadratures(blocks, 8)
+    q = mod.QUADRATURE_SCALE * blocks.reshape(-1, 2)
     p = ch.ChannelParams(t=0.25, xi=0.02, detection="heterodyne")
-    y, _ = ch.transmit_measure(q, p, rng)
+    y, _ = transmit(q, p, rng)
     cov = np.mean(q * y)
     v_a = 2.0 * scheme.alpha**2
     want = math.sqrt(p.t_eff) * v_a
@@ -118,11 +135,9 @@ def test_forced_basis_choices():
     # homodyne draws the measured quadrature uniformly, before the noise
     p = ch.ChannelParams(t=1.0, xi=0.0, detection="homodyne")
     q = np.column_stack([np.full(8, 50.0), np.full(8, -50.0)])
-    y, basis = ch.transmit_measure(q, p, np.random.default_rng(4))
+    y, basis = transmit(q, p, np.random.default_rng(4))
     assert np.array_equal(basis, np.random.default_rng(4).integers(0, 2, size=8))
     assert np.all(np.sign(y) == np.where(basis == 0, 1.0, -1.0))
-    with pytest.raises(ValueError):
-        ch.transmit_measure(np.zeros(4), p, np.random.default_rng(4))
 
 
 def test_gaussian_spec_matches_transmit_measure():
@@ -131,7 +146,7 @@ def test_gaussian_spec_matches_transmit_measure():
     q = gaussian_symbols(1.5, 1000, np.random.default_rng(4))
     for detection in ("homodyne", "heterodyne"):
         p = ch.ChannelParams(t=0.3, xi=0.02, eta=0.9, detection=detection)
-        y, basis = ch.transmit_measure(q, p, np.random.default_rng(5))
+        y, basis = transmit(q, p, np.random.default_rng(5))
         rng = np.random.default_rng(5)
         if detection == "homodyne":
             want_basis = rng.integers(0, 2, size=1000)
@@ -152,7 +167,7 @@ def test_transmit_measure_matches_whole_array_oracle(detection, n):
     q = gaussian_symbols(1.5, n, np.random.default_rng(n))
     p = ch.ChannelParams(t=0.3, xi=0.02, eta=0.9, detection=detection)
     rng, oracle_rng = np.random.default_rng(6), np.random.default_rng(6)
-    y, basis = ch.transmit_measure(q, p, rng)
+    y, basis = transmit(q, p, rng)
     want_y, want_basis = session_oracle.transmit_measure(q, p, oracle_rng)
     assert y.shape == want_y.shape and np.array_equal(y.view(np.uint64), want_y.view(np.uint64))
     if detection == "homodyne":
@@ -177,7 +192,7 @@ def test_zero_noise_is_identity_at_unit_transmittance():
     # with the replayed noise taken out, a lossless channel passes q unchanged
     q = np.random.default_rng(13).standard_normal((100, 2))
     p = ch.ChannelParams(t=1.0, detection="heterodyne")
-    y, _ = ch.transmit_measure(q, p, np.random.default_rng(14))
+    y, _ = transmit(q, p, np.random.default_rng(14))
     noise = math.sqrt(p.noise_floor) * np.random.default_rng(14).standard_normal(q.shape)
     assert np.array_equal(y, q + noise)
 
@@ -185,7 +200,7 @@ def test_zero_noise_is_identity_at_unit_transmittance():
 def test_channel_is_memoryless():
     rng = np.random.default_rng(6)
     p = ch.ChannelParams(t=0.5, xi=0.01)
-    y, _ = ch.transmit_measure(np.zeros((200_000, 2)), p, rng)
+    y, _ = transmit(np.zeros((200_000, 2)), p, rng)
     flat = y.reshape(-1)
     corr = np.mean(flat[:-1] * flat[1:]) / np.var(flat)
     assert abs(corr) < 4 / math.sqrt(flat.size)
@@ -195,8 +210,8 @@ def test_eta_folds_into_transmittance():
     p1 = ch.ChannelParams(t=0.8, xi=0.01, eta=0.5)
     p2 = ch.ChannelParams(t=0.4, xi=0.01, eta=1.0)
     q = gaussian_symbols(1.0, 1000, np.random.default_rng(7))
-    y1, _ = ch.transmit_measure(q, p1, np.random.default_rng(8))
-    y2, _ = ch.transmit_measure(q, p2, np.random.default_rng(8))
+    y1, _ = transmit(q, p1, np.random.default_rng(8))
+    y2, _ = transmit(q, p2, np.random.default_rng(8))
     assert np.array_equal(y1, y2)
 
 
@@ -204,7 +219,7 @@ def test_trust_flag_does_not_change_statistics():
     q = gaussian_symbols(1.0, 1000, np.random.default_rng(9))
     for trusted in (False, True):
         p = ch.ChannelParams(t=0.5, xi=0.02, eta=0.6, eta_trusted=trusted)
-        y, _ = ch.transmit_measure(q, p, np.random.default_rng(10))
+        y, _ = transmit(q, p, np.random.default_rng(10))
         if trusted:
             assert np.array_equal(y, y_ref)
         else:

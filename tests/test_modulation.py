@@ -17,8 +17,22 @@ from scipy import special, stats
 import session_oracle
 from cvqkd import modulation as mod
 from cvqkd.algebra import CHUNK_ROWS
+from cvqkd.channel import ChannelParams, add_signal
 from cvqkd.protocol import ProtocolConfig
 from radius_oracle import band_acceptance_probability, chi_pdf
+
+
+def sent_quadratures(blocks):
+    """The quadrature means a session sends for blocks, read off the channel.
+
+    The flows send each coordinate times QUADRATURE_SCALE, consecutive pairs
+    as one mode's (x, p).  add_signal at unit transmittance, over noise draws
+    of -0.0 (the additive identity, which keeps signed zeros), returns them.
+    """
+    sent = mod.QUADRATURE_SCALE * np.asarray(blocks, dtype=float).reshape(-1, 2)
+    outcomes = np.full(sent.shape, -0.0)
+    add_signal(outcomes, sent, ChannelParams(t=1.0))
+    return outcomes
 
 
 def chi_cdf_oracle(t, d):
@@ -62,7 +76,7 @@ def test_key_blocks_d1_are_two_point():
     assert set(np.unique(blocks)) == {-want, want}
     # consecutive pairs form the four-state constellation of amplitude alpha,
     # whose quadrature means have norm 2 alpha
-    quads = mod.blocks_to_quadratures(blocks, 1)
+    quads = sent_quadratures(blocks)
     assert np.allclose(np.linalg.norm(quads, axis=1), 2 * 0.5, atol=1e-12)
     assert len(np.unique(quads, axis=0)) == 4
 
@@ -227,7 +241,7 @@ def test_label_fraction_matches_integral():
 
 def test_blocks_to_amplitudes_d2():
     # a d = 2 block is one amplitude b = 0.3 - 0.4i, sent as (2 Re b, 2 Im b)
-    quads = mod.blocks_to_quadratures(np.array([[0.3, -0.4]]), 2)
+    quads = sent_quadratures(np.array([[0.3, -0.4]]))
     assert quads.shape == (1, 2)
     assert np.array_equal(quads, [[0.6, -0.8]])
 
@@ -240,11 +254,11 @@ def test_amplitude_roundtrip_exact():
     rng = np.random.default_rng(10)
     for d in (1, 2, 4, 8):
         blocks = rng.standard_normal((6, d))
-        quads = mod.blocks_to_quadratures(blocks, d)
+        quads = sent_quadratures(blocks)
         back = (quads / mod.QUADRATURE_SCALE).reshape(-1, d)
         assert np.array_equal(back, blocks)
     extremes = np.array([5e-324, -2.5e-308, 1e-310, 1e300, -0.0, 0.0])
-    back = mod.blocks_to_quadratures(extremes[:, None], 1).reshape(-1) / mod.QUADRATURE_SCALE
+    back = sent_quadratures(extremes[:, None]).reshape(-1) / mod.QUADRATURE_SCALE
     assert np.array_equal(back.view(np.uint64), extremes.view(np.uint64))
 
 
@@ -252,24 +266,17 @@ def test_amplitude_norm_bookkeeping():
     rng = np.random.default_rng(11)
     s = mod.ModulationScheme(8, 0.5)
     block = mod.sample_key_blocks(s, 1, rng)
-    quads = mod.blocks_to_quadratures(block, 8)
+    quads = sent_quadratures(block)
     assert quads.shape == (4, 2)
     # four amplitudes of total |b|^2 = 4 alpha^2, each quadrature mean 2 b
     assert abs(np.sum(quads**2) - 4 * 4 * s.alpha**2) < 1e-12
-
-
-def test_amplitude_shape_errors():
-    with pytest.raises(ValueError):
-        mod.blocks_to_quadratures(np.ones((3, 1)), 1)
-    with pytest.raises(ValueError):
-        mod.blocks_to_quadratures(np.ones((2, 4)), 8)
 
 
 def test_quadrature_scale():
     rng = np.random.default_rng(12)
     s = mod.ModulationScheme(2, 0.9)
     blocks = mod.sample_gaussian_blocks(s, 500_000, rng)
-    quads = mod.blocks_to_quadratures(blocks, 2)
+    quads = sent_quadratures(blocks)
     assert quads.shape == (500_000, 2)
     assert abs(np.var(quads) / (2.0 * s.alpha**2) - 1.0) < 0.01
 
@@ -301,6 +308,13 @@ def test_blocks_csv_rejects_bad_arguments(tmp_path):
         mod.write_blocks_csv(tmp_path / "a.csv", np.ones((3, 2)), [0, 1])
     with pytest.raises(TypeError, match="integers or floats"):
         mod.write_blocks_csv(tmp_path / "a.csv", np.ones((3, 2)), ["key", "est", "key"])
+
+
+def test_write_table_refuses_unequal_columns(tmp_path):
+    path = tmp_path / "a.csv"
+    with pytest.raises(ValueError, match="columns must have equal length"):
+        mod.write_table(path, "outcomes", ["mode_index", "y"], [np.arange(3), np.zeros(2)])
+    assert not path.exists()
 
 
 # 5e-324 is the smallest subnormal, 2.225073858507201e-308 the largest

@@ -1,6 +1,7 @@
 """Session flows, channel estimation, and key distillation."""
 
 import hashlib
+import logging
 import math
 import os
 import re
@@ -273,6 +274,15 @@ def test_estimate_channel_sample_floor():
         estimate_channel(a, y[:10], 2.0, "heterodyne")
 
 
+def test_estimate_channel_refuses_bad_detection_and_zero_transmittance():
+    a = np.random.default_rng(0).standard_normal((200, 2))
+    with pytest.raises(ValueError, match="detection must be one of"):
+        estimate_channel(a, a, 2.0, "double")
+    # a Bob who received nothing is uncorrelated with Alice: T_hat is 0
+    with pytest.raises(ProtocolError, match="estimated transmittance is numerically zero"):
+        estimate_channel(a, np.zeros_like(a), 2.0, "heterodyne")
+
+
 @pytest.mark.parametrize("shape", [(2 * CHUNK_ROWS + 5,), (2 * CHUNK_ROWS + 5, 1),
                                    (CHUNK_ROWS + 3, 8), (300, 2)])
 def test_estimate_channel_mask_equals_gathered_rows(shape):
@@ -331,6 +341,42 @@ def test_gaussian_flow_matches_whole_array_oracle(d, detection, n_symbols, k):
             continue
         assert got.dtype == array.dtype and got.shape == array.shape, name
         assert np.array_equal(got.view(np.uint8), array.view(np.uint8)), name
+
+
+@pytest.mark.parametrize("d, p, n_symbols, k", [
+    pytest.param(d, p, n, k, id=f"{d}-p{p}-{n}-k{k}")
+    for d, p, n in [(8, 0.5, CHUNK_ROWS // 2 - 4), (8, 0.5, CHUNK_ROWS),
+                    (8, 0.5, 2 * CHUNK_ROWS + 4), (4, 1.0, CHUNK_ROWS // 2 + 2)]
+    for k in (1, 3)])
+def test_decoy_flow_matches_whole_array_oracle(d, p, n_symbols, k, design8):
+    # the doubled copy reflected in place, the noise drawn into the outcomes
+    # and the chunked signal give the arrays and stream of reflecting out of
+    # place, doubling, transmit_measure and reflecting back
+    config = ProtocolConfig(d=d, alpha=1.0, n_symbols=n_symbols, flow="decoy", p_est=0.3, p=p,
+                            decoy=design8 if p < 1.0 else None, symmetrization_k=k,
+                            channel=ChannelParams(t=0.6, xi=0.01, detection="heterodyne"))
+    rng, oracle_rng = np.random.default_rng(22), np.random.default_rng(22)
+    tr = run_decoy_flow(config, rng)
+    want = session_oracle.decoy_flow(config, oracle_rng)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    assert np.array_equal(tr.transform.reflectors, want.pop("reflectors"))
+    assert tr.basis is None and want.pop("basis") is None
+    for name, array in want.items():
+        got = getattr(tr, name)
+        assert got.dtype == array.dtype and got.shape == array.shape, name
+        assert np.array_equal(got.view(np.uint8), array.view(np.uint8)), name
+
+
+@pytest.mark.parametrize("flow, d, message", [
+    ("decoy", 4, "decoy flow with d=4 is non-standard (designed for d=8)"),
+    ("gaussian", 2, "gaussian-postselected flow with d=2 is non-standard")])
+def test_flows_log_non_standard_d(caplog, flow, d, message):
+    config = ProtocolConfig(d=d, alpha=1.0, n_symbols=1000, flow=flow, p=1.0,
+                            channel=ChannelParams(t=0.6, xi=0.01, detection="heterodyne"))
+    run = run_decoy_flow if flow == "decoy" else run_gaussian_postselected
+    with caplog.at_level(logging.INFO, logger="cvqkd.protocol"):
+        run(config, np.random.default_rng(3))
+    assert [r.getMessage() for r in caplog.records if r.name == "cvqkd.protocol"] == [message]
 
 
 @pytest.mark.parametrize("n", [1, 2, 1000, 2 * CHUNK_ROWS + 5])

@@ -193,32 +193,12 @@ def _bisector_reflector(x):
     return x
 
 
-def sample_orthogonal(n, k, rng) -> OrthogonalTransform:
-    """Random orthogonal map as a product of k nested Householder stages.
-
-    Stage j acts on the trailing n-k+1+j coordinates and sends that
-    subspace's leading basis vector to a uniformly random direction of the
-    subspace (reflector built from a normalized standard-normal draw).  Any
-    k >= 1 therefore maps e1 to a uniform point of the sphere, and k = n
-    samples the Haar measure on O(n).  Stages that draw the target direction
-    exactly along the subspace axis reduce to the identity and are skipped.
-
-    It is draw_stages into a zero (k, n) array, then transform_from_stages,
-    which builds the reflectors in that array: for k = 1 the draw is the
-    transform.
-    """
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    rows = np.zeros((k, n))
-    draw_stages(rows, rng)
-    return transform_from_stages(rows)
-
-
 def draw_stages(rows, rng):
-    """Draw each stage's target direction into its row of the zero (k, n) array rows.
+    """Draw a random orthogonal map's k nested Householder stages into the zero (k, n) rows.
 
-    Stage j draws the trailing n-k+1+j coordinates of row j, from column
-    k-1-j on; the columns before stay zero.
+    Stage j sends the first basis vector of the last n-k+1+j coordinates to a
+    uniform direction of them, drawn as normals into row j from column k-1-j
+    on.  Any k >= 1 maps e1 to a uniform point; k = n samples Haar O(n).
     """
     k = len(rows)
     for j in range(k):
@@ -228,7 +208,7 @@ def draw_stages(rows, rng):
 def transform_from_stages(rows) -> OrthogonalTransform:
     """The transform of draw_stages' rows, built in place in them and handed over.
 
-    A skipped stage's row is left out; the rows after it move up.
+    A stage drawn along its axis is the identity: its row is left out and later rows move up.
     """
     k = len(rows)
     kept = 0

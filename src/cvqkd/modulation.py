@@ -111,30 +111,18 @@ def sample_sphere_blocks(d, radius, n_blocks, rng):
     if d == 1:
         signs = rng.integers(0, 2, size=(n_blocks, 1)) * 2 - 1
         return radius * signs.astype(float)
-    x = rng.standard_normal((n_blocks, d))
-    r = np.linalg.norm(x, axis=1, keepdims=True)
-    x *= radius  # in place, in the order of radius * x / r
-    x /= r
-    return x
+    return normalize_sphere_blocks(rng.standard_normal((n_blocks, d)), radius)
 
 
-def sample_key_blocks(scheme, n_blocks, rng):
-    """Key modulation: uniform directions at the fixed radius alpha*sqrt(d/2).
-
-    For d = 1 the sphere is the two-point set +-alpha/sqrt(2), and consecutive
-    blocks pair into the four coherent amplitudes alpha*exp(i(2k+1)pi/4).
-    """
-    return sample_sphere_blocks(scheme.d, scheme.sphere_radius, n_blocks, rng)
-
-
-def sample_gaussian_blocks(scheme, n_blocks, rng):
-    """Gaussian modulation: i.i.d. N(0, alpha^2/2) coordinates.
-
-    Block radii over alpha sqrt(d/2) then follow chi_d / sqrt(d), the law
-    the radius-band flow filters on.
-    """
-    blocks = rng.standard_normal((n_blocks, scheme.d))
-    scale_gaussian_blocks(blocks, scheme)
+def normalize_sphere_blocks(blocks, radius):
+    """Scale each row x of blocks to radius * x / |x| in place, CHUNK_ROWS rows at a time."""
+    for start in range(0, len(blocks), CHUNK_ROWS):
+        rows = blocks[start : start + CHUNK_ROWS]
+        r = np.linalg.norm(rows, axis=1, keepdims=True)
+        if np.any(r == 0.0):
+            raise ValueError("cannot normalize a zero block")
+        rows *= radius  # in place, in the order of radius * x / r
+        rows /= r
     return blocks
 
 

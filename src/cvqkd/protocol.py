@@ -355,8 +355,29 @@ def resolve_code(code_id):
     raise ConfigError(f"code {code_id!r}: parity-check code files have no decoder yet")
 
 
+def _choose(uniforms, p):
+    """rng.choice(len(p), p=p) from its rng.random draws: each counts p's cdf entries <= it."""
+    picks = np.zeros(len(uniforms), dtype=np.min_scalar_type(-len(p)))
+    cdf = np.cumsum(p)
+    for c in cdf / cdf[-1]:
+        picks += uniforms >= c
+    return picks
+
+
 def run_decoy_flow(config, rng):
-    """Pre-labeled flow: commit labels, modulate, mix, send, measure, reveal."""
+    """Pre-labeled flow: commit labels, modulate, mix, send, measure, reveal.
+
+    One worker thread makes every draw from rng, in the serial stream order:
+    labels, key and estimation normals, decoy radius picks and normals,
+    reflector stages, detection noise.  Only it touches rng while its pool is
+    open, so no byte depends on thread timing or the CPU count.  This thread
+    waits for the labels, which give the sizes, then shapes each block range
+    once drawn, scatters the ranges into Alice's blocks and reflects the
+    doubled signal beside the noise.  The ranges are rows of one buffer, which
+    then holds that signal.  This thread allocates every large array and the
+    worker only fills it; a future of rng.standard_normal(out=) keeps its
+    array, so each is dropped once its result is taken.
+    """
     if config.flow != "decoy":
         raise ValueError(f"config.flow is {config.flow!r}, expected 'decoy'")
     d, params = config.d, config.channel
@@ -364,36 +385,51 @@ def run_decoy_flow(config, rng):
         log.info("decoy flow with d=%d is non-standard (designed for d=8)", d)
     n_blocks = config.n_coordinates // d
     transcript = SessionTranscript(config=config)
-
-    p_key, p_est, p_dec = mix_probabilities(config.p, config.p_est)
-    labels = rng.choice(3, size=n_blocks, p=[p_key, p_est, p_dec]).astype(np.int8)
-    transcript.labels = labels
-    transcript.record("labels_committed")
-
     scheme = ModulationScheme(d, config.alpha)
-    key_idx = np.flatnonzero(labels == 0)
-    est_idx = np.flatnonzero(labels == 1)
-    dec_idx = np.flatnonzero(labels == 2)
-    blocks = np.empty((n_blocks, d))
-    blocks[key_idx] = modulation.sample_key_blocks(scheme, key_idx.size, rng)
-    blocks[est_idx] = modulation.sample_gaussian_blocks(scheme, est_idx.size, rng)
-    if dec_idx.size:
-        pick = rng.choice(len(config.decoy.radii), size=dec_idx.size, p=config.decoy.weights)
-        radii = np.asarray(config.decoy.radii)[pick]
-        directions = modulation.sample_sphere_blocks(d, 1.0, dec_idx.size, rng)
-        blocks[dec_idx] = radii[:, None] * directions
-    transcript.alice_blocks = blocks
-    transcript.record("modulated")
+    with ThreadPoolExecutor(1) as pool:
+        uniforms = np.empty(n_blocks)
+        pool.submit(rng.random, out=uniforms).result()
+        labels = transcript.labels = _choose(uniforms, mix_probabilities(config.p, config.p_est))
+        transcript.record("labels_committed")
 
-    transform = algebra.sample_orthogonal(n_blocks * d, config.symmetrization_k, rng)
-    # doubling before the reflections gives the bits of doubling after them: a
-    # power-of-two scale scales every rounding exactly, short of subnormals
-    sent = transform.reflect(modulation.QUADRATURE_SCALE * blocks.reshape(-1))
-    transcript.transform = transform
-    transcript.record("symmetrized")
+        parts = np.empty((n_blocks, d))
+        key, est, dec = np.split(parts, np.cumsum([np.count_nonzero(labels == c) for c in (0, 1)]))
+        drawn = [pool.submit(rng.standard_normal, out=key),
+                 pool.submit(rng.standard_normal, out=est)]
+        if len(dec):
+            uniforms = np.empty(len(dec))
+            drawn += [pool.submit(rng.random, out=uniforms),
+                      pool.submit(rng.standard_normal, out=dec)]
+        stages = np.zeros((config.symmetrization_k, n_blocks * d))
+        drawn.append(pool.submit(algebra.draw_stages, stages, rng))
+        # the config pairs d >= 2 with heterodyne detection, which reads both quadratures
+        outcomes = np.empty((n_blocks * d // 2, 2))
+        drawn.append(pool.submit(rng.standard_normal, out=outcomes))
 
-    # the config pairs d >= 2 with heterodyne detection, which reads both quadratures
-    outcomes = rng.standard_normal((sent.size // 2, 2))
+        drawn.pop(0).result()
+        modulation.normalize_sphere_blocks(key, scheme.sphere_radius)
+        drawn.pop(0).result()
+        modulation.scale_gaussian_blocks(est, scheme)
+        if len(dec):
+            drawn.pop(0).result()
+            drawn.pop(0).result()
+            modulation.normalize_sphere_blocks(dec, 1.0)
+            dec *= np.asarray(config.decoy.radii)[_choose(uniforms, config.decoy.weights), None]
+        del key, est, dec
+        # a stable sort by label lists the key, estimation and decoy blocks in order
+        blocks = transcript.alice_blocks = np.empty((n_blocks, d))
+        blocks[np.argsort(labels, kind="stable")] = parts
+        transcript.record("modulated")
+
+        # doubling before the reflections gives the bits of doubling after them:
+        # a power-of-two scale scales every rounding exactly, short of subnormals
+        sent = np.multiply(modulation.QUADRATURE_SCALE, blocks, out=parts).reshape(-1)
+        del parts
+        drawn.pop(0).result()
+        transform = transcript.transform = algebra.transform_from_stages(stages)
+        transform.reflect(sent)
+        transcript.record("symmetrized")
+        drawn.pop(0).result()
     add_signal(outcomes, sent.reshape(outcomes.shape), params)
     del sent
     transcript.outcomes = outcomes
@@ -622,19 +658,18 @@ def save_transcript(transcript, dir_path):
     write_outcomes = functools.partial(
         modulation.write_table, os.path.join(dir_path, "outcomes.csv"), "outcomes",
         ["mode_index"] + names, [np.arange(len(outcomes))] + columns)
-    # a worker writes the larger table while this thread writes the other: the
-    # encoder's numpy steps and the file writes release the GIL. Each file has
-    # one writer, so no byte depends on thread timing. The pool joins its worker
-    # before an error leaves the block: if symbols.csv fails, outcomes.csv is
-    # still written whole, and the symbols error is raised in place of any of
-    # the worker's
+    # a worker writes the larger table while this thread writes symbols.csv, then
+    # transform.bin: the encoder's numpy steps and the file writes release the GIL,
+    # and each file has one writer, so no byte depends on thread timing. The pool
+    # joins its worker before an error leaves the block, so outcomes.csv is still
+    # written whole, and this thread's error is raised in place of the worker's
     with ThreadPoolExecutor(1) as pool:
         worker = pool.submit(write_outcomes)
         modulation.write_blocks_csv(
             os.path.join(dir_path, "symbols.csv"), transcript.alice_blocks, transcript.labels)
+        with open(os.path.join(dir_path, "transform.bin"), "wb") as fh:
+            transcript.transform.write(fh)
         worker.result()
-    with open(os.path.join(dir_path, "transform.bin"), "wb") as fh:
-        transcript.transform.write(fh)
     for name, bits in (("alice_key.txt", transcript.alice_bits),
                        ("bob_key.txt", transcript.bob_bits)):
         digits = b"" if bits is None else (bits.astype(np.uint8) + ord("0")).tobytes()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .modulation import QUADRATURE_SCALE, ModulationScheme, read_lines
+from .modulation import QUADRATURE_SCALE, ModulationScheme, normalize_sphere_blocks, read_lines
 
 
 def bob_reduce(y_blocks, rng):
@@ -36,12 +36,8 @@ def alice_reduce(x_blocks, t_blocks):
 
 
 def normalize_alice_blocks(blocks):
-    """Scale each block to unit norm (the sphere radius is publicly known)."""
-    blocks = np.atleast_2d(np.asarray(blocks, dtype=float))
-    norms = np.linalg.norm(blocks, axis=1, keepdims=True)
-    if np.any(norms == 0.0):
-        raise ValueError("cannot normalize a zero block")
-    return blocks / norms
+    """A copy of the blocks scaled to unit norm (the sphere radius is publicly known)."""
+    return normalize_sphere_blocks(np.array(blocks, dtype=float, ndmin=2), 1.0)
 
 
 def normalize_bob_blocks(blocks, t_eff_hat, alpha):

@@ -1,8 +1,8 @@
 """List-of-rows Householder sampler and out-of-place apply, for bit-equality checks.
 
-This is the straightforward form of algebra.sample_orthogonal and
-OrthogonalTransform.apply: each stage's reflector is built in a fresh copy of
-its draw, kept rows are collected in a list, stacked, and normalised into a
+This is the straightforward form of algebra.draw_stages, transform_from_stages
+and OrthogonalTransform.apply: each stage's reflector is built in a fresh copy
+of its draw, kept rows are collected in a list, stacked, and normalised into a
 new array, and each reflection makes a new vector.  The package builds the
 reflectors in one preallocated buffer and reflects in place; both must give
 the same bits from the same generator state.

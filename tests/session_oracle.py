@@ -6,6 +6,9 @@ replaced with chunked and in-place passes: every step here forms its
 temporaries over the whole array, gathers rows by an int64 index, picks the
 homodyne quadrature with an np.arange index and reflects out of place.  The
 package must give the same bits from the same generator state.
+
+The three samplers below draw and shape their blocks or stages in one call;
+the flows make the same draws on a worker thread and shape them in place.
 """
 
 import math
@@ -13,9 +16,36 @@ import math
 import numpy as np
 
 import orthogonal_oracle
-from cvqkd import modulation
+from cvqkd import algebra, modulation
 from cvqkd.channel import NOISE_FLOORS
 from cvqkd.decoy import mix_probabilities
+
+
+def sample_key_blocks(scheme, n_blocks, rng):
+    """Key modulation: uniform directions at the fixed radius alpha*sqrt(d/2).
+
+    For d = 1 the sphere is the two-point set +-alpha/sqrt(2), and consecutive
+    blocks pair into the four coherent amplitudes alpha*exp(i(2k+1)pi/4).
+    """
+    return modulation.sample_sphere_blocks(scheme.d, scheme.sphere_radius, n_blocks, rng)
+
+
+def sample_gaussian_blocks(scheme, n_blocks, rng):
+    """Gaussian modulation: i.i.d. N(0, alpha^2/2) coordinates.
+
+    Block radii over alpha sqrt(d/2) then follow chi_d / sqrt(d), the law
+    the radius-band flow filters on.
+    """
+    blocks = rng.standard_normal((n_blocks, scheme.d))
+    modulation.scale_gaussian_blocks(blocks, scheme)
+    return blocks
+
+
+def sample_orthogonal(n, k, rng):
+    """Random orthogonal map on R^n as a product of k nested Householder stages."""
+    rows = np.zeros((k, n))
+    algebra.draw_stages(rows, rng)
+    return algebra.transform_from_stages(rows)
 
 
 def transmit_measure(symbols, params, rng):
@@ -62,7 +92,7 @@ def gaussian_flow(config, rng):
     """
     d, params, n = config.d, config.channel, config.n_symbols
     scheme = modulation.ModulationScheme(d, config.alpha)
-    x = modulation.sample_gaussian_blocks(scheme, 2 * n // d, rng)
+    x = sample_gaussian_blocks(scheme, 2 * n // d, rng)
     outcomes, basis = transmit_measure(modulation.QUADRATURE_SCALE * x.reshape(-1, 2),
                                        params, rng)
     a = x.reshape(n, 2)[np.arange(n), basis] if params.detection == "homodyne" else x.reshape(-1)
@@ -83,7 +113,8 @@ def gaussian_flow(config, rng):
 def decoy_flow(config, rng):
     """The decoy flow's arrays from its first formula, in the package's draw order.
 
-    The blocks are reflected out of place, then doubled into quadrature
+    Each label's blocks are drawn whole and scattered by a boolean mask, the
+    blocks are reflected out of place, then doubled into quadrature
     pairs, sent through transmit_measure, and Bob's outcomes are reflected
     back in reverse order.  Returns a dict of the transcript's arrays.
     """
@@ -94,8 +125,8 @@ def decoy_flow(config, rng):
     scheme = modulation.ModulationScheme(d, config.alpha)
     n_key, n_est, n_dec = (np.count_nonzero(labels == code) for code in (0, 1, 2))
     blocks = np.empty((n_blocks, d))
-    blocks[labels == 0] = modulation.sample_key_blocks(scheme, n_key, rng)
-    blocks[labels == 1] = modulation.sample_gaussian_blocks(scheme, n_est, rng)
+    blocks[labels == 0] = sample_key_blocks(scheme, n_key, rng)
+    blocks[labels == 1] = sample_gaussian_blocks(scheme, n_est, rng)
     if n_dec:
         radii = np.asarray(config.decoy.radii)[
             rng.choice(len(config.decoy.radii), size=n_dec, p=config.decoy.weights)]

@@ -12,10 +12,10 @@ from cvqkd.channel import ChannelParams, distance_to_T
 from cvqkd.decoy import InfeasibleDecoyError, optimize_decoy, p_succ, povm_scale
 from cvqkd.modulation import sample_sphere_blocks
 from cvqkd.protocol import ProtocolConfig, estimation_std, run_session, save_transcript
-from cvqkd.algebra import sample_orthogonal
 
 from fock_oracle import four_state_density, purified_correlation, sphere_schmidt_correlation
 from orthogonal_oracle import dense_matrix
+from session_oracle import sample_orthogonal
 
 
 def test_criterion_01_z_correlation_oracles():

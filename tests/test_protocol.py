@@ -32,7 +32,7 @@ from cvqkd.protocol import (
     save_transcript,
 )
 from cvqkd.algebra import CHUNK_ROWS, OrthogonalTransform
-from cvqkd import algebra, modulation, reconciliation
+from cvqkd import algebra, modulation, protocol, reconciliation
 
 
 @pytest.fixture(scope="module")
@@ -390,6 +390,26 @@ def test_shuffled_arange_is_the_permutation(n):
     assert rng.bit_generator.state == single.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [0, 1, 1000, 2 * CHUNK_ROWS + 5])
+@pytest.mark.parametrize("p, dtype", [
+    ((0.25, 0.5, 0.25), np.int8), ((0.35, 0.65, 0.0), np.int8), ((0.0, 0.0, 1.0), np.int8),
+    (tuple(np.arange(1, 10) / 45), np.int8), ("design", np.int8),
+    (tuple(np.full(200, 0.005)), np.int16)],
+    ids=["mix", "no-decoy", "all-decoy", "nine", "design", "wide"])
+def test_choose_is_rng_choice(n, p, dtype, design8):
+    # the decoy flow draws rng.choice's uniforms on its worker and picks on the
+    # caller: the values and generator state of rng.choice, in the smallest
+    # signed dtype that holds len(p)
+    p = design8.weights if p == "design" else p
+    rng, single = np.random.default_rng(n), np.random.default_rng(n)
+    uniforms = np.empty(n)
+    rng.random(out=uniforms)
+    got = protocol._choose(uniforms, p)
+    want = single.choice(len(p), size=n, p=p)
+    assert got.dtype == dtype and np.array_equal(got, want)
+    assert rng.bit_generator.state == single.bit_generator.state
+
+
 class _ThreadRecordingRng:
     """A generator that notes the thread of every draw it is asked for."""
 
@@ -407,29 +427,45 @@ class _ThreadRecordingRng:
         return draw
 
 
-@pytest.mark.parametrize("detection, d", [("homodyne", 1), ("heterodyne", 8)])
-def test_gaussian_flow_draws_on_one_worker_thread(detection, d):
-    # every draw runs on one thread that is not the caller's and has ended
-    # when the flow returns; the arrays are the oracle's
+def _threaded_flow(flow, detection, d, design8):
+    """A small config of either flow, with the flow and its whole-array oracle."""
+    if flow == "decoy":
+        config = ProtocolConfig(d=d, alpha=1.0, n_symbols=4_000, flow="decoy", p_est=0.3,
+                                p=0.5, decoy=design8,
+                                channel=ChannelParams(t=0.6, xi=0.01, detection=detection))
+        return config, run_decoy_flow, session_oracle.decoy_flow
     config = ProtocolConfig(d=d, alpha=0.7, n_symbols=4_000, flow="gaussian", p_est=0.3,
                             channel=ChannelParams(t=0.6, xi=0.01, detection=detection))
+    return config, run_gaussian_postselected, session_oracle.gaussian_flow
+
+
+@pytest.mark.parametrize("flow, detection, d", [
+    pytest.param("gaussian", "homodyne", 1, id="homodyne-1"),
+    pytest.param("gaussian", "heterodyne", 8, id="heterodyne-8"),
+    pytest.param("decoy", "heterodyne", 8, id="decoy-heterodyne-8")])
+def test_gaussian_flow_draws_on_one_worker_thread(flow, detection, d, design8):
+    # each flow makes every draw on one thread that is not the caller's and has
+    # ended when the flow returns; the arrays are the oracle's
+    config, run, oracle = _threaded_flow(flow, detection, d, design8)
     rng = _ThreadRecordingRng(5)
     threads = threading.active_count()
-    tr = run_gaussian_postselected(config, rng)
+    tr = run(config, rng)
     assert threading.active_count() == threads
     assert len(rng.threads) == 1 and threading.current_thread() not in rng.threads
     assert not next(iter(rng.threads)).is_alive()
-    want = session_oracle.gaussian_flow(config, np.random.default_rng(5))
+    want = oracle(config, np.random.default_rng(5))
     assert np.array_equal(tr.bob_blocks, want["bob_blocks"])
     assert np.array_equal(tr.labels, want["labels"])
 
 
-@pytest.mark.parametrize("module, name", [(algebra, "draw_stages"),
-                                          (modulation, "label_by_band")],
-                         ids=["worker", "caller"])
-def test_gaussian_flow_raises_a_step_error(monkeypatch, module, name):
+@pytest.mark.parametrize("flow, module, name", [
+    pytest.param("gaussian", algebra, "draw_stages", id="worker"),
+    pytest.param("gaussian", modulation, "label_by_band", id="caller"),
+    pytest.param("decoy", algebra, "draw_stages", id="decoy-worker"),
+    pytest.param("decoy", modulation, "normalize_sphere_blocks", id="decoy-caller")])
+def test_gaussian_flow_raises_a_step_error(monkeypatch, flow, module, name, design8):
     # an error in a draw on the worker, or in a step on the caller while the
-    # worker shuffles, leaves the flow as raised, and no worker outlives it
+    # worker draws, leaves either flow as raised, and no worker outlives it
     class StepError(Exception):
         pass
 
@@ -437,12 +473,32 @@ def test_gaussian_flow_raises_a_step_error(monkeypatch, module, name):
         raise StepError(name)
 
     monkeypatch.setattr(module, name, fail)
-    config = ProtocolConfig(d=1, alpha=0.7, n_symbols=4_000, flow="gaussian",
-                            channel=ChannelParams(t=0.6, xi=0.01, detection="homodyne"))
+    detection, d = ("homodyne", 1) if flow == "gaussian" else ("heterodyne", 8)
+    config, run, _ = _threaded_flow(flow, detection, d, design8)
     threads = threading.active_count()
     with pytest.raises(StepError, match=name):
-        run_gaussian_postselected(config, np.random.default_rng(5))
+        run(config, np.random.default_rng(5))
     assert threading.active_count() == threads
+
+
+def test_decoy_flow_peak_memory_per_symbol(design8):
+    # the flow alone at 2e5 symbols, the session_decoy_d8 config: the key,
+    # estimation and decoy rows are drawn into one buffer that then holds the
+    # doubled signal, beside Alice's blocks, the k = 1 stages and the
+    # outcomes, 16 B per symbol each, so it peaks at 66.9 B.  Scattering each
+    # range by an int64 index and doubling into a fresh copy peaked at 71.9 B,
+    # and keeping the draws' futures to the end holds that buffer too
+    n = 200_000
+    config = ProtocolConfig(d=8, alpha=1.0, n_symbols=n, flow="decoy", p=0.5, p_est=0.5,
+                            decoy=design8,
+                            channel=ChannelParams(t=0.5, xi=0.005, detection="heterodyne"))
+    tracemalloc.start()
+    try:
+        run_decoy_flow(config, np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / n <= 68.0, f"{peak / n:.1f} B per symbol"
 
 
 def test_transcript_times_each_event_outside_the_manifest(tmp_path, gaussian_transcript):
@@ -759,10 +815,11 @@ def test_session_bits_pinned(case, design8):
 # estimate's products are built CHUNK_ROWS rows at a time, and reconcile drops
 # each reduction array (the key rows it is passed included) after its last
 # use: the sessions peak at 39.7 (Gaussian d=1), 76.7 (Gaussian d=8) and
-# 93.7 B (decoy, in distill).  With the key rows, u, x and v held through
-# reconcile the last two peaked at 77.9 and 101.2 B.  With the chunked steps
-# over whole arrays, a copy of the reflectors in the transform's constructor
-# and gathered estimation rows they peaked at 54.0, 97.3 and 103.3 B.  Flows that also hold the modulated blocks, the
+# 93.7 B (decoy, in Alice's reduction; Bob's peaks at 93.2 B).  With the key
+# rows, u, x and v held through reconcile the last two peaked at 77.9 and
+# 101.2 B.  With the chunked steps over whole arrays, a copy of the reflectors
+# in the transform's constructor and gathered estimation rows they peaked at
+# 54.0, 97.3 and 103.3 B.  Flows that also hold the modulated blocks, the
 # quadratures and the permutation to the end, with int64 labels and
 # out-of-place reflections, peak at 112, 144 and 137 B.  At d=1 homodyne one
 # more array of 8 B per coordinate held at the peak, such as the int64
@@ -774,7 +831,7 @@ MEMORY_CASES = {
     "gaussian_d8_heterodyne": (81.5, dict(
         d=8, alpha=1.0, flow="gaussian",
         channel=ChannelParams(t=0.5, xi=0.005, detection="heterodyne"))),
-    "decoy_d8": (96.0, dict(
+    "decoy_d8": (94.0, dict(
         d=8, alpha=1.0, flow="decoy", p=0.5,
         channel=ChannelParams(t=0.5, xi=0.005, detection="heterodyne"))),
 }
@@ -879,11 +936,14 @@ def test_save_is_identical_at_one_and_two_cpus(tmp_path, monkeypatch, request, n
     (["outcomes.csv"], "outcomes.csv"),
     (["symbols.csv"], "symbols.csv"),
     (["symbols.csv", "outcomes.csv"], "symbols.csv"),
-], ids=["outcomes", "symbols", "both"])
+    (["transform.bin"], "transform.bin"),
+    (["transform.bin", "outcomes.csv"], "transform.bin"),
+], ids=["outcomes", "symbols", "both", "transform", "transform-outcomes"])
 def test_save_raises_a_table_write_error(tmp_path, gaussian_transcript, blocked, raised):
-    # directories in the way of the tables: the error surfaces from the call once
-    # the other table is whole, a symbols error wins over the worker's, and no
-    # worker thread outlives the call
+    # directories in the way of the files: the error surfaces from the call once
+    # the other tables are whole, an error of the caller's files (symbols.csv,
+    # then transform.bin) wins over the worker's, and no worker thread outlives
+    # the call
     save_transcript(gaussian_transcript, tmp_path / "want")
     for name in blocked:
         (tmp_path / "got" / name).mkdir(parents=True)

@@ -73,9 +73,13 @@ def test_alice_reduce_rejects_zero_block():
 def test_normalizers():
     rng = np.random.default_rng(3)
     blocks = rng.standard_normal((50, 4))
+    given = blocks.copy()
     x = rec.normalize_alice_blocks(blocks)
+    # a new array with the bits of x / |x|; the caller's blocks are left as they were
+    assert np.array_equal(blocks, given)
+    assert np.array_equal(x, blocks / np.linalg.norm(blocks, axis=1, keepdims=True))
     assert np.allclose(np.linalg.norm(x, axis=1), 1.0, atol=1e-12)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="cannot normalize a zero block"):
         rec.normalize_alice_blocks(np.zeros((1, 4)))
     # Bob divides out the gain and the quadrature sphere radius
     y = rec.normalize_bob_blocks(np.full((1, 8), 2.0), 0.25, 0.5)

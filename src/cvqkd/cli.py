@@ -309,7 +309,7 @@ def build_parser():
     rb.add_argument("--d", default="8", help="comma list from {1,2,4,8}")
     rb.add_argument("--snr", type=float, default=1.0,
                     help="per-use SNR of the virtual channel (inf = noiseless)")
-    rb.add_argument("--code", default="rep16", help="'identity', 'repN', or a file")
+    rb.add_argument("--code", default="rep16", help="'identity' or 'repN'")
     rb.add_argument("--frames", type=int, default=100)
     rb.add_argument("--seed", type=int, default=0)
     rb.add_argument("--out", default=None)

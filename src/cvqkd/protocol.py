@@ -335,24 +335,18 @@ def estimation_std(t_hat, xi_hat, v_a, n_samples, detection):
 
 
 def resolve_code(code_id):
-    """Map a config code id to a code object: 'identity', 'repN', or a file path.
+    """Map a config code id to a code object: 'identity' or 'repN'.
 
-    Any code a session cannot use is a ConfigError naming the code.  A code
-    file gives a ParityCheckCode without a soft decoder, so it is refused
-    until an LDPC decoder exists.
+    Any code a session cannot use is a ConfigError naming the code; any other
+    id, a file path included, is an unknown code.
     """
+    match = isinstance(code_id, str) and re.fullmatch(r"identity|rep(\d+)", code_id)
+    if not match:
+        raise ConfigError(f"code {code_id!r}: unknown code (expected 'identity' or 'repN')")
     try:
-        match = re.fullmatch(r"identity|rep(\d+)", code_id)
-        if match:
-            return reconciliation.RepetitionCode(int(match.group(1) or 1))
-        if not os.path.exists(code_id):
-            raise ValueError(
-                f"unknown code {code_id!r} (expected 'identity', 'repN', or a code file path)"
-            )
-        reconciliation.ParityCheckCode.from_file(code_id)
-    except (OSError, ValueError) as exc:
+        return reconciliation.RepetitionCode(int(match.group(1) or 1))
+    except ValueError as exc:
         raise ConfigError(f"code {code_id!r}: {exc}") from None
-    raise ConfigError(f"code {code_id!r}: parity-check code files have no decoder yet")
 
 
 def _choose(uniforms, p):

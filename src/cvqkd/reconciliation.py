@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .modulation import QUADRATURE_SCALE, ModulationScheme, normalize_sphere_blocks, read_lines
+from .modulation import QUADRATURE_SCALE, ModulationScheme, normalize_sphere_blocks
 
 
 def bob_reduce(y_blocks, rng):
@@ -73,10 +73,10 @@ def biawgn_capacity(snr):
 class RepetitionCode:
     """One key bit sent n_bits times; n_bits = 1 is the identity code.
 
-    The syndrome is each bit's parity against the frame's first bit.  Like
-    every code here it works on batches: bits and LLRs carry the frame on the
-    last axis and any leading axes broadcast, so syndrome maps [..., n] to
-    [..., n-1] and decode maps ([..., n], [..., n-1]) to [..., n].
+    The syndrome is each bit's parity against the frame's first bit.  The
+    code works on batches: bits and LLRs carry the frame on the last axis and
+    any leading axes broadcast, so syndrome maps [..., n] to [..., n-1] and
+    decode maps ([..., n], [..., n-1]) to [..., n].
     """
 
     k_bits = 1
@@ -103,87 +103,6 @@ class RepetitionCode:
         folded = np.sum(np.asarray(llr, dtype=float) * signs, axis=-1, keepdims=True)
         leader = (folded < 0).astype(np.uint8)
         return np.concatenate([leader, leader ^ parities], axis=-1)
-
-
-class ParityCheckCode:
-    """Binary code given by an explicit sparse parity-check matrix.
-
-    Decoding needs an externally supplied soft decoder (an LDPC implementation
-    is out of scope here); syndrome computation and plumbing work without one.
-    The decoder is called as decoder(llr, syndrome, code) on the whole batch.
-    """
-
-    def __init__(self, n_bits, k_bits, checks, decoder=None):
-        if not 1 <= k_bits <= n_bits:
-            raise ValueError("need 1 <= k_bits <= n_bits")
-        self.n_bits = n_bits
-        self.k_bits = k_bits
-        rows = [np.asarray(sorted(c), dtype=np.intp) for c in checks]
-        if len(rows) != n_bits - k_bits:
-            raise ValueError(f"{len(rows)} checks do not match n-k = {n_bits - k_bits}")
-        for row in rows:
-            if row.size and (row[0] < 0 or row[-1] >= n_bits):
-                raise ValueError("parity check references a bit out of range")
-        # CSR layout: the checks' bit lists end to end, and where each nonempty
-        # check starts.  reduceat would give an empty segment the next bit, not 0
-        sizes = np.array([row.size for row in rows], dtype=np.intp)
-        self._check_bits = np.concatenate([np.zeros(0, dtype=np.intp), *rows])
-        self._nonempty = sizes > 0
-        self._starts = (np.cumsum(sizes) - sizes)[self._nonempty]
-        self.decoder = decoder
-
-    @property
-    def rate(self):
-        return self.k_bits / self.n_bits
-
-    def syndrome(self, bits):
-        bits = np.asarray(bits, dtype=np.uint8)
-        out = np.zeros(bits.shape[:-1] + (self.n_bits - self.k_bits,), dtype=np.uint8)
-        gathered = bits[..., self._check_bits]
-        out[..., self._nonempty] = np.bitwise_xor.reduceat(gathered, self._starts, axis=-1)
-        return out
-
-    def decode(self, llr, syndrome):
-        if self.decoder is None:
-            raise NotImplementedError(
-                "no soft decoder attached to this parity-check code"
-            )
-        return self.decoder(llr, syndrome, self)
-
-    @classmethod
-    def from_file(cls, path, decoder=None):
-        """Load 'n_bits k_bits' header plus sparse 'check bit [1]' lines.
-
-        Each error in a line names path:line.  A bit listed twice in a check cancels.
-        """
-        header, rows = [], []  # header: (n_bits, k_bits) once read
-
-        def parse(line):
-            parts = line.split()
-            if not header:
-                if len(parts) != 2:
-                    raise ValueError("header must be 'n_bits k_bits'")
-                n_bits, k_bits = int(parts[0]), int(parts[1])
-                if not 1 <= k_bits <= n_bits:
-                    raise ValueError(f"need 1 <= k_bits <= n_bits, got {line!r}")
-                header.extend((n_bits, k_bits))
-                rows.extend([] for _ in range(n_bits - k_bits))
-                return
-            if len(parts) not in (2, 3):
-                raise ValueError("expected 'check bit [value]'")
-            if len(parts) == 3 and parts[2] != "1":
-                raise ValueError("only binary entries allowed")
-            check, bit = int(parts[0]), int(parts[1])
-            if not 0 <= check < len(rows):
-                raise ValueError(f"check index {check} outside [0, {len(rows)})")
-            if not 0 <= bit < header[0]:
-                raise ValueError(f"bit index {bit} outside [0, {header[0]})")
-            rows[check].append(bit)
-
-        read_lines(path, parse)
-        if not header:
-            raise ValueError(f"{path}: missing header line")
-        return cls(*header, rows, decoder=decoder)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from cvqkd.protocol import (
     save_transcript,
 )
 from cvqkd.algebra import CHUNK_ROWS, OrthogonalTransform
-from cvqkd import algebra, modulation, protocol, reconciliation
+from cvqkd import algebra, modulation, protocol
 
 
 @pytest.fixture(scope="module")
@@ -527,26 +527,27 @@ def test_estimation_std_matches_monte_carlo():
     assert abs(np.std(xi_hats) / std_xi - 1.0) < 0.15
 
 
-def test_resolve_code():
+def test_resolve_code(tmp_path):
     assert resolve_code("identity").n_bits == resolve_code("rep1").n_bits == 1
     code = resolve_code("rep16")
     assert (code.n_bits, code.k_bits) == (16, 1)
-    with pytest.raises(ConfigError, match="'turbo9000'"):
+    unknown = r": unknown code \(expected 'identity' or 'repN'\)$"
+    with pytest.raises(ConfigError, match="^code 'turbo9000'" + unknown):
         resolve_code("turbo9000")
     with pytest.raises(ConfigError, match=r"^code 'rep0': repetition length must be >= 1$"):
         resolve_code("rep0")
     for code_id in ("rep", "identity1", "rep16x", "rep-1"):
         with pytest.raises(ConfigError, match=f"^code '{code_id}': unknown code"):
             resolve_code(code_id)
-
-
-def test_resolve_code_file(tmp_path):
+    # a non-string id is named like any other, also when a config carries it
+    with pytest.raises(ConfigError, match="^code 16" + unknown):
+        resolve_code(16)
+    with pytest.raises(ConfigError, match="^code 16" + unknown):
+        ProtocolConfig(d=8, alpha=1.0, n_symbols=1000, code=16)
+    # a path is just an unknown id, even to a file holding a parity-check code
     path = tmp_path / "code.txt"
     path.write_text("4 3\n0 0\n0 1\n")
-    code = reconciliation.ParityCheckCode.from_file(str(path))
-    assert (code.n_bits, code.k_bits) == (4, 3)
-    # it parses, but a session cannot decode it yet
-    with pytest.raises(ConfigError, match="no decoder"):
+    with pytest.raises(ConfigError, match=f"^code {re.escape(repr(str(path)))}: unknown code"):
         resolve_code(str(path))
 
 

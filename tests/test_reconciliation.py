@@ -165,21 +165,13 @@ def test_repetition_code_rates():
         rec.RepetitionCode(0)
 
 
-def _xor_parity_decoder(llr, syndrome, code):
-    """Hard decisions, with the last bit of each frame fixed by its one check."""
-    out = (np.asarray(llr) < 0).astype(np.uint8)
-    out[..., -1] = syndrome[..., 0] ^ np.bitwise_xor.reduce(out[..., :-1], axis=-1)
-    return out
-
-
 @pytest.mark.parametrize(
     "code",
     [
         rec.RepetitionCode(1),
         rec.RepetitionCode(16),
-        rec.ParityCheckCode(5, 4, [[0, 1, 2, 3, 4]], decoder=_xor_parity_decoder),
     ],
-    ids=["rep1", "rep16", "parity-check"],
+    ids=["rep1", "rep16"],
 )
 def test_batch_decode_equals_per_frame_decode(code):
     rng = np.random.default_rng(8)
@@ -226,89 +218,6 @@ def test_repetition_decode_reproduces_recorded_bits(code_id):
     assert np.array_equal(decoded[200:], words[200:] ^ words[200:, :1])
     digest = hashlib.sha256(syndrome.tobytes() + decoded.tobytes()).hexdigest()
     assert digest == DECODE_DIGESTS[code_id]
-
-
-def syndrome_per_check(checks, bits):
-    """Reference syndrome: one xor-reduce per check, in a Python loop."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    out = np.empty(bits.shape[:-1] + (len(checks),), dtype=np.uint8)
-    for j, row in enumerate(checks):
-        out[..., j] = np.bitwise_xor.reduce(bits[..., np.asarray(row, dtype=int)], axis=-1)
-    return out
-
-
-def test_parity_check_syndrome_empty_and_repeated_bits():
-    # empty checks at both ends and in the middle give 0; a bit listed twice cancels
-    checks = [[], [0, 2], [], [1, 1], [3, 1, 3, 0], []]
-    code = rec.ParityCheckCode(7, 1, checks)
-    words = np.array([[1, 0, 1, 1, 0, 0, 0], [1, 1, 0, 1, 0, 0, 0]], dtype=np.uint8)
-    want = [[0, 0, 0, 0, 1, 0], [0, 1, 0, 0, 0, 0]]
-    assert np.array_equal(code.syndrome(words), want)
-    assert np.array_equal(syndrome_per_check(checks, words), want)
-    assert rec.ParityCheckCode(3, 3, []).syndrome(words[:, :3]).shape == (2, 0)
-
-
-@PROPERTY
-@given(data=st.data(), n_bits=st.integers(1, 24), seed=st.integers(0, 2**32 - 1))
-def test_parity_check_syndrome_matches_per_check_loop(data, n_bits, seed):
-    n_checks = data.draw(st.integers(0, n_bits - 1))
-    bit = st.integers(0, n_bits - 1)
-    checks = data.draw(st.lists(st.lists(bit, max_size=6), min_size=n_checks, max_size=n_checks))
-    shape = data.draw(st.sampled_from([(), (0,), (5,), (2, 3)]))
-    words = np.random.default_rng(seed).integers(0, 2, shape + (n_bits,)).astype(np.uint8)
-    code = rec.ParityCheckCode(n_bits, n_bits - n_checks, checks)
-    assert np.array_equal(code.syndrome(words), syndrome_per_check(checks, words))
-
-
-def test_parity_check_code_from_file(tmp_path):
-    path = tmp_path / "code.txt"
-    path.write_text(
-        "# toy single-parity-check code\n"
-        "4 3\n"
-        "0 0\n"
-        "0 1 1\n"
-        "0 2\n"
-        "0 3\n"
-    )
-    code = rec.ParityCheckCode.from_file(path)
-    assert (code.n_bits, code.k_bits) == (4, 3)
-    word = np.array([1, 0, 1, 1], dtype=np.uint8)
-    assert np.array_equal(code.syndrome(word), [1])
-    with pytest.raises(NotImplementedError):
-        code.decode(np.zeros(4), np.zeros(1, dtype=np.uint8))
-
-
-def test_parity_check_code_with_injected_decoder(tmp_path):
-    path = tmp_path / "code.txt"
-    path.write_text("2 1\n0 0\n0 1\n")
-    calls = {}
-
-    def hard_decoder(llr, syndrome, code):
-        calls["hit"] = True
-        return (np.asarray(llr) < 0).astype(np.uint8)
-
-    code = rec.ParityCheckCode.from_file(path, decoder=hard_decoder)
-    got = code.decode(np.array([1.0, -1.0]), np.array([1], dtype=np.uint8))
-    assert calls["hit"] and np.array_equal(got, [0, 1])
-
-
-def test_parity_check_file_errors(tmp_path):
-    bad_header = tmp_path / "a.txt"
-    bad_header.write_text("4\n")
-    with pytest.raises(ValueError):
-        rec.ParityCheckCode.from_file(bad_header)
-    bad_value = tmp_path / "b.txt"
-    bad_value.write_text("4 3\n0 0 2\n")
-    with pytest.raises(ValueError):
-        rec.ParityCheckCode.from_file(bad_value)
-    bad_check = tmp_path / "c.txt"
-    bad_check.write_text("4 3\n5 0\n")
-    with pytest.raises(ValueError):
-        rec.ParityCheckCode.from_file(bad_check)
-    empty = tmp_path / "d.txt"
-    empty.write_text("# nothing\n")
-    with pytest.raises(ValueError):
-        rec.ParityCheckCode.from_file(empty)
 
 
 def test_reconcile_noiseless():
@@ -364,32 +273,6 @@ def test_noiseless_batch_decodes_to_itself(code, n_frames, seed, magnitude):
     syndrome = code.syndrome(words)
     assert syndrome.shape == (n_frames, code.n_bits - 1)
     assert np.array_equal(code.decode(llr, syndrome), words)
-
-
-@pytest.mark.parametrize("text, line, message", [
-    ("four 3\n", 1, "invalid literal for int()"),
-    ("3 4\n", 1, "need 1 <= k_bits <= n_bits"),
-    ("# toy code\n\n4 3\nx 0\n", 4, "invalid literal for int()"),
-    ("4 3\n0 y\n", 2, "invalid literal for int()"),
-    ("4 3\n0\n", 2, "expected 'check bit [value]'"),
-    ("4 3\n0 0\n1 0\n", 3, "check index 1 outside [0, 1)"),
-    ("4 3\n0 4\n", 2, "bit index 4 outside [0, 4)"),
-    ("4 3\n0 -1\n", 2, "bit index -1 outside [0, 4)"),
-])
-def test_parity_check_file_errors_name_path_and_line(tmp_path, text, line, message):
-    path = tmp_path / "code.txt"
-    path.write_text(text)
-    with pytest.raises(ValueError) as exc_info:
-        rec.ParityCheckCode.from_file(path)
-    assert str(exc_info.value).startswith(f"{path}:{line}: {message}")
-
-
-def test_parity_check_file_bit_listed_twice_cancels(tmp_path):
-    path = tmp_path / "code.txt"
-    path.write_text("4 3\n0 0\n0 1\n0 1 1\n")
-    code = rec.ParityCheckCode.from_file(path)
-    assert np.array_equal(code.syndrome(np.array([1, 1, 0, 0], dtype=np.uint8)), [1])
-    assert np.array_equal(code.syndrome(np.array([0, 1, 0, 0], dtype=np.uint8)), [0])
 
 
 def test_decoy_session_reduction_reproduces_recorded_bits():

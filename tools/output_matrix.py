@@ -89,7 +89,8 @@ n_symbols 1000
 DESIGN_HEADER = "# cvqkd decoy design v1\nd {d}\nalpha {alpha}\np 0.5\nepsilon 0.001\nn_max 40\n"
 DESIGN_BAD_VALUE = DESIGN_HEADER.format(d=8, alpha="one") + "1.0,1.0\n"
 DESIGN_D3 = DESIGN_HEADER.format(d=3, alpha="1.0") + "1.0,1.0\n"
-# parity-check code files: a valid one (refused, no decoder) and one with a bit out of range
+# parity-check code files, a valid one and one with a bit out of range: each path is
+# an unknown code id
 CODE_VALID = "# n_bits k_bits\n4 2\n0 0\n0 1\n\n1 2 1\n1 3\n"
 CODE_BIT_OUT_OF_RANGE = "4 2\n# check bit\n0 0\n0 7\n"
 # a byte that is not UTF-8 (the files are written as latin-1, so "\xff" is the
@@ -163,7 +164,7 @@ MATRIX = [
                          # refused code ids: exit 2 with one error line, no file
                          ("rep0", ["--code", "rep0"]),
                          ("turbo9000", ["--code", "turbo9000"]))],
-    # code files: a valid one has no decoder yet, a malformed one names path:line; exit 2
+    # code file paths are refused as unknown code ids, well-formed or not; exit 2
     ("reconcile_code_valid", ["reconcile-bench", "--code", "code_valid.txt"]),
     ("reconcile_code_bit_out_of_range",
      ["reconcile-bench", "--code", "code_bit_out_of_range.txt"]),

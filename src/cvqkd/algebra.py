@@ -111,9 +111,9 @@ class OrthogonalTransform:
 
     apply() reflects about each stored row in order; apply_inverse() uses the
     reverse order.  The dense n x n matrix is never formed, so application
-    costs O(k*n) per vector and holds the result and a CHUNK_ROWS-column
-    temporary; reflect() transforms an array in place and holds only the
-    temporary.  An empty reflector list is the identity.
+    costs O(k*n) per vector, through dot and CHUNK_ROWS-column steps, and
+    holds the result and a chunk; reflect() works in place and holds only
+    the chunk.  An empty reflector list is the identity.
 
     A float64 reflector array is kept as given, not copied, so the caller
     hands it over and must not change it afterwards.
@@ -124,7 +124,7 @@ class OrthogonalTransform:
         if reflectors.ndim != 2:
             raise ValueError("reflectors must be a (k, n) array")
         # stored as given, so a transform loads back bit for bit
-        norms = np.sqrt(np.einsum("ij,ij->i", reflectors, reflectors))  # no k x n temporary
+        norms = np.sqrt(dot(reflectors, reflectors))
         if not np.all(np.abs(norms - 1.0) <= 1e-9):  # a NaN row fails too
             raise ValueError("reflectors must be unit vectors")
         self.reflectors = reflectors
@@ -141,7 +141,7 @@ class OrthogonalTransform:
         if out.shape[-1] != self.n:
             raise ValueError(f"vector length {out.shape[-1]} != transform size {self.n}")
         for u in rows:
-            step = 2.0 * np.expand_dims(out @ u, -1)
+            step = 2.0 * np.expand_dims(dot(out, u), -1)
             for start in range(0, self.n, CHUNK_ROWS):
                 cols = slice(start, start + CHUNK_ROWS)
                 out[..., cols] -= step * u[cols]
@@ -182,11 +182,11 @@ def _bisector_reflector(x):
 
     u is built in place in x, which the caller must own.
     """
-    r = np.linalg.norm(x)
+    r = np.sqrt(dot(x, x))
     if r == 0.0:
         raise ValueError("degenerate zero draw for reflector target")
     x[0] -= r
-    s = np.linalg.norm(x)
+    s = np.sqrt(dot(x, x))
     if s <= 1e-12 * r:
         return None
     x /= s
@@ -206,7 +206,7 @@ def draw_stages(rows, rng):
 
 
 def transform_from_stages(rows) -> OrthogonalTransform:
-    """The transform of draw_stages' rows, built in place in them and handed over.
+    """The transform of draw_stages' rows, normalized once, built in place in them and handed over.
 
     A stage drawn along its axis is the identity: its row is left out and later rows move up.
     """
@@ -217,22 +217,18 @@ def transform_from_stages(rows) -> OrthogonalTransform:
             if kept != j:
                 rows[kept] = rows[j]
             kept += 1
-    rows = rows[:kept]
-    for row in rows:
-        row /= np.sqrt(_sum_of_squares(row))
-    return OrthogonalTransform(rows)
+    return OrthogonalTransform(rows[:kept])
 
 
-def _sum_of_squares(x):
-    """np.add.reduce(x * x) of a contiguous 1-D array, bit for bit, holding one chunk.
+def dot(x, y):
+    """np.add.reduce(x * y, axis=-1), bit for bit, holding one chunk of the product.
 
-    numpy sums a contiguous float64 array pairwise, splitting n elements at
+    numpy sums a contiguous float64 axis pairwise, splitting n elements at
     n // 2 rounded down to a multiple of 8; following those splits down to
-    CHUNK_ROWS elements sums the same terms in the same order.  So the
-    squared norm of np.linalg.norm(rows, axis=1) needs no whole-row square.
+    CHUNK_ROWS elements sums the same terms in the same order, which n alone
+    fixes, unlike a BLAS dot's thread split.  Leading axes broadcast.
     """
-    if len(x) <= CHUNK_ROWS:
-        return np.add.reduce(x * x)
-    half = len(x) // 2
-    half -= half % 8
-    return _sum_of_squares(x[:half]) + _sum_of_squares(x[half:])
+    if x.shape[-1] <= CHUNK_ROWS:
+        return np.add.reduce(x * y, axis=-1)
+    half = x.shape[-1] // 16 * 8  # n // 2 rounded down to a multiple of 8
+    return dot(x[..., :half], y[..., :half]) + dot(x[..., half:], y[..., half:])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import numbers
 import os
 import re
 import time
@@ -60,9 +61,12 @@ class ProtocolConfig:
 
     def __post_init__(self):
         try:
-            ModulationScheme(self.d, self.alpha)
             for name in ("n_symbols", "symmetrization_k", "seed"):
                 modulation.check_integer(name, getattr(self, name))
+            for name in ("alpha", "p_est", "p", "beta_target", "max_frame_failure"):
+                if not isinstance(getattr(self, name), numbers.Real):
+                    raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
+            ModulationScheme(self.d, self.alpha)
             modulation.modulation_variance(self.alpha)
             if self.channel is None:
                 object.__setattr__(self, "channel", _default_channel(self.d))

@@ -2,10 +2,11 @@
 
 This is the straightforward form of algebra.draw_stages, transform_from_stages
 and OrthogonalTransform.apply: each stage's reflector is built in a fresh copy
-of its draw, kept rows are collected in a list, stacked, and normalised into a
-new array, and each reflection makes a new vector.  The package builds the
-reflectors in one preallocated buffer and reflects in place; both must give
-the same bits from the same generator state.
+of its draw, kept rows are collected in a list and stacked into a new array,
+and each reflection makes a new vector.  Every sum is one np.add.reduce over a
+whole array, the order that algebra.dot follows a chunk at a time.  The
+package builds the reflectors in one preallocated buffer and reflects in
+place; both must give the same bits from the same generator state.
 """
 
 import numpy as np
@@ -13,12 +14,12 @@ import numpy as np
 
 def bisector_reflector(x):
     """Unit u with reflect(e1, u) = x/|x|; None when x is along +e1."""
-    r = np.linalg.norm(x)
+    r = np.sqrt(np.add.reduce(x * x))
     if r == 0.0:
         raise ValueError("degenerate zero draw for reflector target")
     u = x.copy()
     u[0] -= r
-    s = np.linalg.norm(u)
+    s = np.sqrt(np.add.reduce(u * u))
     if s <= 1e-12 * r:
         return None
     return u / s
@@ -37,15 +38,14 @@ def sample_reflectors(n, k, rng):
         rows.append(row)
     if not rows:
         return np.zeros((0, n))
-    rows = np.array(rows)
-    return rows / np.linalg.norm(rows, axis=1)[:, None]
+    return np.array(rows)
 
 
 def apply_reflectors(reflectors, v):
     """Reflect v about each row in order, one new array per reflection."""
     out = np.array(v, dtype=float)
     for u in reflectors:
-        proj = out @ u
+        proj = np.add.reduce(out * u, axis=-1)
         out = out - 2.0 * np.expand_dims(proj, -1) * u
     return out
 

@@ -383,11 +383,26 @@ CHUNK = algebra.CHUNK_ROWS
 @pytest.mark.parametrize("n", [1, 7, 8, 129, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 8,
                                5 * CHUNK + 3, 1_000_003])
 def test_chunked_sum_of_squares_matches_the_row_norm(n):
-    # following numpy's pairwise splits down to one chunk gives np.linalg.norm's bits
+    # sqrt(dot(x, x)), the norm of the reflector build and its unit check, has
+    # np.linalg.norm's bits, row by row and over the rows at once
     rows = np.random.default_rng(n).standard_normal((3, n)) * np.array([[1.0], [1e-150], [1e150]])
     want = np.linalg.norm(rows, axis=1)
-    got = np.array([np.sqrt(algebra._sum_of_squares(row)) for row in rows])
-    _assert_bits_equal(got, want)
+    _assert_bits_equal(np.sqrt(algebra.dot(rows, rows)), want)
+    _assert_bits_equal(np.array([np.sqrt(algebra.dot(row, row)) for row in rows]), want)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 129, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 8,
+                               5 * CHUNK + 3, 1_000_003])
+def test_dot_matches_add_reduce_of_the_product(n):
+    # following numpy's pairwise splits down to one chunk sums the same terms
+    # in the same order, for 1-D and (3, n) arguments and a broadcast row
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal((3, n)) * np.array([[1.0], [1e-150], [1e150]])
+    y = rng.standard_normal((3, n))
+    _assert_bits_equal(algebra.dot(x, y), np.add.reduce(x * y, axis=-1))
+    _assert_bits_equal(algebra.dot(x, y[0]), np.add.reduce(x * y[0], axis=-1))
+    for row, other in zip(x, y):
+        _assert_bits_equal(np.array(algebra.dot(row, other)), np.array(np.add.reduce(row * other)))
 
 
 def test_reflect_in_place_matches_apply():

@@ -5,6 +5,8 @@ import logging
 import math
 import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
 
@@ -126,6 +128,13 @@ def test_config_refuses_a_float_or_bool_integer_field(field, value):
     config = {**dict(d=8, alpha=1.0, n_symbols=4096), field: value}
     want = f"{field} must be an integer, got {value!r}"
     with pytest.raises(ConfigError, match=f"^{re.escape(want)}$"):
+        ProtocolConfig(**config)
+
+
+@pytest.mark.parametrize("field", ["alpha", "p_est", "p", "beta_target", "max_frame_failure"])
+def test_config_refuses_a_non_number_field(field):
+    config = {**dict(d=8, alpha=1.0, n_symbols=1000), field: "x"}
+    with pytest.raises(ConfigError, match=f"^{field} must be a number, got 'x'$"):
         ProtocolConfig(**config)
 
 
@@ -779,15 +788,15 @@ def test_transcript_dtypes(request, name):
 # prune: its radii set which decoy spheres the session draws
 SESSION_PINS = {
     "decoy_d8": (
-        "b8eef1278fb0901a47517f6d7b9379326873c6bca4b5b3d86a9689c6cd902576",
+        "0bfb6a271482393a8219972090a10ec024d38d81664e79c8c50d412d0f24536b",
         dict(d=8, alpha=1.0, n_symbols=8000, flow="decoy", p=0.5,
              channel=ChannelParams(t=0.8, xi=0.002, detection="heterodyne"))),
     "gaussian_d1_homodyne": (
-        "6085461d4f347d6713b0c9969a46171b352d4decf13d75d8578de32f6f0fd02e",
+        "0103b65ba1b68763554778fb7a0136431972a4e596a5e5febbead2962ee3a6fd",
         dict(d=1, alpha=0.5, n_symbols=8192, flow="gaussian", band=RadiusBand(0.5, 1.5),
              channel=ChannelParams(t=0.95, xi=0.002, detection="homodyne"))),
     "gaussian_d8_heterodyne": (
-        "690b61b155956266c3ddf62d02c0f5fd109f7702f77b389e2984372b3e7ad9b6",
+        "9a32d3312a41aea8fa1fc005f30163669b02009688cd2450fb4a158e9d55e8fc",
         dict(d=8, alpha=1.0, n_symbols=40000, flow="gaussian", band=RadiusBand(0.95, 1.05),
              channel=ChannelParams(t=0.8, xi=0.002, detection="heterodyne"))),
 }
@@ -808,6 +817,42 @@ def test_session_bits_pinned(case, design8):
     digest.update(repr((tr.t_hat, tr.xi_hat, tr.report.k, tr.band_kept_fraction,
                         tr.n_est_samples, tr.n_key_modes)).encode())
     assert digest.hexdigest() == pin
+
+
+# One session per flow, 24,000 coordinates each: from n = 20,000 on, a BLAS
+# dot gives different bits on 1 and 2 OpenBLAS threads.  Prints one digest per array
+THREAD_COUNT_SESSIONS = """
+import hashlib
+from cvqkd.channel import ChannelParams
+from cvqkd.modulation import RadiusBand
+from cvqkd.protocol import ProtocolConfig, run_session
+for config in (
+    ProtocolConfig(d=8, alpha=1.0, n_symbols=12000, flow="decoy", seed=5,
+                   channel=ChannelParams(t=0.8, xi=0.002, detection="heterodyne")),
+    ProtocolConfig(d=1, alpha=0.5, n_symbols=24000, flow="gaussian", seed=5,
+                   band=RadiusBand(0.5, 1.5),
+                   channel=ChannelParams(t=0.95, xi=0.002, detection="homodyne")),
+):
+    tr = run_session(config)
+    assert config.n_coordinates >= 20000 and tr.alice_bits.size > 0
+    for array in (tr.alice_blocks, tr.bob_blocks, tr.outcomes, tr.transform.reflectors,
+                  tr.alice_bits, tr.bob_bits):
+        print(hashlib.sha256(array.tobytes()).hexdigest())
+"""
+
+
+def test_session_bits_do_not_depend_on_the_blas_thread_count():
+    # every sum of the symmetrization runs in numpy's pairwise order, fixed by
+    # n alone, so a child at one OpenBLAS thread prints the digests of one at two
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", THREAD_COUNT_SESSIONS], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout.split())
+    assert len(printed[0]) == 12 and printed[0] == printed[1]
 
 
 # Peak traced bytes per symbol of one run_session at 2e5 symbols, the

@@ -286,7 +286,7 @@ def test_decoy_session_reduction_reproduces_recorded_bits():
     result = run_session(config).reconcile_result
     assert result.message.t_blocks.shape == (24_971, 8)
     assert hashlib.sha256(result.message.t_blocks.astype("<f8").tobytes()).hexdigest() == (
-        "6d1d98d9fa3a861d12abd6603ba127f081698aa88b099baa6db227fbbd793dec"
+        "64a7ed59e640c3394a8e747eae69bac495bdfa22f4d984b40a29c0c32f88664e"
     )
     assert hashlib.sha256(result.alice_bits.tobytes()).hexdigest() == (
         "19a5286db14c98d559c8779adb311107865f2f6f10755a01c6c9c3da7c2c5350"

@@ -35,9 +35,10 @@ FIBER_LOSS_DB_PER_KM = 0.2
 class ChannelParams:
     """Transmittance, input-referenced excess noise, and detector settings.
 
-    t, xi and eta may be arrays that broadcast together: one ChannelParams is
-    then a batch of channels sharing detection and eta_trusted, and t_eff,
-    noise_floor and snr broadcast over it.  Every element is checked.
+    t, xi and eta are numbers, not bools, or arrays of numbers that broadcast
+    together: one ChannelParams is then a batch of channels sharing detection
+    and eta_trusted, and t_eff, noise_floor and snr broadcast over it.  Every
+    element is checked.
     """
 
     t: float
@@ -54,7 +55,9 @@ class ChannelParams:
             ("eta", "detector efficiency eta must lie in (0, 1]", lambda v: (0.0 < v) & (v <= 1.0)),
         ):
             value = getattr(self, name)
-            values = np.asarray(value, dtype=float)
+            values = np.asarray(value)
+            if values.dtype.kind not in "iuf":
+                raise ValueError(f"{name} must be a number, got {value!r}")
             bad = ~ok(values)
             if bad.any():
                 first = float(values[bad][0]) if values.ndim else value

@@ -64,8 +64,9 @@ class ProtocolConfig:
             for name in ("n_symbols", "symmetrization_k", "seed"):
                 modulation.check_integer(name, getattr(self, name))
             for name in ("alpha", "p_est", "p", "beta_target", "max_frame_failure"):
-                if not isinstance(getattr(self, name), numbers.Real):
-                    raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
+                value = getattr(self, name)
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ConfigError(f"{name} must be a number, got {value!r}")
             ModulationScheme(self.d, self.alpha)
             modulation.modulation_variance(self.alpha)
             if self.channel is None:
@@ -446,20 +447,20 @@ def run_gaussian_postselected(config, rng):
 
     One worker thread makes every draw from rng, in the stream order of the
     serial steps: the Gaussian blocks, the homodyne basis, the detection
-    noise, the reflectors' stages and the estimation permutation.  Only it
-    touches rng while its pool is open, so no byte depends on thread timing
-    or the CPU count.  The draws release the GIL, and this thread computes
-    beside them: the blocks' scaling beside the basis, Alice's coordinate
-    beside the noise, the signal beside the stages, and Alice's reflection
-    and band mask beside the permutation.
+    noise, the reflectors' stages and the labels' uniforms.  Only it touches
+    rng while its pool is open, so no byte depends on thread timing or the
+    CPU count.  The draws release the GIL, and this thread computes beside
+    them: the blocks' scaling beside the basis, Alice's coordinate beside the
+    noise, the signal beside the stages, and Alice's reflection and band mask
+    beside the uniforms.  They label a block for estimation with probability
+    p_est, by the decoy flow's law at p = 1, since this flow sends no decoys.
 
-    Each draw fills an array this thread allocates (the permutation is an
-    arange shuffled in place), so the worker's malloc arena holds no large
-    array.  The stages and the permutation are allocated once the modulated
-    blocks are freed, and Bob's reflection once the permutation is, so the
-    flow holds no more at once than the serial order did.  The events keep
-    their order, each recorded once its arrays are final, so "symmetrized"
-    follows Bob's reflection.
+    Each draw fills an array this thread allocates, so the worker's malloc
+    arena holds no large array.  The stages and the uniforms are allocated
+    once the modulated blocks are freed, and Bob's reflection once the
+    uniforms are, so the flow holds no more at once than the serial order
+    did.  The events keep their order, each recorded once its arrays are
+    final, so "symmetrized" follows Bob's reflection.
     """
     if config.flow != "gaussian":
         raise ValueError(f"config.flow is {config.flow!r}, expected 'gaussian'")
@@ -497,8 +498,8 @@ def run_gaussian_postselected(config, rng):
         stages = np.zeros((config.symmetrization_k, a.size))
         drawn_stages = pool.submit(algebra.draw_stages, stages, rng)
         n_blocks = a.size // d
-        order = np.arange(n_blocks)
-        drawn_order = pool.submit(rng.shuffle, order)
+        uniforms = np.empty(n_blocks)
+        drawn_uniforms = pool.submit(rng.random, out=uniforms)
         # the signal is her coordinate in quadrature units; doubling and
         # halving are exact, because QUADRATURE_SCALE is a power of two
         a *= modulation.QUADRATURE_SCALE
@@ -516,10 +517,9 @@ def run_gaussian_postselected(config, rng):
         del a
         # a block outside the band is dropped unless it is an estimation block
         keep = modulation.label_by_band(alice_blocks, scheme, config.band)
-        drawn_order.result()
-    labels = np.zeros(n_blocks, dtype=np.int8)
-    labels[order[: int(round(config.p_est * n_blocks))]] = 1
-    del order
+        drawn_uniforms.result()
+    labels = _choose(uniforms, mix_probabilities(1.0, config.p_est))
+    del uniforms, drawn_uniforms
     transcript.alice_blocks = alice_blocks
     transcript.bob_blocks = transform.apply(outcomes.reshape(-1)).reshape(n_blocks, d)
     transcript.record("symmetrized")

@@ -87,8 +87,8 @@ def gaussian_flow(config, rng):
     """The Gaussian flow's arrays, drawn in the order of the package's flow.
 
     Alice keeps her amplitude coordinate x itself, indexed by the basis, and
-    the estimation blocks are drawn after both reflections are applied.
-    Returns a dict of the transcript's arrays.
+    the labels are drawn after both reflections are applied, with the decoy
+    flow's rng.choice at p = 1.  Returns a dict of the transcript's arrays.
     """
     d, params, n = config.d, config.channel, config.n_symbols
     scheme = modulation.ModulationScheme(d, config.alpha)
@@ -100,8 +100,8 @@ def gaussian_flow(config, rng):
     n_blocks = a.size // d
     alice_blocks = orthogonal_oracle.apply_reflectors(reflectors, a).reshape(n_blocks, d)
     bob_blocks = orthogonal_oracle.apply_reflectors(reflectors, outcomes.reshape(-1))
-    labels = np.zeros(n_blocks, dtype=np.int8)
-    labels[rng.permutation(n_blocks)[: int(round(config.p_est * n_blocks))]] = 1
+    labels = rng.choice(3, size=n_blocks, p=mix_probabilities(1.0, config.p_est))
+    labels = labels.astype(np.int8)
     outside = labels != 1
     keep = label_by_band(alice_blocks[outside], scheme, config.band)
     labels[outside] = np.where(keep, 0, -1)

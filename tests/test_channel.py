@@ -1,6 +1,7 @@
 """Channel transmission and detection statistics tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -59,6 +60,16 @@ def test_params_reject_non_finite(field, value):
     kwargs[field] = value
     with pytest.raises(ValueError, match=rf"\b{field}\b"):
         ch.ChannelParams(**kwargs)
+
+
+@pytest.mark.parametrize("field", ["t", "xi", "eta"])
+def test_params_refuse_a_non_number_field(field):
+    # a bool is a numbers.Real, but t=True would be recorded as "t True"
+    for value in (True, False, "x", np.array([True, False])):
+        kwargs = {**dict(t=0.5, xi=0.01, eta=0.9), field: value}
+        want = f"{field} must be a number, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            ch.ChannelParams(**kwargs)
 
 
 @pytest.mark.parametrize(

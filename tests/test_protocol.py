@@ -16,7 +16,7 @@ import pytest
 import session_oracle
 from radius_oracle import band_acceptance_probability
 from cvqkd.channel import ChannelParams
-from cvqkd.decoy import DecoyDesign, optimize_decoy
+from cvqkd.decoy import DecoyDesign, mix_probabilities, optimize_decoy
 from cvqkd.modulation import RadiusBand, read_csv_table
 from cvqkd.protocol import (
     MIN_EST_SAMPLES,
@@ -133,9 +133,11 @@ def test_config_refuses_a_float_or_bool_integer_field(field, value):
 
 @pytest.mark.parametrize("field", ["alpha", "p_est", "p", "beta_target", "max_frame_failure"])
 def test_config_refuses_a_non_number_field(field):
-    config = {**dict(d=8, alpha=1.0, n_symbols=1000), field: "x"}
-    with pytest.raises(ConfigError, match=f"^{field} must be a number, got 'x'$"):
-        ProtocolConfig(**config)
+    # a bool is a numbers.Real, but True would run a session at alpha = 1
+    for value in ("x", True, False):
+        config = {**dict(d=8, alpha=1.0, n_symbols=1000), field: value}
+        with pytest.raises(ConfigError, match=f"^{field} must be a number, got {value!r}$"):
+            ProtocolConfig(**config)
 
 
 _GAUSSIAN_D8 = dict(d=8, alpha=1.0, n_symbols=1000, flow="gaussian")
@@ -388,27 +390,19 @@ def test_flows_log_non_standard_d(caplog, flow, d, message):
     assert [r.getMessage() for r in caplog.records if r.name == "cvqkd.protocol"] == [message]
 
 
-@pytest.mark.parametrize("n", [1, 2, 1000, 2 * CHUNK_ROWS + 5])
-def test_shuffled_arange_is_the_permutation(n):
-    # the flow shuffles an arange it allocates; values and generator state
-    # are those of rng.permutation(n)
-    rng, single = np.random.default_rng(n), np.random.default_rng(n)
-    order = np.arange(n)
-    rng.shuffle(order)
-    assert np.array_equal(order, single.permutation(n))
-    assert rng.bit_generator.state == single.bit_generator.state
-
-
 @pytest.mark.parametrize("n", [0, 1, 1000, 2 * CHUNK_ROWS + 5])
 @pytest.mark.parametrize("p, dtype", [
     ((0.25, 0.5, 0.25), np.int8), ((0.35, 0.65, 0.0), np.int8), ((0.0, 0.0, 1.0), np.int8),
     (tuple(np.arange(1, 10) / 45), np.int8), ("design", np.int8),
-    (tuple(np.full(200, 0.005)), np.int16)],
-    ids=["mix", "no-decoy", "all-decoy", "nine", "design", "wide"])
+    (tuple(np.full(200, 0.005)), np.int16),
+    *[(mix_probabilities(1.0, p_est), np.int8) for p_est in (0.0, 0.3, 1.0)]],
+    ids=["mix", "no-decoy", "all-decoy", "nine", "design", "wide",
+         "gaussian-0", "gaussian-0.3", "gaussian-1"])
 def test_choose_is_rng_choice(n, p, dtype, design8):
-    # the decoy flow draws rng.choice's uniforms on its worker and picks on the
-    # caller: the values and generator state of rng.choice, in the smallest
-    # signed dtype that holds len(p)
+    # both flows draw rng.choice's uniforms on their worker and pick on the
+    # caller (the Gaussian flow by the law (1 - p_est, p_est, 0)): the values
+    # and generator state of rng.choice, in the smallest signed dtype that
+    # holds len(p)
     p = design8.weights if p == "design" else p
     rng, single = np.random.default_rng(n), np.random.default_rng(n)
     uniforms = np.empty(n)
@@ -567,6 +561,20 @@ def test_decoy_flow_label_counts_multinomial(decoy_transcript):
         count = int(np.sum(labels == code))
         sigma = math.sqrt(n * prob * (1 - prob))
         assert abs(count - n * prob) < 4 * sigma
+
+
+def test_gaussian_flow_label_counts_binomial(gaussian_transcript):
+    # each block is an estimation block with probability p_est, as in the decoy
+    # flow: the count is binomial, so it lies near n p_est and varies by seed
+    labels = gaussian_transcript.labels
+    n, prob = labels.size, gaussian_transcript.config.p_est
+    sigma = math.sqrt(n * prob * (1 - prob))
+    assert abs(int(np.sum(labels == 1)) - n * prob) < 4 * sigma
+    config = ProtocolConfig(d=1, alpha=1.0, n_symbols=256, flow="gaussian", p_est=0.3,
+                            channel=ChannelParams(t=1.0, detection="homodyne"))
+    counts = [run_gaussian_postselected(config, np.random.default_rng(seed)).est_indices.size
+              for seed in range(40)]
+    assert 0.4 < np.var(counts, ddof=1) / (256 * 0.3 * 0.7) < 2.0
 
 
 def test_decoy_flow_event_ordering(decoy_transcript):
@@ -792,14 +800,25 @@ SESSION_PINS = {
         dict(d=8, alpha=1.0, n_symbols=8000, flow="decoy", p=0.5,
              channel=ChannelParams(t=0.8, xi=0.002, detection="heterodyne"))),
     "gaussian_d1_homodyne": (
-        "0103b65ba1b68763554778fb7a0136431972a4e596a5e5febbead2962ee3a6fd",
+        "fe998de8bb16bd4341f6e5deb23d2b5b5fd347358b171b7d4bebeaa8d985aa38",
         dict(d=1, alpha=0.5, n_symbols=8192, flow="gaussian", band=RadiusBand(0.5, 1.5),
              channel=ChannelParams(t=0.95, xi=0.002, detection="homodyne"))),
     "gaussian_d8_heterodyne": (
-        "9a32d3312a41aea8fa1fc005f30163669b02009688cd2450fb4a158e9d55e8fc",
+        "b16de1b8d5c2974ed6c69be8bae7f521e7ba4af3eeae37dce5923dce86ceed26",
         dict(d=8, alpha=1.0, n_symbols=40000, flow="gaussian", band=RadiusBand(0.95, 1.05),
              channel=ChannelParams(t=0.8, xi=0.002, detection="heterodyne"))),
 }
+
+
+def _session_digest(tr):
+    digest = hashlib.sha256()
+    for array in (tr.labels, tr.alice_blocks, tr.bob_blocks, tr.outcomes, tr.basis,
+                  tr.key_indices, tr.est_indices, tr.alice_bits, tr.bob_bits):
+        if array is not None:
+            digest.update(np.ascontiguousarray(array).tobytes())
+    digest.update(repr((tr.t_hat, tr.xi_hat, tr.report.k, tr.band_kept_fraction,
+                        tr.n_est_samples, tr.n_key_modes)).encode())
+    return digest.hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(SESSION_PINS))
@@ -809,14 +828,15 @@ def test_session_bits_pinned(case, design8):
         kwargs = dict(kwargs, decoy=design8)
     tr = run_session(ProtocolConfig(p_est=0.5, seed=5, **kwargs))
     assert tr.alice_bits.size > 0
-    digest = hashlib.sha256()
-    for array in (tr.labels, tr.alice_blocks, tr.bob_blocks, tr.outcomes, tr.basis,
-                  tr.key_indices, tr.est_indices, tr.alice_bits, tr.bob_bits):
-        if array is not None:
-            digest.update(np.ascontiguousarray(array).tobytes())
-    digest.update(repr((tr.t_hat, tr.xi_hat, tr.report.k, tr.band_kept_fraction,
-                        tr.n_est_samples, tr.n_key_modes)).encode())
-    assert digest.hexdigest() == pin
+    assert _session_digest(tr) == pin
+
+
+@pytest.mark.parametrize("case", ["gaussian_d1_homodyne", "gaussian_d8_heterodyne"])
+def test_gaussian_flow_ignores_p(case):
+    # the Gaussian flow sends no decoys, so it labels by (1 - p_est, p_est, 0)
+    # at any p; a law built from p would label blocks as decoys (2)
+    pin, kwargs = SESSION_PINS[case]
+    assert _session_digest(run_session(ProtocolConfig(p_est=0.5, p=0.5, seed=5, **kwargs))) == pin
 
 
 # One session per flow, 24,000 coordinates each: from n = 20,000 on, a BLAS
@@ -866,10 +886,10 @@ def test_session_bits_do_not_depend_on_the_blas_thread_count():
 # 101.2 B.  With the chunked steps over whole arrays, a copy of the reflectors
 # in the transform's constructor and gathered estimation rows they peaked at
 # 54.0, 97.3 and 103.3 B.  Flows that also hold the modulated blocks, the
-# quadratures and the permutation to the end, with int64 labels and
+# quadratures and the estimation draw to the end, with int64 labels and
 # out-of-place reflections, peak at 112, 144 and 137 B.  At d=1 homodyne one
-# more array of 8 B per coordinate held at the peak, such as the int64
-# permutation, already breaks the bound.
+# more array of 8 B per coordinate held at the peak, such as the labels'
+# uniforms kept alive by their future, already breaks the bound.
 MEMORY_CASES = {
     "gaussian_d1_homodyne": (41.5, dict(
         d=1, alpha=0.5, flow="gaussian",

@@ -99,6 +99,8 @@ CONFIG_NON_UTF8 = "d 8\nalpha 1.0\xff\nn_symbols 1000\n"
 DESIGN_NON_UTF8 = DESIGN_HEADER.format(d=8, alpha="1.0\xff") + "1.0,1.0\n"
 CONFIGS = {"decoy_d8.cfg": DECOY_D8, "gaussian_d1.cfg": GAUSSIAN_D1,
            "gaussian_transcript.cfg": GAUSSIAN_TRANSCRIPT,
+           "gaussian_transcript_p_est0.2.cfg": GAUSSIAN_TRANSCRIPT.replace("p_est 0.5",
+                                                                           "p_est 0.2"),
            "gaussian_d1_trusted.cfg": GAUSSIAN_D1_TRUSTED,
            "bad_value_then_unknown_key.cfg": BAD_VALUE_THEN_UNKNOWN_KEY,
            "design_bad_value.txt": DESIGN_BAD_VALUE, "design_d3.txt": DESIGN_D3,
@@ -181,6 +183,10 @@ MATRIX = [
       "--n-symbols", "200000", "--seed", "5", "--out", "session_gaussian_d8_seed5"]),
     ("gaussian_transcript",
      ["simulate", "--config", "gaussian_transcript.cfg", "--out", "gaussian_transcript"]),
+    # the estimation labels' law at a second point
+    ("gaussian_transcript_p_est0.2",
+     ["simulate", "--config", "gaussian_transcript_p_est0.2.cfg",
+      "--out", "gaussian_transcript_p_est0.2"]),
     ("session_gaussian_d1_trusted",
      ["simulate", "--config", "gaussian_d1_trusted.cfg", "--out", "session_gaussian_d1_trusted"]),
     # refused configs: exit 2 with one error line

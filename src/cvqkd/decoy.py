@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modulation import SPHERE_DIMS, ModulationScheme, check_integer, read_key, read_lines
+from .modulation import SPHERE_DIMS, ModulationScheme, check_integer, read_key, read_lines, write_keys
 
 log = logging.getLogger(__name__)
 
@@ -49,27 +49,30 @@ class PhotonNumberDistribution:
         return max(0.0, 1.0 - float(np.sum(self.probs)))
 
 
-def _auto_n_max(tail_of):
+def _auto_n_max(tail_of, subject):
+    """The first n = 16 * 2^j with tail_of(n) <= TAIL_BOUND; past 2^20, subject is refused."""
     n = 16
     while tail_of(n) > TAIL_BOUND:
         n *= 2
         if n > 1 << 20:
-            raise RuntimeError("photon-number truncation failed to converge")
+            raise ValueError(f"{subject} is too large: its photon-number law needs more than "
+                             f"{1 << 20} terms to leave a tail below {TAIL_BOUND:g}")
     return n
 
 
-def _poisson_table(means, n_max=None):
+def _poisson_table(means, n_max=None, subject="the largest Poisson mean"):
     """Poisson(mu) weights at k = 0..n_max, one column per mean in means.
 
-    n_max defaults to the _auto_n_max truncation of the widest law.  The
-    formulas are scipy.stats.poisson's pmf and sf, bit for bit.
+    n_max defaults to the _auto_n_max truncation of the widest law, which
+    refuses subject when it is too wide.  The formulas are scipy.stats.poisson's
+    pmf and sf, bit for bit.
     """
     from scipy.special import gammaln, pdtrc, xlogy
 
     means = np.asarray(means, dtype=float)
     if n_max is None:
         n_max = _auto_n_max(
-            lambda n: float(np.max(pdtrc(n, np.maximum(means, 1e-300))))
+            lambda n: float(np.max(pdtrc(n, np.maximum(means, 1e-300)))), subject
         )
     k = np.arange(n_max + 1)[:, None]
     return np.exp(xlogy(k, means) - gammaln(k + 1) - means)
@@ -78,7 +81,8 @@ def _poisson_table(means, n_max=None):
 def f_dist(d, alpha, n_max=None):
     """Sphere-modulation photon-number law: Poisson with mean (d/2) alpha^2."""
     _check_decoy_args(d, alpha)
-    return PhotonNumberDistribution(_poisson_table([(d / 2.0) * alpha * alpha], n_max)[:, 0])
+    mean = (d / 2.0) * alpha * alpha
+    return PhotonNumberDistribution(_poisson_table([mean], n_max, f"alpha={alpha} at d={d}")[:, 0])
 
 
 def g_dist(d, alpha, n_max=None):
@@ -93,7 +97,7 @@ def g_dist(d, alpha, n_max=None):
     m = d // 2
     p_nb = 1.0 / (1.0 + alpha * alpha)
     if n_max is None:
-        n_max = _auto_n_max(lambda n: _ufuncs._nbinom_sf(n, m, p_nb))
+        n_max = _auto_n_max(lambda n: _ufuncs._nbinom_sf(n, m, p_nb), f"alpha={alpha} at d={d}")
     return PhotonNumberDistribution(_ufuncs._nbinom_pmf(np.arange(n_max + 1), m, p_nb))
 
 
@@ -236,14 +240,8 @@ class DecoyDesign:
 
     def save(self, path):
         with open(path, "w") as fh:
-            fh.write("# cvqkd decoy design v1\n")
-            fh.write(f"d {self.d}\n")
-            fh.write(f"alpha {repr(self.alpha)}\n")
-            fh.write(f"p {repr(self.p)}\n")
-            fh.write(f"epsilon {repr(self.epsilon)}\n")
-            fh.write(f"n_max {self.n_max}\n")
-            for r, w in zip(self.radii, self.weights):
-                fh.write(f"{repr(r)},{repr(w)}\n")
+            write_keys(fh, "# cvqkd decoy design v1", ((k, getattr(self, k)) for k in _DESIGN_KEYS))
+            fh.writelines(f"{r},{w}\n" for r, w in zip(self.radii, self.weights))
 
     @classmethod
     def load(cls, path):

@@ -306,6 +306,13 @@ def read_lines(path, parse):
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
 
 
+def write_keys(fh, header, pairs):
+    """Write the header line, then a 'key value' line per pair, the value as its str()."""
+    fh.write(f"{header}\n")
+    for key, value in pairs:
+        fh.write(f"{key} {value}\n")
+
+
 def read_key(line, casts, seen):
     """Store a 'key value' line in the dict seen, cast by casts[key]; a key must be known and new."""
     parts = line.split(None, 1)

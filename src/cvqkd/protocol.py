@@ -9,7 +9,6 @@ estimation blocks, then reconciles the key blocks and bounds the key rate.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import numbers
@@ -621,48 +620,38 @@ def run_session(config):
 def save_transcript(transcript, dir_path):
     """Write the session to a directory: manifest, CSV parts, transform, keys."""
     os.makedirs(dir_path, exist_ok=True)
-    config = transcript.config
+    config, channel = transcript.config, transcript.config.channel
+    pairs = [("flow", config.flow), ("d", config.d), ("alpha", config.alpha),
+             ("n_symbols", config.n_symbols), ("detection", channel.detection),
+             ("t", channel.t), ("xi", channel.xi), ("eta", channel.eta), ("code", config.code),
+             ("seed", config.seed), ("beta_target", config.beta_target),
+             ("t_hat", transcript.t_hat), ("xi_hat", transcript.xi_hat),
+             ("n_est_samples", transcript.n_est_samples)]
+    if transcript.band_kept_fraction is not None:
+        pairs.append(("band_kept_fraction", transcript.band_kept_fraction))
+    if transcript.report is not None:
+        result = transcript.reconcile_result
+        pairs += [("beta_achieved", result.beta_achieved), ("snr_hat", result.snr_hat),
+                  ("k_bound", transcript.report.k), ("n_key_modes", transcript.n_key_modes),
+                  ("emitted_bits", transcript.alice_bits.size)]
+    pairs.append(("events", ",".join(transcript.events)))
     with open(os.path.join(dir_path, "manifest.txt"), "w") as fh:
-        fh.write("# cvqkd session manifest v1\n")
-        fh.write(f"flow {config.flow}\n")
-        fh.write(f"d {config.d}\n")
-        fh.write(f"alpha {repr(config.alpha)}\n")
-        fh.write(f"n_symbols {config.n_symbols}\n")
-        fh.write(f"detection {config.channel.detection}\n")
-        fh.write(f"t {repr(config.channel.t)}\n")
-        fh.write(f"xi {repr(config.channel.xi)}\n")
-        fh.write(f"eta {repr(config.channel.eta)}\n")
-        fh.write(f"code {config.code}\n")
-        fh.write(f"seed {config.seed}\n")
-        fh.write(f"beta_target {repr(config.beta_target)}\n")
-        fh.write(f"t_hat {repr(transcript.t_hat)}\n")
-        fh.write(f"xi_hat {repr(transcript.xi_hat)}\n")
-        fh.write(f"n_est_samples {transcript.n_est_samples}\n")
-        if transcript.band_kept_fraction is not None:
-            fh.write(f"band_kept_fraction {repr(transcript.band_kept_fraction)}\n")
-        if transcript.report is not None:
-            fh.write(f"beta_achieved {repr(transcript.reconcile_result.beta_achieved)}\n")
-            fh.write(f"snr_hat {repr(transcript.reconcile_result.snr_hat)}\n")
-            fh.write(f"k_bound {repr(transcript.report.k)}\n")
-            fh.write(f"n_key_modes {transcript.n_key_modes}\n")
-            fh.write(f"emitted_bits {transcript.alice_bits.size}\n")
-        fh.write("events " + ",".join(transcript.events) + "\n")
+        modulation.write_keys(fh, "# cvqkd session manifest v1", pairs)
 
     outcomes = transcript.outcomes
-    if config.channel.detection == "homodyne":
+    if channel.detection == "homodyne":
         names, columns = ["basis", "y"], [transcript.basis, outcomes]
     else:
         names, columns = ["y_x", "y_p"], list(outcomes.T)
-    write_outcomes = functools.partial(
-        modulation.write_table, os.path.join(dir_path, "outcomes.csv"), "outcomes",
-        ["mode_index"] + names, [np.arange(len(outcomes))] + columns)
     # a worker writes the larger table while this thread writes symbols.csv, then
     # transform.bin: the encoder's numpy steps and the file writes release the GIL,
     # and each file has one writer, so no byte depends on thread timing. The pool
     # joins its worker before an error leaves the block, so outcomes.csv is still
     # written whole, and this thread's error is raised in place of the worker's
     with ThreadPoolExecutor(1) as pool:
-        worker = pool.submit(write_outcomes)
+        worker = pool.submit(modulation.write_table, os.path.join(dir_path, "outcomes.csv"),
+                             "outcomes", ["mode_index"] + names,
+                             [np.arange(len(outcomes))] + columns)
         modulation.write_blocks_csv(
             os.path.join(dir_path, "symbols.csv"), transcript.alice_blocks, transcript.labels)
         with open(os.path.join(dir_path, "transform.bin"), "wb") as fh:

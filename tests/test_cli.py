@@ -378,6 +378,15 @@ def test_decoy_opt_rejects_non_finite_alpha(capsys, alpha):
     assert "alpha must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d, alpha, p", [("8", "200", "0.001"), ("2", "1000", "0.0001")])
+def test_decoy_opt_refuses_an_alpha_too_large_to_truncate(capsys, d, alpha, p):
+    # the photon-number truncation search used to end in a RuntimeError traceback
+    assert main(["decoy-opt", "--d", d, "--alpha", alpha, "--p", p]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and err.count("\n") == 1
+    assert err.startswith(f"error: alpha={float(alpha)} at d={d} is too large")
+
+
 @pytest.mark.parametrize("flag, value, field", [
     ("--max-radii", "0", "n_radii_max"),
     ("--max-radii", "-1", "n_radii_max"),

@@ -78,6 +78,14 @@ def _stats_n_max(sf):
     return n
 
 
+@pytest.mark.parametrize("law, alpha", [(f_dist, 600.0), (g_dist, 200.0)],
+                         ids=["f_dist", "g_dist"])
+def test_laws_refuse_an_alpha_too_wide_to_truncate(law, alpha):
+    # past 2^20 photon numbers the truncation search used to raise a RuntimeError
+    with pytest.raises(ValueError, match=rf"^alpha={alpha} at d=8 is too large: .* 1048576 "):
+        law(8, alpha)
+
+
 # a log grid plus the benchmark designs' alpha (0.5, 1, 2) jittered by 1%
 LAW_ALPHAS = [*np.geomspace(0.05, 5.0, 25),
               *(a * j for a in (0.5, 1.0, 2.0) for j in (0.99, 1.01))]
@@ -620,11 +628,15 @@ def test_design_refuses_a_non_integer_d():
 
 
 def test_design_save_load_roundtrip(tmp_path):
-    design = optimize_decoy(2, 0.5, 0.5)
-    path = tmp_path / "design.txt"
-    design.save(path)
-    loaded = DecoyDesign.load(path)
-    assert loaded == design
+    # numpy scalar inputs used to save as 'alpha np.float64(0.5)', which load refused
+    for alpha, p in ((0.5, 0.5), (np.float64(0.5), np.float64(0.5))):
+        design = optimize_decoy(2, alpha, p)
+        path, again = tmp_path / "design.txt", tmp_path / "again.txt"
+        design.save(path)
+        loaded = DecoyDesign.load(path)
+        assert loaded == design
+        loaded.save(again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 @pytest.mark.parametrize("radii, weights", [((-0.5,), (1.0,)), ((0.5, 1.0), (1.5, -0.5))],

@@ -921,13 +921,20 @@ def test_session_peak_memory_per_symbol(case, design8):
 
 
 def test_manifest_k_bound_is_a_plain_float(tmp_path, gaussian_transcript):
-    # numpy 2 would print np.float64(...) through repr()
-    k = gaussian_transcript.report.k
-    assert type(k) is float
-    save_transcript(gaussian_transcript, tmp_path)
-    lines = (tmp_path / "manifest.txt").read_text().splitlines()
-    assert f"k_bound {k!r}" in lines
-    assert "np." not in "".join(lines)
+    # numpy 2 would print np.float64(...) through repr(); the second session's config
+    # gives alpha, t and beta_target as numpy scalars
+    numpy_config = ProtocolConfig(
+        d=1, alpha=np.float64(1.0), n_symbols=4096, flow="gaussian",
+        beta_target=np.float64(0.95),
+        channel=ChannelParams(t=np.float64(0.9), detection="homodyne"), seed=5)
+    for i, transcript in enumerate((gaussian_transcript, run_session(numpy_config))):
+        k = transcript.report.k
+        assert type(k) is float
+        save_transcript(transcript, tmp_path / str(i))
+        lines = (tmp_path / str(i) / "manifest.txt").read_text().splitlines()
+        assert f"k_bound {k!r}" in lines
+        assert "np." not in "".join(lines)
+    assert {"alpha 1.0", "t 0.9", "beta_target 0.95"} <= set(lines)
 
 
 @pytest.mark.parametrize("name", ["gaussian_transcript", "decoy_transcript"])

@@ -9,14 +9,15 @@ for each command's exit code with its stdout and stderr (the directory's
 path replaced by ``WORK``), it prints one ``sha256  name`` line, then
 deletes the directory; a command without --out writes no file, so only its
 exit code, stdout and stderr are hashed.  The first line names the Python,
-numpy and scipy versions, since the hashes depend on them.  Two checkouts
-produce the same outputs exactly when their listings are equal.
+numpy and scipy versions and the SIMD target of each float64 loop in
+SIMD_LOOPS, since the hashes depend on them.  Two checkouts produce the same
+outputs exactly when their listings are equal.
 
 tools/output_matrix.txt holds the listing of this checkout.  With --check the
 script compares ROOT's listing against it, prints each changed line (``-``
 committed, ``+`` now) and exits 1 on any difference, 0 when all match.  It
-refuses to compare, with exit 2, when the committed versions are not the
-ones running.  A change that alters outputs on purpose rewrites the file:
+refuses to compare, with exit 2, when the committed versions or SIMD targets
+are not the ones running.  A change that alters outputs on purpose rewrites the file:
 
     python3 tools/output_matrix.py > tools/output_matrix.txt
 """
@@ -89,8 +90,8 @@ n_symbols 1000
 DESIGN_HEADER = "# cvqkd decoy design v1\nd {d}\nalpha {alpha}\np 0.5\nepsilon 0.001\nn_max 40\n"
 DESIGN_BAD_VALUE = DESIGN_HEADER.format(d=8, alpha="one") + "1.0,1.0\n"
 DESIGN_D3 = DESIGN_HEADER.format(d=3, alpha="1.0") + "1.0,1.0\n"
-# parity-check code files, a valid one and one with a bit out of range: each path is
-# an unknown code id
+# paths, one to a well-formed parity-check file and one to a file with a bit out of
+# range: each path is an unknown code id
 CODE_VALID = "# n_bits k_bits\n4 2\n0 0\n0 1\n\n1 2 1\n1 3\n"
 CODE_BIT_OUT_OF_RANGE = "4 2\n# check bit\n0 0\n0 7\n"
 # a byte that is not UTF-8 (the files are written as latin-1, so "\xff" is the
@@ -125,6 +126,9 @@ MATRIX = [
       "--out", "design_radii2.txt"]),
     # no design reaches p = 0.9 at (8, 1): exit 1 with one error line
     ("decoy_8_1_0.9_infeasible", ["decoy-opt", "--d", "8", "--alpha", "1.0", "--p", "0.9"]),
+    # the Gaussian law at (8, 200) needs more than 2^20 photon numbers: exit 2 with one
+    # error line
+    ("decoy_8_200_refused", ["decoy-opt", "--d", "8", "--alpha", "200", "--p", "0.001"]),
     ("keyrate_optimize_va",
      ["keyrate", "--sweep", "distance_km", "--start", "0", "--stop", "100", "--steps", "41",
       "--d", "1,2,4,8,inf", "--optimize-va", "--eta", "0.6", "--beta", "0.8",
@@ -200,6 +204,10 @@ MATRIX = [
 
 
 COMMITTED = os.path.join(os.path.dirname(os.path.abspath(__file__)), "output_matrix.txt")
+# float64 loops that numpy runs through a kernel chosen for the CPU at import time
+# (on x86: AVX-512, AVX2 or the baseline), whose results differ in the last bits
+# from one kernel to another; NPY_DISABLE_CPU_FEATURES changes the choice
+SIMD_LOOPS = ("exp", "log", "log2", "log1p", "expm1", "sin", "cos")
 
 
 def _sha256(data):
@@ -207,8 +215,12 @@ def _sha256(data):
 
 
 def _versions():
+    from numpy.lib.introspect import opt_func_info
+
+    loops = opt_func_info(signature="float64")
+    targets = " ".join(f"{name}:{loops[name]['dd']['current']}" for name in SIMD_LOOPS)
     return (f"# python {platform.python_version()} numpy {metadata.version('numpy')} "
-            f"scipy {metadata.version('scipy')}")
+            f"scipy {metadata.version('scipy')} simd {targets}")
 
 
 def _listing(root):

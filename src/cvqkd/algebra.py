@@ -22,8 +22,8 @@ import numpy as np
 
 DIVISION_DIMS = (1, 2, 4, 8)
 # rows per step of every chunked pass: a transposed chunk in mul (the fastest
-# in a sweep at d = 8), and the passes over a session's whole arrays (columns,
-# for a reflection), which so form no whole-array temporary
+# in a sweep at d = 8), and the passes over a session's whole arrays (columns
+# for a reflection, terms for pairwise_sum), which so form no whole-array temporary
 CHUNK_ROWS = 2**13
 
 
@@ -220,15 +220,21 @@ def transform_from_stages(rows) -> OrthogonalTransform:
     return OrthogonalTransform(rows[:kept])
 
 
-def dot(x, y):
-    """np.add.reduce(x * y, axis=-1), bit for bit, holding one chunk of the product.
+def pairwise_sum(terms, stop, start=0):
+    """np.add.reduce over the last axis of the terms [start, stop), bit for bit, one chunk at a time.
 
-    numpy sums a contiguous float64 axis pairwise, splitting n elements at
-    n // 2 rounded down to a multiple of 8; following those splits down to
-    CHUNK_ROWS elements sums the same terms in the same order, which n alone
-    fixes, unlike a BLAS dot's thread split.  Leading axes broadcast.
+    terms(i, j) builds the [i, j) slice of the term vector; leading axes
+    broadcast.  numpy sums a contiguous float64 axis pairwise, splitting n
+    elements at n // 2 rounded down to a multiple of 8; following those
+    splits down to CHUNK_ROWS elements sums the same terms in the same order,
+    which n alone fixes, unlike a BLAS dot's thread split.
     """
-    if x.shape[-1] <= CHUNK_ROWS:
-        return np.add.reduce(x * y, axis=-1)
-    half = x.shape[-1] // 16 * 8  # n // 2 rounded down to a multiple of 8
-    return dot(x[..., :half], y[..., :half]) + dot(x[..., half:], y[..., half:])
+    if stop - start <= CHUNK_ROWS:
+        return np.add.reduce(terms(start, stop), axis=-1)
+    half = start + (stop - start) // 16 * 8  # n // 2 rounded down to a multiple of 8
+    return pairwise_sum(terms, half, start) + pairwise_sum(terms, stop, half)
+
+
+def dot(x, y):
+    """np.add.reduce(x * y, axis=-1), bit for bit, holding one chunk of the product."""
+    return pairwise_sum(lambda i, j: x[..., i:j] * y[..., i:j], x.shape[-1])

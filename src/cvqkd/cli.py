@@ -78,6 +78,9 @@ def _parse_d_list(args, allow_inf):
 
 
 def _sweep_values(args):
+    for flag, value in (("--start", args.start), ("--stop", args.stop)):
+        if not math.isfinite(value):
+            args.parser.error(f"{flag} must be finite, got {value}")
     if args.steps < 2:
         args.parser.error("--steps must be at least 2")
     if args.scale == "log":
@@ -206,8 +209,9 @@ def cmd_decoy_opt(args):
 def cmd_reconcile_bench(args):
     code = protocol.resolve_code(args.code)
     ds = _parse_d_list(args, allow_inf=False)
-    if not args.snr >= 0:
-        args.parser.error(f"--snr must be a nonnegative number, got {args.snr}")
+    if not args.snr > 0 or not all(math.isfinite(1.0 / (d * args.snr)) for d in ds):
+        args.parser.error(f"--snr must be positive, with a finite noise sigma = sqrt(1/(d*snr)), "
+                          f"got {args.snr}")
     if args.seed < 0:
         args.parser.error(f"--seed must be nonnegative, got {args.seed}")
     if args.frames < 1:
@@ -221,12 +225,8 @@ def cmd_reconcile_bench(args):
             rng = np.random.default_rng(child)
             n_blocks = math.ceil(args.frames * code.n_bits / d)
             x = modulation.sample_sphere_blocks(d, 1.0, n_blocks, rng)
-            if math.isfinite(args.snr) and args.snr > 0:
-                sigma = math.sqrt(1.0 / (d * args.snr))
-                y = x + sigma * rng.standard_normal(x.shape)
-            else:
-                sigma = 0.0
-                y = x.copy()
+            sigma = math.sqrt(1.0 / (d * args.snr))  # 0 at --snr inf, the noiseless channel
+            y = x + sigma * rng.standard_normal(x.shape) if math.isfinite(args.snr) else x.copy()
             result = reconciliation.reconcile(x, y, code, rng)
 
             # the virtual channel v = u + w of the reduction reconcile used

@@ -271,11 +271,11 @@ class SessionTranscript:
 def estimate_channel(alice_blocks, bob_blocks, v_a, detection, est=None):
     """(T_hat, xi_hat) from aligned Gaussian-modulated coordinates.
 
-    est is a boolean mask over the blocks (the leading axis) that picks the
-    estimation blocks; None takes every block.  The picked coordinates give
-    the same estimate, bit for bit, as passing the gathered rows: each
-    product is built CHUNK_ROWS blocks at a time into one buffer of the
-    estimation size, and its mean is taken over that buffer.
+    est holds the ascending indices of the estimation blocks (the leading
+    axis); None takes every block.  The picked coordinates give the same
+    estimate, bit for bit, as passing the gathered rows: both products are
+    built one algebra.pairwise_sum slice at a time, from the rows that slice
+    covers, so nothing the size of the estimation is held.
 
     T_hat = (C_hat / V_A)^2 with C_hat the Alice-quadrature/Bob covariance,
     so detector efficiency is folded in exactly as the measurement sees it.
@@ -288,33 +288,26 @@ def estimate_channel(alice_blocks, bob_blocks, v_a, detection, est=None):
         raise ValueError(f"alice ({a.size}) and bob ({y.size}) sample counts differ")
     if detection not in DETECTIONS:
         raise ValueError(f"detection must be one of {DETECTIONS}")
-    est = np.ones(len(a), dtype=bool) if est is None else np.asarray(est, dtype=bool)
     width = math.prod(a.shape[1:])
-    n_samples = int(np.count_nonzero(est)) * width
+    n_samples = (len(a) if est is None else len(est)) * width
     if n_samples < MIN_EST_SAMPLES:
         raise ProtocolError(
             f"only {n_samples} estimation samples, need at least {MIN_EST_SAMPLES}"
         )
-    floor = NOISE_FLOORS[detection]
-    terms = np.empty(n_samples)
 
-    def mean_over_est(term, *arrays):
-        """np.mean of term over the picked coordinates of the arrays, built in terms."""
-        at = 0
-        for start in range(0, len(est), algebra.CHUNK_ROWS):
-            rows = start + np.flatnonzero(est[start : start + algebra.CHUNK_ROWS])
-            part = terms[at : at + rows.size * width]
-            term(*(x[rows].reshape(-1) for x in arrays), out=part)
-            at += part.size
-        return float(np.mean(terms))
+    def products(i, j):
+        """Coordinates [i, j) of the picked ones, as the rows 2a*y and y*y of one array."""
+        lo, hi = i // width, -(-j // width)
+        rows = slice(lo, hi) if est is None else est[lo:hi]
+        part = slice(i - lo * width, j - lo * width)
+        a_part, y_part = a[rows].reshape(-1)[part], y[rows].reshape(-1)[part]
+        return np.stack((modulation.QUADRATURE_SCALE * a_part * y_part, y_part * y_part))
 
-    c_hat = mean_over_est(
-        lambda a, y, out: np.multiply(modulation.QUADRATURE_SCALE * a, y, out=out), a, y)
-    v_y = mean_over_est(lambda y, out: np.multiply(y, y, out=out), y)
+    c_hat, v_y = (algebra.pairwise_sum(products, n_samples) / n_samples).tolist()
     t_hat = (c_hat / v_a) ** 2
     if t_hat < 1e-12:
         raise ProtocolError("estimated transmittance is numerically zero")
-    xi_hat = (v_y - floor - t_hat * v_a) / t_hat
+    xi_hat = (v_y - NOISE_FLOORS[detection] - t_hat * v_a) / t_hat
     return t_hat, xi_hat
 
 
@@ -611,7 +604,7 @@ def run_session(config):
     transcript = flow(config, rng_flow)
     transcript.t_hat, transcript.xi_hat = estimate_channel(
         transcript.alice_blocks, transcript.bob_blocks, config.v_a,
-        config.channel.detection, transcript.labels == 1)
+        config.channel.detection, transcript.est_indices)
     transcript.record("estimated")
     distill(transcript, rng_distill)
     return transcript

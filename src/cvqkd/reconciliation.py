@@ -156,10 +156,10 @@ def reconcile(x_blocks, y_blocks, code, rng):
     del u
     v = alice_reduce(x, t)
     del x
-    w_power = float(np.mean(v * v))
-    sigma2_hat = max(w_power - 1.0 / d, 1e-12)
+    v = v.reshape(-1)
+    sigma2_hat = max(float(algebra.dot(v, v)) / v.size - 1.0 / d, 1e-12)
     snr_hat = 1.0 / (d * sigma2_hat)
-    llr_all = 2.0 * math.sqrt(d) * v.reshape(-1) / sigma2_hat
+    llr_all = 2.0 * math.sqrt(d) * v / sigma2_hat
     del v
 
     used = n_frames * code.n_bits

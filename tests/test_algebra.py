@@ -403,6 +403,21 @@ def test_dot_matches_add_reduce_of_the_product(n):
     _assert_bits_equal(algebra.dot(x, y[0]), np.add.reduce(x * y[0], axis=-1))
     for row, other in zip(x, y):
         _assert_bits_equal(np.array(algebra.dot(row, other)), np.array(np.add.reduce(row * other)))
+    # the reducer itself, over terms [start, stop) that a callback builds as a
+    # (2, j - i) slice, at an offset that is no multiple of 8
+    start = 5
+    pad = np.concatenate([rng.standard_normal(start), x[0]])
+    terms = np.stack((pad * pad, 2.0 * pad))
+    slices = []
+
+    def build(i, j):
+        slices.append((i, j))
+        return terms[:, i:j]
+
+    _assert_bits_equal(algebra.pairwise_sum(build, start + n, start),
+                       np.add.reduce(terms[:, start:], axis=-1))
+    assert slices[0][0] == start and slices[-1][1] == start + n
+    assert all(j - i <= CHUNK for i, j in slices)
 
 
 def test_reflect_in_place_matches_apply():

@@ -281,7 +281,8 @@ def test_simulate_rejects_negative_seed(tmp_path, capsys, where):
     assert err.startswith("error: ") and err.count("\n") == 1 and "seed" in err
 
 
-@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--snr", "nan")])
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--snr", "nan"), ("--snr", "0"),
+                                         ("--snr", "1e-320")])
 def test_reconcile_bench_rejects_bad_seed_and_snr(capsys, flag, value):
     with pytest.raises(SystemExit) as exc_info:
         main(["reconcile-bench", "--frames", "2", flag, value])
@@ -535,10 +536,19 @@ def test_keyrate_log_scale(tmp_path):
       "--transmittance", "0.5", "--distance-km", "10"],
      "give either --transmittance or --distance-km, not both"),
     (["reconcile-bench", "--frames", "0"], "--frames must be at least 1"),
+    # a non-finite bound is refused before np.linspace or np.geomspace would
+    # warn and hand the sweep a nan the user never gave
+    (["keyrate", "--sweep", "alpha", "--start", "2", "--stop", "inf", "--steps", "2",
+      "--d", "8"], "--stop must be finite, got inf"),
+    (["keyrate", "--sweep", "alpha", "--start", "nan", "--stop", "1", "--steps", "2",
+      "--d", "8"], "--start must be finite, got nan"),
+    (["keyrate", "--sweep", "va", "--start", "inf", "--stop", "inf", "--steps", "2",
+      "--scale", "log"], "--start must be finite, got inf"),
 ])
 def test_usage_errors_name_the_flag(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"
-    with pytest.raises(SystemExit) as exc_info:
+    with warnings.catch_warnings(), pytest.raises(SystemExit) as exc_info:
+        warnings.simplefilter("error")
         main([*argv, "--out", str(out)])
     assert exc_info.value.code == 2
     err = capsys.readouterr().err

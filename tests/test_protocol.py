@@ -295,36 +295,57 @@ def test_estimate_channel_refuses_bad_detection_and_zero_transmittance():
 
 
 @pytest.mark.parametrize("shape", [(2 * CHUNK_ROWS + 5,), (2 * CHUNK_ROWS + 5, 1),
-                                   (CHUNK_ROWS + 3, 8), (300, 2)])
+                                   (CHUNK_ROWS + 3, 8), (300, 2), (CHUNK_ROWS + 3, 3)])
 def test_estimate_channel_mask_equals_gathered_rows(shape):
-    # the masked, chunk-built products give the estimate of the gathered rows
-    # bit for bit, and so does passing those rows with no mask
+    # the products built slice by slice from the indexed rows give the
+    # estimate of the gathered rows bit for bit, and so does passing those
+    # rows with no indices; at width 3 the pairwise splits, multiples of 8,
+    # fall inside a block
     rng = np.random.default_rng(sum(shape))
     a = rng.normal(0.0, 0.5, size=shape)
     y = 2.0 * math.sqrt(0.4) * a + rng.standard_normal(shape)
     est = rng.random(shape[0]) < 0.5
     want = session_oracle.estimate_channel(a[est], y[est], 2.0, "heterodyne")
-    assert estimate_channel(a, y, 2.0, "heterodyne", est) == want
+    assert estimate_channel(a, y, 2.0, "heterodyne", np.flatnonzero(est)) == want
     assert estimate_channel(a[est], y[est], 2.0, "heterodyne") == want
-    assert estimate_channel(a, y, 2.0, "heterodyne", np.ones(shape[0], dtype=bool)) == \
+    assert estimate_channel(a, y, 2.0, "heterodyne", np.arange(shape[0])) == \
         session_oracle.estimate_channel(a, y, 2.0, "heterodyne")
 
 
+def test_estimate_channel_holds_no_estimation_size_buffer():
+    # 1e5 indexed blocks of 8 are 8e5 products; summed one pairwise slice at
+    # a time they peak at a few chunks, where one buffer of the products
+    # alone takes 6.4 MB
+    rng = np.random.default_rng(9)
+    a = rng.standard_normal((200_000, 8))
+    y = 0.5 * a + rng.standard_normal(a.shape)
+    est = np.sort(rng.choice(len(a), 100_000, replace=False))
+    tracemalloc.start()
+    try:
+        got = estimate_channel(a, y, 2.0, "heterodyne", est)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == session_oracle.estimate_channel(a[est], y[est], 2.0, "heterodyne")
+    assert peak < 2**20, f"{peak} B"
+
+
 def test_estimate_channel_mask_refuses_as_the_gathered_rows_do():
-    # 12 blocks of 8 are 96 samples: the mask and the gathered rows are refused
+    # 12 blocks of 8 are 96 samples: the indices and the gathered rows are refused
     # with the same text
     rng = np.random.default_rng(4)
     a, y = rng.standard_normal((2, 1000, 8))
     est = np.zeros(1000, dtype=bool)
     est[rng.choice(1000, 12, replace=False)] = True
     texts = []
-    for args in ((a, y, 2.0, "heterodyne", est), (a[est], y[est], 2.0, "heterodyne")):
+    for args in ((a, y, 2.0, "heterodyne", np.flatnonzero(est)),
+                 (a[est], y[est], 2.0, "heterodyne")):
         with pytest.raises(ProtocolError) as error:
             estimate_channel(*args)
         texts.append(str(error.value))
     assert texts == [f"only 96 estimation samples, need at least {MIN_EST_SAMPLES}"] * 2
     est[np.flatnonzero(~est)[:1]] = True
-    assert estimate_channel(a, y, 2.0, "heterodyne", est) == \
+    assert estimate_channel(a, y, 2.0, "heterodyne", np.flatnonzero(est)) == \
         session_oracle.estimate_channel(a[est], y[est], 2.0, "heterodyne")
 
 
@@ -877,13 +898,15 @@ def test_session_bits_do_not_depend_on_the_blas_thread_count():
 
 # Peak traced bytes per symbol of one run_session at 2e5 symbols, the
 # transcript included.  The flows drop each intermediate once it is used, and
-# the channel's signal, the reflections' update, the band's radii and the
-# estimate's products are built CHUNK_ROWS rows at a time, and reconcile drops
+# the channel's signal, the reflections' update and the band's radii are built
+# CHUNK_ROWS rows at a time, the estimate sums its products one pairwise
+# slice at a time from the estimation blocks' indices, and reconcile drops
 # each reduction array (the key rows it is passed included) after its last
-# use: the sessions peak at 39.7 (Gaussian d=1), 76.7 (Gaussian d=8) and
-# 93.7 B (decoy, in Alice's reduction; Bob's peaks at 93.2 B).  With the key
-# rows, u, x and v held through reconcile the last two peaked at 77.9 and
-# 101.2 B.  With the chunked steps over whole arrays, a copy of the reflectors
+# use: the sessions peak at 39.6 (Gaussian d=1), 75.8 (Gaussian d=8) and
+# 93.7 B (decoy, in Alice's reduction; Bob's peaks at 93.2 B).  With one
+# estimation-size buffer of the products and a boolean mask they peaked at
+# 39.7, 76.7 and 93.7 B.  With the key rows, u, x and v held through
+# reconcile the last two peaked at 77.9 and 101.2 B.  With the chunked steps over whole arrays, a copy of the reflectors
 # in the transform's constructor and gathered estimation rows they peaked at
 # 54.0, 97.3 and 103.3 B.  Flows that also hold the modulated blocks, the
 # quadratures and the estimation draw to the end, with int64 labels and

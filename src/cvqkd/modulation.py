@@ -32,9 +32,12 @@ CSV_SCHEMA_V2 = "# cvqkd-csv-v2"
 V2_KINDS = ("symbols", "outcomes")
 # the integer columns of v2 tables, written in decimal; every other v2 column is hex
 V2_INT_COLUMNS = ("block_index", "label", "mode_index", "basis")
+# the integers that read_csv_table's decimal cells of 1 to 18 characters hold
+V2_INT_RANGE = (-(10**17 - 1), 10**18 - 1)
 # rows encoded at a time, so no table's text is held whole: converting whole
 # arrays with .tolist() took the peak memory of a saved 1e6-symbol d=8 session
-# from 260 MB to 450 MB
+# from 260 MB to 450 MB.  Of 2**11 to 2**15, 2**13 and 2**14 encoded fastest on a
+# 2-vCPU Xeon.  Blocks also end where a row index gains a digit: one width each
 CSV_BLOCK_ROWS = 2**14
 
 _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
@@ -42,8 +45,17 @@ _HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
 _HEX_PAIRS = np.frombuffer(b"".join(b"%02x" % i for i in range(256)), dtype=np.uint16)
 _HEX_VALUES = np.full(256, -1, dtype=np.int16)
 _HEX_VALUES[_HEX_DIGITS] = np.arange(16)
+_HEX_VALUES.setflags(write=False)
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _COMMA, _NEWLINE, _MINUS, _ZERO = b",\n-0"
+# two bytes, read as one native uint16 -> their four hex digits in the bytes' order.
+# The digit tables are read-only, as np.frombuffer of bytes makes them
+_HEX_QUADS = np.frombuffer(
+    _HEX_PAIRS[np.arange(2**16, dtype=np.uint16).view(np.uint8).reshape(-1, 2)].tobytes(), np.uint32)
+# 0..99 -> its two decimal digits, and 0..9999 -> its four, zero-padded
+_DECIMAL_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), dtype=np.uint16)
+_DECIMAL_QUADS = np.frombuffer(
+    _DECIMAL_PAIRS[np.arange(10_000)[:, None] // [100, 1] % 100].tobytes(), np.uint32)
 
 
 def check_integer(name, value):
@@ -154,69 +166,80 @@ def label_by_band(blocks, scheme, band):
 def write_table(path, kind, names, columns):
     """Write equal-length columns to path as a cvqkd-csv-v2 table of the given kind.
 
-    Rows are encoded CSV_BLOCK_ROWS at a time: floats as the 16 lowercase hex
-    digits of their big-endian IEEE-754 bits, integers in decimal.
+    A column is 1-D, or a 2-D float group with one column per name.  Rows are
+    encoded CSV_BLOCK_ROWS at a time: floats as the 16 lowercase hex digits of
+    their big-endian IEEE-754 bits, integers in decimal within V2_INT_RANGE.
     """
+    columns = [np.asarray(column) for column in columns]
     n = len(columns[0])
     if any(len(column) != n for column in columns):
         raise ValueError("columns must have equal length")
+    lo, hi = V2_INT_RANGE
+    at = 0
+    for column in columns:
+        if column.dtype.kind not in "iuf":
+            raise TypeError(f"v2 columns hold integers or floats, got dtype {column.dtype}")
+        for value in (column.min(), column.max()) if column.dtype.kind in "iu" and n else ():
+            if not lo <= value <= hi:
+                raise ValueError(f"column {names[at]}: integer {value} outside [{lo}, {hi}]")
+        at += 1 if column.ndim == 1 else column.shape[1]
+    edges = np.union1d(np.arange(0, n, CSV_BLOCK_ROWS), _POW10[1:][_POW10[1:] < n])
     with open(path, "wb") as fh:
         fh.write(f"{CSV_SCHEMA_V2} {kind}\n{','.join(names)}\n".encode("ascii"))
-        for start in range(0, n, CSV_BLOCK_ROWS):
-            fh.write(_encode_v2_rows([c[start : start + CSV_BLOCK_ROWS] for c in columns]))
+        for start, stop in zip(edges, [*edges[1:], n]):
+            fh.write(_encode_v2_rows([column[start:stop] for column in columns]))
 
 
 def _hex_cells(values):
-    """(n, 16) ASCII hex digits of the big-endian IEEE-754 bits of the values."""
-    raw = np.ascontiguousarray(values, dtype=">f8").view(np.uint8)
-    return np.take(_HEX_PAIRS, raw).view(np.uint8).reshape(-1, 16)
+    """(n, g, 16) ASCII hex digits of the big-endian IEEE-754 bits of n rows of g floats."""
+    raw = np.ascontiguousarray(values, dtype=">f8").reshape(len(values), -1)
+    return np.take(_HEX_QUADS, raw.view(np.uint16)).view(np.uint8).reshape(len(raw), -1, 16)
 
 
 def _decimal_cells(values):
-    """Right-aligned ASCII decimal cells of integers, (n, w), and the mask of bytes in use.
+    """(n, 1, w) right-aligned ASCII decimal cells of integers, and the (n, w) mask of bytes in use.
 
-    The mask is None when every cell fills the width.
+    The mask is None when the least and greatest value have one sign and one width, as then all do.
     """
     values = np.asarray(values, dtype=np.int64)
-    neg = values < 0
     q = np.abs(values)
-    width = np.searchsorted(_POW10[1:], q, side="right") + 1 + neg
-    w = int(width.max(initial=1))
-    cells = np.empty((values.size, w), dtype=np.uint8)
-    for j in range(w - 1, -1, -1):
-        q, cells[:, j] = np.divmod(q, 10)
-    cells += _ZERO
-    rows = np.flatnonzero(neg)
+    lo, hi = str(values.min()), str(values.max())
+    w = max(len(lo), len(hi))
+    uniform = len(lo) == len(hi) and lo.startswith("-") == hi.startswith("-")
+    width = np.broadcast_to(w, values.shape) if uniform else (
+        np.searchsorted(_POW10[1:], q, side="right") + 1 + (values < 0))
+    quads = np.empty((values.size, -(-w // 4)), dtype=np.uint32)
+    for j in range(quads.shape[1] - 1, 0, -1):
+        high = q // 10_000  # numpy divides by a constant faster than np.divmod does
+        quads[:, j] = _DECIMAL_QUADS[q - high * 10_000]
+        q = high
+    quads[:, 0] = _DECIMAL_QUADS[q]
+    cells = quads.view(np.uint8)[:, -w:]
+    rows = np.flatnonzero(values < 0)
     cells[rows, w - width[rows]] = _MINUS
-    if width.min(initial=w) == w:
-        return cells, None
-    return cells, np.arange(w) >= (w - width)[:, None]
+    return cells[:, None], None if uniform else np.arange(w) >= (w - width)[:, None]
 
 
 def _encode_v2_rows(columns):
-    """One block of v2 rows as a uint8 array of ASCII bytes."""
-    parts = []
-    for column in columns:
-        column = np.asarray(column)
-        if column.dtype.kind in "iu":
-            parts.append(_decimal_cells(column))
-        elif column.dtype.kind == "f":
-            parts.append((_hex_cells(column), None))
-        else:
-            raise TypeError(f"v2 columns hold integers or floats, got dtype {column.dtype}")
-    out = np.empty((len(columns[0]), sum(cells.shape[1] + 1 for cells, _ in parts)), np.uint8)
-    keep = None
-    at = 0
-    for cells, used in parts:
-        w = cells.shape[1]
-        out[:, at : at + w] = cells
-        out[:, at + w] = _COMMA
-        if used is not None:
-            if keep is None:
-                keep = np.ones(out.shape, dtype=bool)
-            keep[:, at : at + w] = used
-        at += w + 1
+    """One block of v2 rows as a uint8 array of ASCII bytes.
+
+    Each column's (n, g, w) cells go in with one copy, as the fields of g
+    records of a cell and its comma.  Only integer cells of mixed width
+    leave bytes out, by a mask over the rows.
+    """
+    parts = [_decimal_cells(c) if c.dtype.kind in "iu" else (_hex_cells(c), None)
+             for c in columns]
+    offsets = np.cumsum([0] + [cells.shape[1] * (cells.shape[2] + 1) for cells, _ in parts])
+    out = np.full((len(columns[0]), offsets[-1]), _COMMA, dtype=np.uint8)
     out[:, -1] = _NEWLINE
+    keep = None
+    for (cells, used), start, stop in zip(parts, offsets, offsets[1:]):
+        w = cells.shape[2]
+        cell = np.dtype({"names": ["cell"], "formats": [f"V{w}"], "itemsize": w + 1})
+        out[:, start:stop].view(cell)["cell"] = cells.view(f"V{w}")[..., 0]
+        if used is not None:
+            keep = np.ones(out.shape, dtype=bool) if keep is None else keep
+            keep[:, start : start + w] = used
     return out.reshape(-1) if keep is None else out[keep]
 
 
@@ -228,7 +251,7 @@ def write_blocks_csv(path, blocks, labels):
     if labels.shape != (n,):
         raise ValueError("one label per block required")
     names = ["block_index"] + [f"coord_{i}" for i in range(d)] + ["label"]
-    write_table(path, "symbols", names, [np.arange(n), *blocks.T, labels])
+    write_table(path, "symbols", names, [np.arange(n), blocks, labels])
 
 
 def read_csv_table(path):

@@ -350,7 +350,7 @@ def _choose(uniforms, p):
     """rng.choice(len(p), p=p) from its rng.random draws: each counts p's cdf entries <= it."""
     picks = np.zeros(len(uniforms), dtype=np.min_scalar_type(-len(p)))
     cdf = np.cumsum(p)
-    for c in cdf / cdf[-1]:
+    for c in (cdf / cdf[-1])[:-1]:  # the last entry is 1.0, above every draw in [0, 1)
         picks += uniforms >= c
     return picks
 
@@ -635,7 +635,7 @@ def save_transcript(transcript, dir_path):
     if channel.detection == "homodyne":
         names, columns = ["basis", "y"], [transcript.basis, outcomes]
     else:
-        names, columns = ["y_x", "y_p"], list(outcomes.T)
+        names, columns = ["y_x", "y_p"], [outcomes]
     # a worker writes the larger table while this thread writes symbols.csv, then
     # transform.bin: the encoder's numpy steps and the file writes release the GIL,
     # and each file has one writer, so no byte depends on thread timing. The pool

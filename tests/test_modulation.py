@@ -12,9 +12,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import special, stats
 
 import session_oracle
+from conftest import PROPERTY
 from cvqkd import modulation as mod
 from cvqkd.algebra import CHUNK_ROWS
 from cvqkd.channel import ChannelParams, add_signal
@@ -407,6 +410,66 @@ def test_v2_rows_span_several_blocks(tmp_path, monkeypatch):
     got = np.column_stack([table[f"coord_{i}"] for i in range(8)])
     assert np.array_equal(_bits(got), _bits(blocks))
     assert np.array_equal(table["label"], labels)
+
+
+# float64 bit patterns the hex cells must keep: signed zeros, the subnormal
+# ends, the normal ends, infinities, and NaNs quiet and signalling, of either sign
+_SPECIAL_BITS = [0, 1 << 63, 1, 0x000FFFFFFFFFFFFF, (1 << 63) | 1, 0x0010000000000000,
+                 0x7FEFFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000,
+                 0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                 0x7FF4000000000123, 0xFFFFFFFFFFFFFFFF]
+_INT_DTYPES = {"int8": (-128, 127), "uint8": (0, 255), "int64": mod.V2_INT_RANGE}
+
+
+@st.composite
+def _v2_tables(draw):
+    """(block rows, columns) of a v2 table of 1 to 40 rows: a row index from
+    near a power of ten, an int8, a uint8 and an int64 column, and 1-D and 2-D
+    float groups.  test_empty_v2_table_roundtrip covers 0 rows."""
+    n = draw(st.integers(1, 40))
+    start = draw(st.sampled_from([0, 1, 7, 95, 9_990, 10**17 - 20, 10**18 - 1 - n]))
+    columns = [np.arange(start, start + n)]
+    for dtype, (lo, hi) in _INT_DTYPES.items():
+        # any width from 1 digit to the dtype's widest, either sign
+        values = st.one_of(st.sampled_from([lo, hi, max(lo, -1), 0]),
+                           st.builds(lambda v, k: v // 10**k, st.integers(lo, hi), st.integers(0, 18)))
+        columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype))
+    bits = st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(0, 2**64 - 1))
+    for width in draw(st.lists(st.sampled_from([None, 1, 2, 8]), min_size=1, max_size=3)):
+        group = draw(st.lists(bits, min_size=n * (width or 1), max_size=n * (width or 1)))
+        group = np.array(group, dtype=np.uint64).view(float)
+        columns.append(group if width is None else group.reshape(n, width))
+    return draw(st.sampled_from([1, 3, 7, 16])), columns
+
+
+@PROPERTY
+@given(_v2_tables())
+def test_write_table_matches_per_cell_reference(tmp_path_factory, table):
+    # every cell as struct and b"%d" write it, whichever block it falls in
+    block_rows, columns = table
+    names = [f"c{i}" for i, c in enumerate(columns) for _ in range(c.size // len(c))]
+    path = tmp_path_factory.mktemp("v2") / "table.csv"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mod, "CSV_BLOCK_ROWS", block_rows)
+        mod.write_table(path, "outcomes", names, columns)
+    cells = [np.asarray(c, dtype=object).reshape(len(c), -1) for c in columns]
+    rows = b"".join(
+        b",".join(struct.pack(">d", v).hex().encode() if isinstance(v, float) else b"%d" % v
+                  for c in cells for v in c[r]) + b"\n"
+        for r in range(len(columns[0])))
+    assert path.read_bytes() == f"# cvqkd-csv-v2 outcomes\n{','.join(names)}\n".encode() + rows
+
+
+@pytest.mark.parametrize("column, value", [
+    (np.array([-2**63]), -2**63), (np.array([2**63], dtype=np.uint64), 2**63),
+    (np.array([7, 10**18, 3]), 10**18)], ids=["int64-min", "uint64-2**63", "19-digits"])
+def test_write_table_refuses_integers_the_reader_refuses(tmp_path, column, value):
+    # -2**63 overflowed np.abs and 2**63 wrapped to int64, both written as -2;
+    # 10**18 wrote a cell of 19 characters, which read_csv_table refuses
+    path = tmp_path / "a.csv"
+    with pytest.raises(ValueError, match=f"column mode_index: integer {value} outside"):
+        mod.write_table(path, "outcomes", ["mode_index", "y"], [column, np.zeros(len(column))])
+    assert not path.exists()
 
 
 def test_empty_v2_table_roundtrip(tmp_path):

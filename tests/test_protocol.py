@@ -860,6 +860,27 @@ def test_gaussian_flow_ignores_p(case):
     assert _session_digest(run_session(ProtocolConfig(p_est=0.5, p=0.5, seed=5, **kwargs))) == pin
 
 
+# sha256 of each file that save_transcript writes for the gaussian_d1_homodyne
+# session: its labels hold -1 beside 0 and 1, so symbols.csv takes the
+# encoder's mixed-width path, and its outcomes table carries basis
+SAVED_FILE_PINS = {
+    "alice_key.txt": "ce8732c426149cb7a8961969feff433254bfba7a02a670d6d8ca384243e7b7ba",
+    "bob_key.txt": "ce8732c426149cb7a8961969feff433254bfba7a02a670d6d8ca384243e7b7ba",
+    "manifest.txt": "7c89e38dd8c724ca471c286c34892ab80d9e0244489ac08820a7b6845f542900",
+    "outcomes.csv": "203d120254d323f7d47f046a0484e32a3599e5c9a2673f647adb72b221ac511b",
+    "symbols.csv": "97f0dacef102b6197f8503659e4f3381e9e18085bd02c350c4437e28961cbefb",
+    "transform.bin": "bd28fa586cc6051eb59227b6a832609d834d34c0a4808f6677ad9e21faab7278",
+}
+
+
+def test_saved_session_bytes_pinned(tmp_path):
+    _, kwargs = SESSION_PINS["gaussian_d1_homodyne"]
+    save_transcript(run_session(ProtocolConfig(p_est=0.5, seed=5, **kwargs)), tmp_path)
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.iterdir()}
+    assert digests == SAVED_FILE_PINS
+
+
 # One session per flow, 24,000 coordinates each: from n = 20,000 on, a BLAS
 # dot gives different bits on 1 and 2 OpenBLAS threads.  Prints one digest per array
 THREAD_COUNT_SESSIONS = """

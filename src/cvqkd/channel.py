@@ -16,6 +16,7 @@ measured.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,10 +82,17 @@ class ChannelParams:
 
 
 def distance_to_T(d_km):
-    """Fiber transmittance 10^(-FIBER_LOSS_DB_PER_KM * d / 10)."""
-    if d_km < 0:
-        raise ValueError("distance must be nonnegative")
-    return 10.0 ** (-FIBER_LOSS_DB_PER_KM * d_km / 10.0)
+    """Fiber transmittance 10^(-FIBER_LOSS_DB_PER_KM * d / 10) of a distance d >= 0 km.
+
+    The error names a distance whose t is not a normal float: beyond about 15,380 km.
+    """
+    if not d_km >= 0:
+        raise ValueError(f"distance must be nonnegative, got {d_km}")
+    t = 10.0 ** (-FIBER_LOSS_DB_PER_KM * d_km / 10.0)
+    if t < sys.float_info.min:
+        raise ValueError(f"distance {d_km} km gives transmittance {t}, "
+                         f"below the least normal float {sys.float_info.min}")
+    return t
 
 
 def draw_basis(basis, rng):

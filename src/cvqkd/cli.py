@@ -123,7 +123,7 @@ def cmd_keyrate(args):
         try:
             base_t = distance_to_T(args.distance_km)
         except ValueError as exc:
-            args.parser.error(f"--distance-km: {exc}, got {args.distance_km}")
+            args.parser.error(f"--distance-km: {exc}")
     if base_t is None:
         base_t = 1.0
 

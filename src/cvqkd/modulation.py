@@ -66,7 +66,7 @@ def check_integer(name, value):
 
 @dataclass(frozen=True)
 class ModulationScheme:
-    """Block dimension d in {1, 2, 4, 8} and coherent amplitude alpha."""
+    """Block dimension d in {1, 2, 4, 8} and amplitude alpha with a usable V_A = 2 alpha^2."""
 
     d: int
     alpha: float
@@ -77,6 +77,7 @@ class ModulationScheme:
             raise ValueError(f"d must be one of {DIVISION_DIMS}, got {self.d}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        modulation_variance(self.alpha)
 
     @property
     def sphere_radius(self) -> float:
@@ -164,30 +165,49 @@ def label_by_band(blocks, scheme, band):
 
 
 def write_table(path, kind, names, columns):
-    """Write equal-length columns to path as a cvqkd-csv-v2 table of the given kind.
+    """Write a row index and equal-length columns to path as a cvqkd-csv-v2 table of the given kind.
 
-    A column is 1-D, or a 2-D float group with one column per name.  Rows are
-    encoded CSV_BLOCK_ROWS at a time: floats as the 16 lowercase hex digits of
-    their big-endian IEEE-754 bits, integers in decimal within V2_INT_RANGE.
+    names[0] names the row index, which each block of rows makes for itself;
+    the other names name the cells of columns in order, each name once.  A
+    column is 1-D, or a 2-D float group with one name per column.  Integer
+    columns are named in V2_INT_COLUMNS and float columns outside it, as
+    read_csv_table reads them.  Rows are encoded CSV_BLOCK_ROWS at a time:
+    floats as the 16 lowercase hex digits of their big-endian IEEE-754 bits,
+    integers in decimal within V2_INT_RANGE.
     """
     columns = [np.asarray(column) for column in columns]
     n = len(columns[0])
     if any(len(column) != n for column in columns):
         raise ValueError("columns must have equal length")
+    widths = [math.prod(column.shape[1:]) for column in columns]
+    if len(set(names)) != len(names) or len(names) != 1 + sum(widths):
+        raise ValueError(f"names {names} do not name the row index and the "
+                         f"{sum(widths)} cell columns one each")
     lo, hi = V2_INT_RANGE
     at = 0
-    for column in columns:
-        if column.dtype.kind not in "iuf":
-            raise TypeError(f"v2 columns hold integers or floats, got dtype {column.dtype}")
-        for value in (column.min(), column.max()) if column.dtype.kind in "iu" and n else ():
+    # the row index is checked as an empty integer column under names[0]
+    for column, width in zip([np.arange(0), *columns], [1, *widths]):
+        integer = column.dtype.kind in "iu"
+        if not integer and column.dtype.kind != "f":
+            raise TypeError(f"column {names[at]}: v2 columns hold integers or floats, "
+                            f"got dtype {column.dtype}")
+        if integer and column.ndim != 1:
+            raise ValueError(f"column {names[at]}: an integer column is 1-D, "
+                             f"got shape {column.shape}")
+        for name in names[at : at + width]:
+            if (name in V2_INT_COLUMNS) != integer:
+                raise ValueError(f"column {name}: {column.dtype} cells where the reader reads "
+                                 f"{'hex floats' if integer else 'decimal integers'}")
+        for value in (column.min(), column.max()) if integer and column.size else ():
             if not lo <= value <= hi:
                 raise ValueError(f"column {names[at]}: integer {value} outside [{lo}, {hi}]")
-        at += 1 if column.ndim == 1 else column.shape[1]
+        at += width
     edges = np.union1d(np.arange(0, n, CSV_BLOCK_ROWS), _POW10[1:][_POW10[1:] < n])
     with open(path, "wb") as fh:
         fh.write(f"{CSV_SCHEMA_V2} {kind}\n{','.join(names)}\n".encode("ascii"))
         for start, stop in zip(edges, [*edges[1:], n]):
-            fh.write(_encode_v2_rows([column[start:stop] for column in columns]))
+            fh.write(_encode_v2_rows([np.arange(start, stop),
+                                      *(column[start:stop] for column in columns)]))
 
 
 def _hex_cells(values):
@@ -241,17 +261,6 @@ def _encode_v2_rows(columns):
             keep = np.ones(out.shape, dtype=bool) if keep is None else keep
             keep[:, start : start + w] = used
     return out.reshape(-1) if keep is None else out[keep]
-
-
-def write_blocks_csv(path, blocks, labels):
-    """Dump blocks as a v2 symbols table: block_index, coord_0..coord_{d-1}, label."""
-    blocks = np.atleast_2d(np.asarray(blocks, dtype=float))
-    n, d = blocks.shape
-    labels = np.asarray(labels)
-    if labels.shape != (n,):
-        raise ValueError("one label per block required")
-    names = ["block_index"] + [f"coord_{i}" for i in range(d)] + ["label"]
-    write_table(path, "symbols", names, [np.arange(n), blocks, labels])
 
 
 def read_csv_table(path):

@@ -67,7 +67,6 @@ class ProtocolConfig:
                 if isinstance(value, bool) or not isinstance(value, numbers.Real):
                     raise ConfigError(f"{name} must be a number, got {value!r}")
             ModulationScheme(self.d, self.alpha)
-            modulation.modulation_variance(self.alpha)
             if self.channel is None:
                 object.__setattr__(self, "channel", _default_channel(self.d))
             if self.n_symbols < 1:
@@ -631,11 +630,11 @@ def save_transcript(transcript, dir_path):
     with open(os.path.join(dir_path, "manifest.txt"), "w") as fh:
         modulation.write_keys(fh, "# cvqkd session manifest v1", pairs)
 
-    outcomes = transcript.outcomes
     if channel.detection == "homodyne":
-        names, columns = ["basis", "y"], [transcript.basis, outcomes]
+        names, columns = ["basis", "y"], [transcript.basis, transcript.outcomes]
     else:
-        names, columns = ["y_x", "y_p"], [outcomes]
+        names, columns = ["y_x", "y_p"], [transcript.outcomes]
+    coords = [f"coord_{i}" for i in range(transcript.alice_blocks.shape[1])]
     # a worker writes the larger table while this thread writes symbols.csv, then
     # transform.bin: the encoder's numpy steps and the file writes release the GIL,
     # and each file has one writer, so no byte depends on thread timing. The pool
@@ -643,10 +642,10 @@ def save_transcript(transcript, dir_path):
     # written whole, and this thread's error is raised in place of the worker's
     with ThreadPoolExecutor(1) as pool:
         worker = pool.submit(modulation.write_table, os.path.join(dir_path, "outcomes.csv"),
-                             "outcomes", ["mode_index"] + names,
-                             [np.arange(len(outcomes))] + columns)
-        modulation.write_blocks_csv(
-            os.path.join(dir_path, "symbols.csv"), transcript.alice_blocks, transcript.labels)
+                             "outcomes", ["mode_index", *names], columns)
+        modulation.write_table(os.path.join(dir_path, "symbols.csv"), "symbols",
+                               ["block_index", *coords, "label"],
+                               [transcript.alice_blocks, transcript.labels])
         with open(os.path.join(dir_path, "transform.bin"), "wb") as fh:
             transcript.transform.write(fh)
         worker.result()

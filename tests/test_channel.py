@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -38,8 +39,15 @@ def test_distance_to_transmittance():
     assert abs(ch.distance_to_T(50.0) - 0.1) < 1e-15
     assert abs(ch.distance_to_T(100.0) - 0.01) < 1e-16
     assert abs(ch.distance_to_T(10.0) - 10 ** -0.2) < 1e-15
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^distance must be nonnegative, got -1\.0$"):
         ch.distance_to_T(-1.0)
+    # t stays a normal float to about 15,380 km and is 0.0 beyond about 16,170 km
+    assert ch.distance_to_T(15_380.0) >= sys.float_info.min
+    for d_km, t in ((15_390.0, r"1\.58\d*e-308"), (1e5, "0.0"), (math.inf, "0.0")):
+        with pytest.raises(ValueError, match=f"^distance {d_km} km gives transmittance {t}"):
+            ch.distance_to_T(d_km)
+    with pytest.raises(ValueError, match="^distance must be nonnegative, got nan$"):
+        ch.distance_to_T(math.nan)
 
 
 def test_params_validation():

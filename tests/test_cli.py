@@ -379,6 +379,16 @@ def test_decoy_opt_rejects_non_finite_alpha(capsys, alpha):
     assert "alpha must be finite and positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["1e-200", "1e-160"])
+def test_decoy_opt_refuses_an_alpha_whose_v_a_underflows(capsys, alpha):
+    # V_A = 2 alpha^2 is 0 and subnormal: simulate and keyrate --sweep alpha
+    # refuse these, and decoy-opt printed a design for them
+    assert main(["decoy-opt", "--d", "8", "--alpha", alpha, "--p", "0.5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: alpha {float(alpha)} gives V_A = 2 alpha^2 = ")
+
+
 @pytest.mark.parametrize("d, alpha, p", [("8", "200", "0.001"), ("2", "1000", "0.0001")])
 def test_decoy_opt_refuses_an_alpha_too_large_to_truncate(capsys, d, alpha, p):
     # the photon-number truncation search used to end in a RuntimeError traceback
@@ -498,11 +508,15 @@ def test_keyrate_alpha_sweep_refuses_negative_alpha(tmp_path, capsys):
     (["--sweep", "va", "--start", "0", "--stop", "2", "--d", "8"],
      "modulation variance v_a must be finite and positive, got 0.0"),
     (["--sweep", "distance_km", "--start", "-5", "--stop", "10", "--d", "8"],
-     "distance must be nonnegative"),
+     "distance must be nonnegative, got -5.0"),
+    # t = 10^(-0.02 d) is 0.0 at 1e5 km: the error names the distance, not t
+    (["--sweep", "distance_km", "--start", "0", "--stop", "1e5", "--d", "8"],
+     "distance 100000.0 km gives transmittance 0.0, below the least normal float "
+     "2.2250738585072014e-308"),
     (["--sweep", "xi", "--start", "0", "--stop", "0.01", "--d", "1", "--detection", "heterodyne"],
      "d=1 does not pair with heterodyne detection; homodyne serves d=1, heterodyne d in "
      "{2, 4, 8}, either serves d=inf"),
-], ids=["va_zero", "negative_distance", "d1_heterodyne"])
+], ids=["va_zero", "negative_distance", "distance_underflow", "d1_heterodyne"])
 def test_refused_keyrate_writes_nothing(tmp_path, capsys, argv, message):
     # every report is computed before --out is opened or stdout is written
     out = tmp_path / "refused.csv"
@@ -544,6 +558,12 @@ def test_keyrate_log_scale(tmp_path):
       "--d", "8"], "--start must be finite, got nan"),
     (["keyrate", "--sweep", "va", "--start", "inf", "--stop", "inf", "--steps", "2",
       "--scale", "log"], "--start must be finite, got inf"),
+    # a base distance whose transmittance underflows, or a nan one, is named as given
+    (["keyrate", "--sweep", "xi", "--start", "0", "--stop", "0.01", "--steps", "2",
+      "--distance-km", "1e5"], "--distance-km: distance 100000.0 km gives transmittance 0.0, "
+     "below the least normal float 2.2250738585072014e-308"),
+    (["keyrate", "--sweep", "xi", "--start", "0", "--stop", "0.01", "--steps", "2",
+      "--distance-km", "nan"], "--distance-km: distance must be nonnegative, got nan"),
 ])
 def test_usage_errors_name_the_flag(tmp_path, capsys, argv, message):
     out = tmp_path / "out.csv"

@@ -224,13 +224,20 @@ def test_p_succ_invalid_inputs():
         p_succ(3, 0.5)
 
 
-@pytest.mark.parametrize("alpha", [math.nan, math.inf, 0.0])
+# 1e-200 passes as finite and positive, but V_A = 2 alpha^2 underflows to 0.0:
+# the one V_A boundary of modulation_variance, as simulate and keyrate apply it
+@pytest.mark.parametrize("alpha, message", [
+    (math.nan, "alpha must be finite and positive"),
+    (math.inf, "alpha must be finite and positive"),
+    (0.0, "alpha must be finite and positive"),
+    (1e-200, r"^alpha 1e-200 gives V_A = 2 alpha\^2 = 0\.0, outside"),
+], ids=["nan", "inf", "0.0", "1e-200"])
 @pytest.mark.parametrize("call", [
     f_dist, g_dist, povm_scale, p_succ, lambda d, alpha: p_succ(1, alpha),
     lambda d, alpha: optimize_decoy(d, alpha, 0.5),
 ], ids=["f_dist", "g_dist", "povm_scale", "p_succ", "p_succ_d1", "optimize_decoy"])
-def test_entry_points_reject_bad_alpha(call, alpha):
-    with pytest.raises(ValueError, match="alpha must be finite and positive"):
+def test_entry_points_reject_bad_alpha(call, alpha, message):
+    with pytest.raises(ValueError, match=message):
         call(8, alpha)
 
 
@@ -658,9 +665,11 @@ def test_design_validation():
 @pytest.mark.parametrize("good_line, bad_line, message", [
     ("d 2", "d 3", "d must be one of (2, 4, 8), got 3"),
     ("alpha 0.5", "alpha -1.0", "alpha must be finite and positive, got -1.0"),
+    ("alpha 0.5", "alpha 1e-200", "alpha 1e-200 gives V_A = 2 alpha^2 = 0.0, outside "
+     "[2.2250738585072014e-308, 1.7976931348623157e+308]"),
     ("p 0.5", "p 1.5", "key fraction p must lie in [0, 1), got 1.5"),
     ("n_max 8", "n_max -5", "n_max must be at least 1, got -5"),
-], ids=["d", "alpha", "p", "n_max"])
+], ids=["d", "alpha", "alpha_v_a", "p", "n_max"])
 def test_design_load_refuses_out_of_range_fields(tmp_path, good_line, bad_line, message):
     # the same bounds and messages as optimize_decoy
     path = tmp_path / "design.txt"

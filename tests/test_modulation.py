@@ -290,7 +290,8 @@ def test_blocks_csv_roundtrip(tmp_path):
     blocks = rng.standard_normal((5, 4))
     labels = np.array([0, 0, 2, 1, -1])
     path = tmp_path / "blocks.csv"
-    mod.write_blocks_csv(path, blocks, labels)
+    names = ["block_index"] + [f"coord_{i}" for i in range(4)] + ["label"]
+    mod.write_table(path, "symbols", names, [blocks, labels])
     kind, table = mod.read_csv_table(path)
     got = np.column_stack([table[f"coord_{i}"] for i in range(4)])
     assert kind == "symbols"
@@ -307,17 +308,55 @@ def test_blocks_csv_rejects_unknown_file(tmp_path):
         mod.read_csv_table(path)
 
 
+SYMBOL_NAMES = ["block_index", "coord_0", "coord_1", "label"]
+
+
 def test_blocks_csv_rejects_bad_arguments(tmp_path):
-    with pytest.raises(ValueError, match="one label per block"):
-        mod.write_blocks_csv(tmp_path / "a.csv", np.ones((3, 2)), [0, 1])
-    with pytest.raises(TypeError, match="integers or floats"):
-        mod.write_blocks_csv(tmp_path / "a.csv", np.ones((3, 2)), ["key", "est", "key"])
+    path = tmp_path / "a.csv"
+    with pytest.raises(ValueError, match="columns must have equal length"):
+        mod.write_table(path, "symbols", SYMBOL_NAMES, [np.ones((3, 2)), [0, 1]])
+    with pytest.raises(TypeError, match="column label: v2 columns hold integers or floats"):
+        mod.write_table(path, "symbols", SYMBOL_NAMES, [np.ones((3, 2)), ["key", "est", "key"]])
+    assert not path.exists()
 
 
 def test_write_table_refuses_unequal_columns(tmp_path):
     path = tmp_path / "a.csv"
     with pytest.raises(ValueError, match="columns must have equal length"):
-        mod.write_table(path, "outcomes", ["mode_index", "y"], [np.arange(3), np.zeros(2)])
+        mod.write_table(path, "outcomes", ["mode_index", "basis", "y"],
+                        [np.zeros(3, dtype=int), np.zeros(2)])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("names, columns, message", [
+    # a name short or over: the rows' cells and the header disagree
+    (["mode_index"], [np.zeros(3)],
+     r"names \['mode_index'\] do not name the row index and the 1 cell columns one each"),
+    (["mode_index", "y_x", "y_p"], [np.zeros(3)], "do not name the row index and the 1 cell"),
+    (["mode_index", "y"], [np.zeros((3, 2))], "do not name the row index and the 2 cell"),
+    # two columns of one name, of which the reader's dict keeps the last
+    (["mode_index", "y", "y"], [np.zeros(3), np.ones(3)],
+     "do not name the row index and the 2 cell"),
+    # integers under a hex name, floats under a decimal name, the index under a hex name
+    (["mode_index", "y"], [np.array([1, 2, 3])],
+     "column y: int64 cells where the reader reads hex floats"),
+    (["mode_index", "basis"], [np.zeros(3)],
+     "column basis: float64 cells where the reader reads decimal integers"),
+    (["y", "basis"], [np.zeros(3, dtype=int)],
+     "column y: int64 cells where the reader reads hex floats"),
+    (["mode_index", "y_x", "label"], [np.zeros((3, 2))],
+     "column label: float64 cells where the reader reads decimal integers"),
+    # a 2-D integer group, which no cell encoder lays out
+    (["mode_index", "basis", "label"], [np.zeros((3, 2), dtype=int)],
+     r"column basis: an integer column is 1-D, got shape \(3, 2\)"),
+], ids=["short", "over", "over-2d", "duplicate", "int-as-hex", "float-as-int", "index-as-hex",
+        "group-as-int", "2d-int"])
+def test_write_table_refuses_tables_the_reader_refuses(tmp_path, names, columns, message):
+    # each of these wrote a header and rows that read_csv_table refused or
+    # misread, or failed in the encoder after the header; now none opens the file
+    path = tmp_path / "a.csv"
+    with pytest.raises(ValueError, match=message):
+        mod.write_table(path, "outcomes", names, columns)
     assert not path.exists()
 
 
@@ -352,7 +391,7 @@ def _bits(values):
 def test_symbols_golden_bytes(tmp_path):
     blocks = np.array([[1.0, -0.0], [5e-324, math.inf], [math.nan, -2.5]])
     path = tmp_path / "symbols.csv"
-    mod.write_blocks_csv(path, blocks, np.array([0, -1, 2]))
+    mod.write_table(path, "symbols", SYMBOL_NAMES, [blocks, np.array([0, -1, 2])])
     assert path.read_bytes() == GOLDEN_SYMBOLS
     kind, table = mod.read_csv_table(path)
     assert kind == "symbols"
@@ -376,7 +415,7 @@ def test_symbols_golden_bytes(tmp_path):
 )
 def test_outcomes_golden_bytes(tmp_path, names, columns, golden):
     path = tmp_path / "outcomes.csv"
-    mod.write_table(path, "outcomes", ["mode_index"] + names, [np.arange(3)] + columns)
+    mod.write_table(path, "outcomes", ["mode_index"] + names, columns)
     assert path.read_bytes() == golden
     kind, table = mod.read_csv_table(path)
     assert kind == "outcomes"
@@ -396,7 +435,8 @@ def test_v2_rows_span_several_blocks(tmp_path, monkeypatch):
     blocks = rng.standard_normal((1000, 8)) * 10.0 ** rng.integers(-300, 300, (1000, 8))
     labels = rng.integers(-1, 3, 1000) * rng.integers(1, 10**6, 1000)
     path = tmp_path / "symbols.csv"
-    mod.write_blocks_csv(path, blocks, labels)
+    names = ["block_index"] + [f"coord_{i}" for i in range(8)] + ["label"]
+    mod.write_table(path, "symbols", names, [blocks, labels])
     # reference: one cell at a time through struct
     rows = b"".join(
         b",".join([b"%d" % i, *(struct.pack(">d", v).hex().encode() for v in row), b"%d" % label])
@@ -423,39 +463,40 @@ _INT_DTYPES = {"int8": (-128, 127), "uint8": (0, 255), "int64": mod.V2_INT_RANGE
 
 @st.composite
 def _v2_tables(draw):
-    """(block rows, columns) of a v2 table of 1 to 40 rows: a row index from
-    near a power of ten, an int8, a uint8 and an int64 column, and 1-D and 2-D
-    float groups.  test_empty_v2_table_roundtrip covers 0 rows."""
-    n = draw(st.integers(1, 40))
-    start = draw(st.sampled_from([0, 1, 7, 95, 9_990, 10**17 - 20, 10**18 - 1 - n]))
-    columns = [np.arange(start, start + n)]
+    """(block rows, names, columns) of a v2 table of 1 to 150 rows: an int8, a
+    uint8 and an int64 column, and 1-D and 2-D float groups.  The row index
+    crosses 10 and 100 inside blocks of up to 128 rows, and the int64 column
+    holds the widest cells.  test_empty_v2_table_roundtrip covers 0 rows."""
+    n = draw(st.one_of(st.integers(1, 40), st.integers(95, 150)))
+    columns = []
     for dtype, (lo, hi) in _INT_DTYPES.items():
         # any width from 1 digit to the dtype's widest, either sign
         values = st.one_of(st.sampled_from([lo, hi, max(lo, -1), 0]),
                            st.builds(lambda v, k: v // 10**k, st.integers(lo, hi), st.integers(0, 18)))
         columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype))
+    names = ["mode_index", "basis", "label", "block_index"]
     bits = st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(0, 2**64 - 1))
     for width in draw(st.lists(st.sampled_from([None, 1, 2, 8]), min_size=1, max_size=3)):
         group = draw(st.lists(bits, min_size=n * (width or 1), max_size=n * (width or 1)))
         group = np.array(group, dtype=np.uint64).view(float)
         columns.append(group if width is None else group.reshape(n, width))
-    return draw(st.sampled_from([1, 3, 7, 16])), columns
+        names += [f"c{len(columns)}_{j}" for j in range(width or 1)]
+    return draw(st.sampled_from([1, 3, 7, 16, 128])), names, columns
 
 
 @PROPERTY
 @given(_v2_tables())
 def test_write_table_matches_per_cell_reference(tmp_path_factory, table):
     # every cell as struct and b"%d" write it, whichever block it falls in
-    block_rows, columns = table
-    names = [f"c{i}" for i, c in enumerate(columns) for _ in range(c.size // len(c))]
+    block_rows, names, columns = table
     path = tmp_path_factory.mktemp("v2") / "table.csv"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mod, "CSV_BLOCK_ROWS", block_rows)
         mod.write_table(path, "outcomes", names, columns)
     cells = [np.asarray(c, dtype=object).reshape(len(c), -1) for c in columns]
     rows = b"".join(
-        b",".join(struct.pack(">d", v).hex().encode() if isinstance(v, float) else b"%d" % v
-                  for c in cells for v in c[r]) + b"\n"
+        b",".join([b"%d" % r, *(struct.pack(">d", v).hex().encode() if isinstance(v, float)
+                                else b"%d" % v for c in cells for v in c[r])]) + b"\n"
         for r in range(len(columns[0])))
     assert path.read_bytes() == f"# cvqkd-csv-v2 outcomes\n{','.join(names)}\n".encode() + rows
 
@@ -467,14 +508,15 @@ def test_write_table_refuses_integers_the_reader_refuses(tmp_path, column, value
     # -2**63 overflowed np.abs and 2**63 wrapped to int64, both written as -2;
     # 10**18 wrote a cell of 19 characters, which read_csv_table refuses
     path = tmp_path / "a.csv"
-    with pytest.raises(ValueError, match=f"column mode_index: integer {value} outside"):
-        mod.write_table(path, "outcomes", ["mode_index", "y"], [column, np.zeros(len(column))])
+    with pytest.raises(ValueError, match=f"column basis: integer {value} outside"):
+        mod.write_table(path, "outcomes", ["mode_index", "basis", "y"],
+                        [column, np.zeros(len(column))])
     assert not path.exists()
 
 
 def test_empty_v2_table_roundtrip(tmp_path):
     path = tmp_path / "empty.csv"
-    mod.write_blocks_csv(path, np.zeros((0, 2)), np.zeros(0, dtype=int))
+    mod.write_table(path, "symbols", SYMBOL_NAMES, [np.zeros((0, 2)), np.zeros(0, dtype=int)])
     assert path.read_bytes() == b"# cvqkd-csv-v2 symbols\nblock_index,coord_0,coord_1,label\n"
     kind, table = mod.read_csv_table(path)
     assert kind == "symbols"

@@ -223,6 +223,10 @@ def test_config_from_file_errors(tmp_path):
     bad.write_text("alpha 1.0\nn_symbols 100\n")
     with pytest.raises(ConfigError, match="missing required"):
         ProtocolConfig.from_file(bad)
+    # t = 10^(-0.02 d) underflows to 0.0; the error names the distance the file gave
+    bad.write_text("d 8\nalpha 1.0\nn_symbols 100\ndistance_km 1e5\n")
+    with pytest.raises(ConfigError, match=r"bad\.cfg: distance 100000\.0 km gives transmittance 0\.0"):
+        ProtocolConfig.from_file(bad)
 
 
 def test_config_loads_decoy_file_relative_to_config(tmp_path, design8):
@@ -879,6 +883,26 @@ def test_saved_session_bytes_pinned(tmp_path):
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.iterdir()}
     assert digests == SAVED_FILE_PINS
+
+
+def test_save_memory_does_not_grow_with_the_session(tmp_path):
+    # the save holds its encoder blocks, not a table: a row index held whole
+    # cost 8 B per block and 8 B per mode, 4.8 MB more at 4e5 symbols than at 1e5.
+    # The least of two saves is taken, as the first save of a process is higher
+    _, kwargs = SESSION_PINS["gaussian_d1_homodyne"]
+    peaks = []
+    for n in (100_000, 400_000):
+        transcript = run_session(ProtocolConfig(**dict(kwargs, n_symbols=n), p_est=0.5, seed=5))
+        runs = []
+        for i in range(2):
+            tracemalloc.start()
+            try:
+                save_transcript(transcript, tmp_path / f"{n}-{i}")
+                runs.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        peaks.append(min(runs))
+    assert peaks[1] - peaks[0] < 2**20, f"{peaks[0]} B at 1e5 symbols, {peaks[1]} B at 4e5"
 
 
 # One session per flow, 24,000 coordinates each: from n = 20,000 on, a BLAS
